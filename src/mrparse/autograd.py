@@ -126,7 +126,9 @@ def _accum(t, g):
 
 
 def backward(loss):
-    """Populate .grad of every tensor the scalar `loss` depends on."""
+    """Accumulate into .grad of every leaf the scalar `loss` depends on.
+    Intermediate gradients restart from zero, so a second call on the same
+    graph adds each leaf's gradient once more."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     topo = []
@@ -135,6 +137,8 @@ def backward(loss):
     while stack:
         node, processed = stack.pop()
         if processed:
+            if node._backward is not None:
+                node.grad = None
             topo.append(node)
             continue
         if id(node) in visited:

@@ -125,12 +125,6 @@ def read_ner_sidecar(doc: str) -> list:
     return [line.split() for line in doc.splitlines()]
 
 
-def write_ner_sidecar(path, tag_lines):
-    with open(path, "w", encoding="utf-8") as f:
-        for tags in tag_lines:
-            f.write(" ".join(tags) + "\n")
-
-
 # A tiny exact-match lexicon standing in for an external NER tagger.
 DEFAULT_GAZETTEER = {
     ("Pierre",): "PER",
@@ -232,8 +226,12 @@ def align_companion(graph, sent: CompanionSentence) -> CompanionSentence:
         raise AlignmentError(
             f"graph {graph.id}: companion repair would rewrite {changed}/{total} characters")
     for prev, cur in zip(out, out[1:]):
-        assert not s[prev.end:cur.start].strip()
-    assert all(s[t.start:t.end] == t.form for t in out)
+        if s[prev.end:cur.start].strip():
+            raise AlignmentError(
+                f"graph {graph.id}: input text between {prev.form!r} and {cur.form!r} has no token")
+    for t in out:
+        if s[t.start:t.end] != t.form:
+            raise AlignmentError(f"graph {graph.id}: token {t.form!r} does not match input at {t.start}")
     return CompanionSentence(tokens=out, ner_tags=out_tags, id=sent.id)
 
 

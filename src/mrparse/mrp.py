@@ -39,9 +39,6 @@ class MrpNode:
     anchors: list | None = None  # (from, to) character offsets
     extras: dict = field(default_factory=dict)
 
-    def property_map(self):
-        return dict(self.properties)
-
 
 @dataclass
 class MrpEdge:
@@ -70,7 +67,15 @@ class MrpGraph:
         return {n.id: n for n in self.nodes}
 
     def copy(self):
-        return parse_mrp(serialize_mrp(self))
+        """Structural copy: new node, edge, list and dict objects; labels
+        and property, attribute and extras values are shared."""
+        nodes = [MrpNode(n.id, n.label, list(n.properties),
+                         list(n.anchors) if n.anchors is not None else None, dict(n.extras))
+                 for n in self.nodes]
+        edges = [MrpEdge(e.source, e.target, e.label, list(e.attributes), dict(e.extras))
+                 for e in self.edges]
+        return MrpGraph(id=self.id, framework=self.framework, input=self.input,
+                        tops=list(self.tops), nodes=nodes, edges=edges, extras=dict(self.extras))
 
 
 @dataclass(frozen=True)
@@ -97,11 +102,17 @@ def parse_mrp(line: str) -> MrpGraph:
     if not isinstance(obj, dict):
         raise MrpParseError("record is not an object")
 
+    gid = str(obj.get("id", ""))
     nodes = []
     for raw in obj.get("nodes") or []:
+        if "id" not in raw:
+            raise MrpParseError(f"graph {gid}: node without 'id'")
         anchors = None
         if raw.get("anchors") is not None:
-            anchors = [(a["from"], a["to"]) for a in raw["anchors"]]
+            try:
+                anchors = [(a["from"], a["to"]) for a in raw["anchors"]]
+            except (KeyError, TypeError):
+                raise MrpParseError(f"graph {gid}: node {raw['id']}: anchor without 'from'/'to'") from None
         nodes.append(MrpNode(
             id=raw["id"],
             label=raw.get("label"),
@@ -111,6 +122,8 @@ def parse_mrp(line: str) -> MrpGraph:
         ))
     edges = []
     for raw in obj.get("edges") or []:
+        if "source" not in raw or "target" not in raw:
+            raise MrpParseError(f"graph {gid}: edge without 'source'/'target'")
         edges.append(MrpEdge(
             source=raw["source"],
             target=raw["target"],
@@ -119,7 +132,7 @@ def parse_mrp(line: str) -> MrpGraph:
             extras={k: v for k, v in raw.items() if k not in _EDGE_KEYS},
         ))
     g = MrpGraph(
-        id=str(obj.get("id", "")),
+        id=gid,
         framework=str(obj.get("framework", "")).lower(),
         input=obj.get("input", ""),
         tops=list(obj.get("tops") or []),

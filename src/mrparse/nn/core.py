@@ -56,17 +56,6 @@ class Linear(Module):
         return ag.linear(x, self.w, self.b)
 
 
-class FeedForward(Module):
-    """Single hidden layer with relu, the projection used by scorers."""
-
-    def __init__(self, n_in, n_out, rng):
-        super().__init__()
-        self.lin = self.child("lin", Linear(n_in, n_out, rng))
-
-    def __call__(self, x):
-        return ag.relu(self.lin(x))
-
-
 class Embedding(Module):
     def __init__(self, n, dim, rng):
         super().__init__()

@@ -202,10 +202,7 @@ def _anonymize(g, sent, tables, update):
     for kind, v, m, name_edge, parts in _entity_subgraphs(g):
         if v.id in removed_nodes or (m is not None and m.id in removed_nodes):
             continue
-        if kind == "named":
-            words = [leaf.label for _, leaf, _ in parts]
-        else:
-            words = [leaf.label for _, leaf, _ in parts]
+        words = [leaf.label for _, leaf, _ in parts]
         if any(w is None for w in words):
             continue
         pos = _find_phrase(sent, words, used_tokens)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..mrp import MrpGraph, MrpNode
+from ..mrp import MrpGraph
 
 
 class AnchorError(Exception):
@@ -41,39 +41,29 @@ def anchors_to_spans(g: MrpGraph, sent) -> tuple:
     """Replace character anchors with token-index spans (stored as a single
     (start_token, end_token) anchor pair). Returns (graph, flagged node
     ids)."""
+    g = g.copy()
     flagged = []
-    nodes = []
     for n in g.nodes:
         if n.anchors is None:
-            nodes.append(n)
             continue
         lo = min(f for f, _ in n.anchors)
         hi = max(t for _, t in n.anchors)
         span, snapped = char_range_to_span(lo, hi, sent.tokens)
         if snapped:
             flagged.append(n.id)
-        nodes.append(MrpNode(id=n.id, label=n.label, properties=list(n.properties),
-                             anchors=[(span.start_token, span.end_token)],
-                             extras=dict(n.extras)))
-    out = MrpGraph(id=g.id, framework=g.framework, input=g.input, tops=list(g.tops),
-                   nodes=nodes, edges=list(g.edges), extras=dict(g.extras))
-    return out, flagged
+        n.anchors = [(span.start_token, span.end_token)]
+    return g, flagged
 
 
 def spans_to_anchors(g: MrpGraph, sent) -> MrpGraph:
     """Inverse of anchors_to_spans using the sentence's token offsets."""
-    nodes = []
+    g = g.copy()
     n_tok = len(sent.tokens)
     for n in g.nodes:
         if n.anchors is None:
-            nodes.append(n)
             continue
-        anchors = []
         for s, e in n.anchors:
             if not (0 <= s <= e < n_tok):
                 raise AnchorError(f"node {n.id}: token span ({s},{e}) outside sentence of {n_tok} tokens")
-            anchors.append((sent.tokens[s].start, sent.tokens[e].end))
-        nodes.append(MrpNode(id=n.id, label=n.label, properties=list(n.properties),
-                             anchors=anchors, extras=dict(n.extras)))
-    return MrpGraph(id=g.id, framework=g.framework, input=g.input, tops=list(g.tops),
-                    nodes=nodes, edges=list(g.edges), extras=dict(g.extras))
+        n.anchors = [(sent.tokens[s].start, sent.tokens[e].end) for s, e in n.anchors]
+    return g

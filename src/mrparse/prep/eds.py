@@ -47,21 +47,11 @@ def _is_surface_mapped(node, text):
     return label in (surface, surface.rstrip("s"), surface + "s")
 
 
-def _copy_graph(g):
-    nodes = [MrpNode(n.id, n.label, list(n.properties),
-                     list(n.anchors) if n.anchors is not None else None, dict(n.extras))
-             for n in g.nodes]
-    edges = [MrpEdge(e.source, e.target, e.label, list(e.attributes), dict(e.extras))
-             for e in g.edges]
-    return MrpGraph(id=g.id, framework=g.framework, input=g.input, tops=list(g.tops),
-                    nodes=nodes, edges=edges, extras=dict(g.extras))
-
-
 def eds_reduce(g: MrpGraph) -> MrpGraph:
     """Apply both reduction rules to fixpoint (single-neighbour folds
     first). Non-matching type-1 nodes are left alone; node count never
     increases."""
-    g = _copy_graph(g)
+    g = g.copy()
     while True:
         if _fold_once(g):
             continue
@@ -156,7 +146,7 @@ def _pick_direction(b, eb, c, ec):
 def eds_restore(g: MrpGraph) -> MrpGraph:
     """Reverse eds_reduce: reserved edge labels become nodes spanning both
     endpoints, reserved properties unfold into single-link nodes."""
-    g = _copy_graph(g)
+    g = g.copy()
     next_id = max((n.id for n in g.nodes), default=-1) + 1
     by_id = g.node_by_id()
 
@@ -210,7 +200,7 @@ def eds_exchange_properties(g: MrpGraph) -> MrpGraph:
     application undoes the first. The swap makes the surface string the
     generated label (copyable from the sentence) and the original label a
     categorical target."""
-    g = _copy_graph(g)
+    g = g.copy()
     for n in g.nodes:
         for i, (name, value) in enumerate(n.properties):
             if name == "carg":

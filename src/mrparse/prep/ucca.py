@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 
-from ..mrp import MrpEdge, MrpGraph, MrpNode
+from ..mrp import MrpGraph
 from ..treeify import graph_to_tree
 
 IMPLICIT_RE = re.compile(r"^n_(\d+)$")
@@ -18,60 +18,34 @@ def ucca_mark_implicit(g: MrpGraph) -> MrpGraph:
     """Give every unlabeled node a positional name n_i, i counted in node
     sequence order. Genuine labels already shaped like n_3 get an extra
     underscore so the namespace stays reserved."""
-    order = [sn.node_id for sn in graph_to_tree(g).nodes
-             if sn.node_id is not None]
-    seen = set()
-    rank = {}
-    counter = 0
-    for nid in order:
-        if nid in seen:
-            continue
-        seen.add(nid)
-        rank[nid] = counter
-        counter += 1
-    nodes = []
-    implicit_ids = [nid for nid in sorted(rank, key=rank.get)
-                    if _find_node(g, nid).label is None]
+    order = dict.fromkeys(sn.node_id for sn in graph_to_tree(g).nodes
+                          if sn.node_id is not None)
+    by_id = g.node_by_id()
+    implicit_ids = [nid for nid in order if by_id[nid].label is None]
     number = {nid: i for i, nid in enumerate(implicit_ids)}
+    g = g.copy()
     for n in g.nodes:
         if n.label is None:
-            label = f"n_{number[n.id]}"
+            n.label = f"n_{number[n.id]}"
         elif IMPLICIT_RE.match(n.label) or _ESCAPED_RE.match(n.label):
-            label = "n_" + n.label[1:]  # one more underscore
-        else:
-            label = n.label
-        nodes.append(MrpNode(id=n.id, label=label, properties=list(n.properties),
-                             anchors=list(n.anchors) if n.anchors is not None else None,
-                             extras=dict(n.extras)))
-    return MrpGraph(id=g.id, framework=g.framework, input=g.input, tops=list(g.tops),
-                    nodes=nodes, edges=list(g.edges), extras=dict(g.extras))
-
-
-def _find_node(g, nid):
-    for n in g.nodes:
-        if n.id == nid:
-            return n
-    raise KeyError(nid)
+            n.label = "n_" + n.label[1:]  # one more underscore
+    return g
 
 
 def ucca_strip_implicit(g: MrpGraph) -> MrpGraph:
     """Inverse of ucca_mark_implicit: positional names drop to None,
     escaped genuine labels lose one underscore."""
-    nodes = []
+    g = g.copy()
     for n in g.nodes:
-        label = n.label
-        if label is not None:
-            if IMPLICIT_RE.match(label):
-                label = None
-            else:
-                m = _ESCAPED_RE.match(label)
-                if m:
-                    label = "n" + m.group(1)[1:] + m.group(2)
-        nodes.append(MrpNode(id=n.id, label=label, properties=list(n.properties),
-                             anchors=list(n.anchors) if n.anchors is not None else None,
-                             extras=dict(n.extras)))
-    return MrpGraph(id=g.id, framework=g.framework, input=g.input, tops=list(g.tops),
-                    nodes=nodes, edges=list(g.edges), extras=dict(g.extras))
+        if n.label is None:
+            continue
+        if IMPLICIT_RE.match(n.label):
+            n.label = None
+        else:
+            m = _ESCAPED_RE.match(n.label)
+            if m:
+                n.label = "n" + m.group(1)[1:] + m.group(2)
+    return g
 
 
 # -- composite edge labels --------------------------------------------------
@@ -128,16 +102,16 @@ def decode_edge_label(s: str) -> tuple:
 
 
 def encode_graph_attrs(g: MrpGraph) -> MrpGraph:
-    edges = [MrpEdge(e.source, e.target, encode_edge_label(e.label, e.attributes), [],
-                     dict(e.extras)) for e in g.edges]
-    return MrpGraph(id=g.id, framework=g.framework, input=g.input, tops=list(g.tops),
-                    nodes=list(g.nodes), edges=edges, extras=dict(g.extras))
+    g = g.copy()
+    for e in g.edges:
+        e.label = encode_edge_label(e.label, e.attributes)
+        e.attributes = []
+    return g
 
 
 def decode_graph_attrs(g: MrpGraph) -> MrpGraph:
-    edges = []
+    g = g.copy()
     for e in g.edges:
-        label, attrs = decode_edge_label(e.label or "")
-        edges.append(MrpEdge(e.source, e.target, label or None, attrs, dict(e.extras)))
-    return MrpGraph(id=g.id, framework=g.framework, input=g.input, tops=list(g.tops),
-                    nodes=list(g.nodes), edges=edges, extras=dict(g.extras))
+        label, e.attributes = decode_edge_label(e.label or "")
+        e.label = label or None
+    return g

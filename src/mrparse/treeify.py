@@ -80,6 +80,9 @@ def graph_to_tree(g: MrpGraph) -> NodeSequence:
     by_id = g.node_by_id()
     if not g.tops:
         raise TreeError(f"graph {g.id}: no top node")
+    missing = [t for t in g.tops if t not in by_id]
+    if missing:
+        raise TreeError(f"graph {g.id}: tops {missing} are not nodes")
     children = {n.id: [] for n in g.nodes}
     for e in g.edges:
         children[e.source].append(e)

@@ -47,7 +47,7 @@ class Vocab:
         return [f"{e}\t{self.counts.get(e, 0)}" for e in self.entries]
 
     @classmethod
-    def from_lines(cls, lines, reserved=None):
+    def from_lines(cls, lines):
         entries = []
         counts = {}
         for line in lines:
@@ -56,8 +56,6 @@ class Vocab:
             e, c = line.rsplit("\t", 1)
             entries.append(e)
             counts[e] = int(c)
-        if reserved is None:
-            reserved = tuple(e for e in entries if e.startswith("<") and e.endswith(">"))[:0]
         n_res = 0
         for e in entries:
             if e in (PAD, UNK, BOS, END, NONE_LABEL) and entries.index(e) == n_res:

@@ -184,3 +184,11 @@ def test_grad_accumulates_over_shared_use():
     y = ag.add(ag.mul(x, x), ag.mul(x, 3.0))  # x^2 + 3x
     ag.tsum(y).backward()
     np.testing.assert_allclose(x.grad, 2 * x.data + 3.0)
+
+
+def test_second_backward_on_same_graph_accumulates_once_more():
+    w = Tensor(np.array(1.0), requires_grad=True)
+    z = ag.add(ag.mul(w, 2.0), 0.0)
+    z.backward()
+    z.backward()
+    assert w.grad == 4.0

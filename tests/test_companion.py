@@ -126,6 +126,15 @@ class TestAlignCompanion:
             comp.align_companion(g, s)
 
 
+def test_alignment_invariant_failure_is_typed(monkeypatch):
+    # a repair that drops the text of a drifted stretch must be reported
+    # as an AlignmentError, also when asserts are compiled out
+    monkeypatch.setattr(comp, "_split_region", lambda s, lo, hi: [])
+    g = MrpGraph(id="1", framework="dm", input="we gon na leave")
+    with pytest.raises(comp.AlignmentError, match="between"):
+        comp.align_companion(g, _sent([("we", "we"), ("gonna", "go"), ("leave", "leave")]))
+
+
 def test_retokenize_merges_groups():
     s = _sent([("such", "such"), ("as", "as"), ("dogs", "dog")])
     out = comp.retokenize(s, [(0, 1)])

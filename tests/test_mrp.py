@@ -38,6 +38,17 @@ def test_parse_error_carries_byte_offset():
     assert ei.value.offset == 22
 
 
+@pytest.mark.parametrize("nodes,edges", [
+    ('{"label": "x"}', ''),
+    ('{"id": 0, "anchors": [{"from": 0}]}', ''),
+    ('{"id": 0, "anchors": [{"to": 1}]}', ''),
+    ('{"id": 0}', '{"source": 0}'),
+], ids=["no node id", "no anchor to", "no anchor from", "no edge target"])
+def test_parse_missing_field_is_parse_error(nodes, edges):
+    with pytest.raises(mrp.MrpParseError, match="graph 7"):
+        mrp.parse_mrp(f'{{"id": "7", "input": "ab", "nodes": [{nodes}], "edges": [{edges}]}}')
+
+
 def test_parse_rejects_dangling_edge():
     with pytest.raises(mrp.MrpValidationError):
         mrp.parse_mrp('{"id": "1", "framework": "dm", "input": "", "tops": [],'

@@ -107,6 +107,12 @@ def test_no_top_errors():
         graph_to_tree(g)
 
 
+def test_top_that_is_not_a_node_errors():
+    g = build([(0, "a")], [], [5])
+    with pytest.raises(TreeError, match=r"graph t: tops \[5\]"):
+        graph_to_tree(g)
+
+
 def test_tree_to_graph_identity_sequence():
     seq = NodeSequence(nodes=[
         SeqNode("a", 0),
