@@ -34,9 +34,6 @@ DEFAULT_TEMPLATES = {
     "MISC": "ENTITY",
 }
 
-_PLACEHOLDER_RE = re.compile(r"^(PERSON|LOCATION|ORGANIZATION|DATE|ENTITY)_(\d+)$")
-
-
 @dataclass
 class AmrTables:
     """Corpus statistics for the inverse transforms."""
@@ -278,8 +275,14 @@ def amr_postprocess(g: MrpGraph, entry: dict, tables: AmrTables) -> MrpGraph:
     """Assign senses and polarity, then expand placeholder nodes back into
     entity sub-graphs."""
     g = g.copy()
+    templates = {*tables.templates.values(), "ENTITY"}  # what _anonymize and sentence_entry use
+    placeholders = []
     for n in g.nodes:
-        if n.label is None or _PLACEHOLDER_RE.match(n.label):
+        if n.label is None:
+            continue
+        template, _, k = n.label.rpartition("_")
+        if template in templates and k.isdecimal():
+            placeholders.append(n)
             continue
         stem = n.label
         n.label = tables.best_sense(stem)
@@ -287,9 +290,7 @@ def amr_postprocess(g: MrpGraph, entry: dict, tables: AmrTables) -> MrpGraph:
             n.properties.append(("polarity", "-"))
 
     next_id = max((n.id for n in g.nodes), default=-1) + 1
-    for v in list(g.nodes):
-        if v.label is None or not _PLACEHOLDER_RE.match(v.label):
-            continue
+    for v in placeholders:
         info = entry.get(v.label)
         if info is None:
             log.warning("no anonymization entry for %s; leaving placeholder", v.label)

@@ -3,9 +3,11 @@
 Nodes without a direct surface-token mapping (type 1) get reduced into
 their surface-mapped neighbours (type 2), either as a reserved `reduced:i`
 node property (single neighbour, same anchor) or as a reserved edge label
-(exactly two neighbours whose anchors tile the node's range). Both moves
-are reversed exactly by eds_restore. Separately, multi-token phrases that
-usually surface as one node get merged into one companion token.
+(exactly two neighbours whose anchors tile the node's range). One pass
+reaches the fixpoint, since no reduction changes whether another node is
+reducible. Both moves are reversed exactly by eds_restore. Separately,
+multi-token phrases that usually surface as one node get merged into one
+companion token.
 """
 
 from __future__ import annotations
@@ -48,16 +50,49 @@ def _is_surface_mapped(node, text):
 
 
 def eds_reduce(g: MrpGraph) -> MrpGraph:
-    """Apply both reduction rules to fixpoint (single-neighbour folds
-    first). Non-matching type-1 nodes are left alone; node count never
-    increases."""
+    """Apply both reduction rules; one pass in id order reaches the
+    fixpoint. A node is reduced only when every neighbour is surface-mapped,
+    and that changes only those neighbours: a `reduced:k` property, or a
+    reserved edge that adjacency ignores. Being surface-mapped depends on
+    label and anchors alone, so no reduction makes or unmakes another.
+    Type-1 nodes that do not match, or whose properties or link attributes
+    neither encoding carries, are left alone; node count never increases."""
     g = g.copy()
-    while True:
-        if _fold_once(g):
+    by_id = g.node_by_id()
+    adj = _adjacency(g)
+    dead = set()  # identities of the removed nodes and edges
+    reduced_edges = []
+    for a in sorted(g.nodes, key=lambda n: n.id):
+        links = adj[a.id]
+        if (len(links) not in (1, 2) or _is_surface_mapped(a, g.input) or a.anchors is None
+                or a.id in g.tops or a.properties or any(e.attributes for e in links)):
             continue
-        if _edge_once(g):
+        ends = [(by_id[e.target if e.source == a.id else e.source], e) for e in links]
+        if not all(_is_surface_mapped(b, g.input) for b, _ in ends):
             continue
-        break
+        if len(ends) == 1:
+            [(b, e)] = ends
+            if _norm_anchors(a.anchors) != _norm_anchors(b.anchors):
+                continue
+            direction = "out" if e.source == a.id else "in"
+            k = sum(1 for p, _ in b.properties if p.startswith(REDUCED_PROP))
+            b.properties.append((f"{REDUCED_PROP}{k}", json.dumps([a.label, e.label, direction])))
+        else:
+            (b, eb), (c, ec) = ends
+            if b.id == c.id or b.anchors is None or c.anchors is None:
+                continue
+            combined = _range(list(b.anchors) + list(c.anchors))
+            if _norm_anchors(a.anchors) != (combined,):
+                continue
+            src, esrc, tgt, etgt = _pick_direction(b, eb, c, ec)
+            payload = json.dumps([a.label,
+                                  esrc.label, "out" if esrc.source == a.id else "in",
+                                  etgt.label, "out" if etgt.source == a.id else "in"])
+            reduced_edges.append(MrpEdge(src.id, tgt.id, REDUCED_EDGE + payload))
+        dead.add(id(a))
+        dead.update(id(e) for e in links)
+    g.nodes = [n for n in g.nodes if id(n) not in dead]
+    g.edges = [e for e in g.edges if id(e) not in dead] + reduced_edges
     return g
 
 
@@ -69,65 +104,6 @@ def _adjacency(g):
         adj[e.source].append(e)
         adj[e.target].append(e)
     return adj
-
-
-def _fold_once(g):
-    by_id = g.node_by_id()
-    adj = _adjacency(g)
-    for a in sorted(g.nodes, key=lambda n: n.id):
-        if _is_surface_mapped(a, g.input) or a.anchors is None or a.id in g.tops:
-            continue
-        links = adj[a.id]
-        if len(links) != 1:
-            continue
-        e = links[0]
-        b = by_id[e.target if e.source == a.id else e.source]
-        if not _is_surface_mapped(b, g.input):
-            continue
-        if _norm_anchors(a.anchors) != _norm_anchors(b.anchors):
-            continue
-        direction = "out" if e.source == a.id else "in"
-        k = sum(1 for p, _ in b.properties if p.startswith(REDUCED_PROP))
-        b.properties.append((f"{REDUCED_PROP}{k}", json.dumps([a.label, e.label, direction])))
-        g.nodes.remove(a)
-        g.edges.remove(e)
-        return True
-    return False
-
-
-def _edge_once(g):
-    by_id = g.node_by_id()
-    adj = _adjacency(g)
-    for a in sorted(g.nodes, key=lambda n: n.id):
-        if _is_surface_mapped(a, g.input) or a.anchors is None or a.id in g.tops:
-            continue
-        links = adj[a.id]
-        if len(links) != 2:
-            continue
-        ends = []
-        for e in links:
-            other = by_id[e.target if e.source == a.id else e.source]
-            ends.append((other, e))
-        (b, eb), (c, ec) = ends
-        if b.id == c.id:
-            continue
-        if not (_is_surface_mapped(b, g.input) and _is_surface_mapped(c, g.input)):
-            continue
-        if b.anchors is None or c.anchors is None:
-            continue
-        combined = _range(list(b.anchors) + list(c.anchors))
-        if _norm_anchors(a.anchors) != (combined,):
-            continue
-        src, esrc, tgt, etgt = _pick_direction(b, eb, c, ec)
-        payload = json.dumps([a.label,
-                              esrc.label, "out" if esrc.source == a.id else "in",
-                              etgt.label, "out" if etgt.source == a.id else "in"])
-        g.edges.remove(eb)
-        g.edges.remove(ec)
-        g.edges.append(MrpEdge(src.id, tgt.id, REDUCED_EDGE + payload))
-        g.nodes.remove(a)
-        return True
-    return False
 
 
 def _pick_direction(b, eb, c, ec):
@@ -249,24 +225,25 @@ def _node_token_span(node, tokens):
 
 def build_multiword_table(corpus) -> MultiwordTable:
     """corpus: (graph, companion) pairs. A phrase occurrence counts as
-    single-node when some node's anchor covers exactly that token window."""
+    single-node when some node's anchor covers exactly that token window
+    and no other node's window lies strictly inside it (a compound over
+    two names is not a phrase)."""
     single = {}
     for g, sent in corpus:
-        spans = set()
-        for n in g.nodes:
-            span = _node_token_span(n, sent.tokens)
-            if span and span[1] > span[0]:
-                spans.add(span)
+        spans = {s for s in (_node_token_span(n, sent.tokens) for n in g.nodes) if s}
         for lo, hi in spans:
-            phrase = " ".join(t.form.lower() for t in sent.tokens[lo:hi + 1])
-            single[phrase] = single.get(phrase, 0) + 1
+            if hi > lo and not any(lo <= i <= j <= hi and (i, j) != (lo, hi) for i, j in spans):
+                phrase = " ".join(t.form.lower() for t in sent.tokens[lo:hi + 1])
+                single[phrase] = single.get(phrase, 0) + 1
+    by_words = {tuple(k.split(" ")): k for k in single}
+    lengths = {len(w) for w in by_words}
     totals = {k: 0 for k in single}
     for g, sent in corpus:
         forms = [t.form.lower() for t in sent.tokens]
-        for phrase in totals:
-            words = phrase.split(" ")
-            for i in range(len(forms) - len(words) + 1):
-                if forms[i:i + len(words)] == words:
+        for n in lengths:
+            for i in range(len(forms) - n + 1):
+                phrase = by_words.get(tuple(forms[i:i + n]))
+                if phrase is not None:
                     totals[phrase] += 1
     entries = {k: (single[k] / totals[k] if totals[k] else 0.0, single[k]) for k in single}
     return MultiwordTable(entries)

@@ -3,6 +3,7 @@ attributes into composite edge labels."""
 
 from __future__ import annotations
 
+import json
 import re
 
 from ..mrp import MrpGraph
@@ -77,15 +78,17 @@ def _split_composite(s):
 
 def encode_edge_label(label, attributes) -> str:
     """("A", [("remote", True)]) -> "A⊕remote". Boolean-true attributes
-    encode as bare names, anything else as name=value."""
+    encode as bare names, anything else as name=JSON value."""
     out = [_escape(label or "")]
     for name, value in sorted(attributes, key=lambda p: p[0]):
         if "=" in name:
             raise ValueError(f"attribute name {name!r} may not contain '='")
+        if name.startswith(SEP):
+            raise ValueError(f"attribute name {name!r} may not start with {SEP!r}")
         if value is True:
             out.append(_escape(name))
         else:
-            out.append(_escape(name) + "=" + _escape(str(value)))
+            out.append(_escape(name) + "=" + _escape(json.dumps(value, ensure_ascii=False)))
     return SEP.join(out)
 
 
@@ -95,7 +98,7 @@ def decode_edge_label(s: str) -> tuple:
     for part in parts[1:]:
         if "=" in part:
             name, value = part.split("=", 1)
-            attrs.append((name, value))
+            attrs.append((name, json.loads(value)))
         else:
             attrs.append((part, True))
     return parts[0], attrs

@@ -165,8 +165,7 @@ def tree_to_graph(seq: NodeSequence, framework="amr", graph_id="", input_text=""
         tgt = new_id[n.idx]
         edges.append(MrpEdge(source=src, target=tgt, label=n.edge_label))
 
-    root = seq.nodes[0]
-    if root.label == ROOT_LABEL and root.idx == 0:
+    if has_virtual_root:
         root_id = new_id[0]
         tops = [e.target for e in edges if e.source == root_id]
         nodes = [n for n in nodes if n.id != root_id]

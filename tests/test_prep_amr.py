@@ -80,6 +80,21 @@ def test_postprocess_expands_recorded_subgraph():
     assert len(ops) == 1
 
 
+def test_postprocess_expands_placeholder_of_custom_template():
+    tables = AmrTables()
+    tables.templates["MON"] = "MONEY"
+    g = amr([(0, "cost", []), (1, "MONEY_0", [])], [(0, 1, "ARG1")], [0])
+    entry = {"MONEY_0": {"kind": "named", "type": "monetary-quantity", "phrase": ["$5"]}}
+    post = amr_postprocess(g, entry, tables)
+    by_id = post.node_by_id()
+    assert by_id[1].label == "monetary-quantity"
+    assert {(by_id[e.source].label, e.label, by_id[e.target].label) for e in post.edges} == {
+        ("cost-01", "ARG1", "monetary-quantity"),
+        ("monetary-quantity", "name", "name"),
+        ("name", "op1", "$5"),
+    }
+
+
 def test_sense_restoration_prefers_frequent():
     tables = AmrTables(senses={"want": {"want-01": 10, "want-02": 1}})
     g = amr([(0, "want", [])], [], [0])

@@ -117,7 +117,9 @@ class TestEdgeAttrCodec:
 
     def test_bijection_over_alphabet(self):
         labels = ["A", "P", "A⊕", "⊕⊕", "E=F", ""]
-        attr_sets = [[], [("remote", True)], [("remote", True), ("kind", "q")]]
+        attr_sets = [[], [("remote", True)], [("remote", True), ("kind", "q")],
+                     [("remote", False)], [("kind", "True")], [("n", 2), ("x", None)],
+                     [("kind", "⊕=q⊕")], [("x⊕", True)], [("", True)]]
         seen = {}
         for lab in labels:
             for attrs in attr_sets:
@@ -127,6 +129,9 @@ class TestEdgeAttrCodec:
                 assert (dec_lab, tuple(sorted(dec_attrs))) == key
                 assert enc not in seen or seen[enc] == key
                 seen[enc] = key
+            for name in ("⊕x", "a=b"):
+                with pytest.raises(ValueError):
+                    encode_edge_label(lab, [(name, True)])
 
     def test_graph_level_roundtrip(self):
         g = ucca_graph(["a", "b", "c"],

@@ -1,7 +1,17 @@
+import json
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mrparse.companion import CompanionSentence, Token
-from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
-from mrparse.prep import (MultiwordTable, apply_multiword, build_multiword_table,
-                          eds_exchange_properties, eds_reduce, eds_restore)
+from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
+from mrparse.prep import (MultiwordTable, anchors_to_spans, apply_multiword,
+                          build_multiword_table, eds_exchange_properties, eds_reduce,
+                          eds_restore, spans_to_anchors)
+from mrparse.prep.eds import (REDUCED_EDGE, REDUCED_PROP, _adjacency, _is_surface_mapped,
+                              _norm_anchors, _pick_direction, _range)
 
 
 def graph(text, nodes, edges, tops):
@@ -66,7 +76,8 @@ class TestReduceRule2:
         assert reduced[0].source == 1 and reduced[0].target == 2
 
     def test_rule1_enables_rule2_fixpoint(self):
-        # after folding q into b, node a sees exactly two surface neighbours
+        # one call applies both rules: q folds into node 2 (rule 1) and
+        # link, with its two surface neighbours, becomes a reserved edge
         g = graph("aa bb",
                   nodes=[(0, "link", [(0, 5)], []),
                          (1, "_aa_x", [(0, 2)], []),
@@ -116,6 +127,17 @@ class TestRestore:
         g = graph("dogs bark",
                   nodes=[(0, "_dog_n_1", [(0, 4)], []), (1, "_bark_v_1", [(5, 9)], [])],
                   edges=[(1, 0, "ARG1")], tops=[1])
+        assert eds_restore(eds_reduce(g)) == g
+
+    @pytest.mark.parametrize("props, attrs", [([("carg", "2")], []), ([], [("scope", "wide")])])
+    def test_node_with_data_the_encodings_lack_is_kept(self, props, attrs):
+        # rule 1 would fold card into _two_a and lose the carg or the attribute
+        g = graph("two dogs",
+                  nodes=[(0, "card", [(0, 3)], props),
+                         (1, "_two_a", [(0, 3)], []),
+                         (2, "_dog_n_1", [(4, 8)], [])],
+                  edges=[(0, 1, "ARG1"), (1, 2, "ARG1")], tops=[2])
+        g.edges[0].attributes = attrs
         assert eds_restore(eds_reduce(g)) == g
 
     def test_incoming_edge_direction_restored(self):
@@ -195,6 +217,212 @@ class TestMultiword:
         assert merged.forms == ["dogs", "such as", "cats"]
         assert merged.tokens[1].lemma == "such+as"
 
+    def test_name_compound_is_not_a_phrase(self):
+        s = sent("Pierre Vinken naps")
+        g = graph(s.text(),
+                  nodes=[(0, "compound", [(0, 13)], []),
+                         (1, "named", [(0, 6)], [("carg", "Pierre")]),
+                         (2, "named", [(7, 13)], [("carg", "Vinken")]),
+                         (3, "_nap_v_1", [(14, 18)], [])],
+                  edges=[(0, 1, "ARG2"), (0, 2, "ARG1"), (3, 2, "ARG1")], tops=[3])
+        merged = apply_multiword(s, build_multiword_table([(g, s), (g, s)]))
+        spans, flagged = anchors_to_spans(g, merged)
+        assert flagged == []
+        back = spans_to_anchors(spans, merged).node_by_id()
+        assert back[1].anchors == [(0, 6)] and back[2].anchors == [(7, 13)]
+
     def test_table_serialization_roundtrip(self):
         table = build_multiword_table(self.corpus())
         assert MultiwordTable.from_lines(table.to_lines()).entries == table.entries
+
+
+# -- property tests ---------------------------------------------------------
+
+# The fixpoint algorithm eds_reduce replaced, kept verbatim as the reference:
+# it restarts the scan after every fold or edge reduction.
+
+
+def fixpoint_reduce(g: MrpGraph) -> MrpGraph:
+    g = g.copy()
+    while True:
+        if _fold_once(g):
+            continue
+        if _edge_once(g):
+            continue
+        break
+    return g
+
+
+def _fold_once(g):
+    by_id = g.node_by_id()
+    adj = _adjacency(g)
+    for a in sorted(g.nodes, key=lambda n: n.id):
+        if _is_surface_mapped(a, g.input) or a.anchors is None or a.id in g.tops:
+            continue
+        links = adj[a.id]
+        if len(links) != 1:
+            continue
+        e = links[0]
+        b = by_id[e.target if e.source == a.id else e.source]
+        if not _is_surface_mapped(b, g.input):
+            continue
+        if _norm_anchors(a.anchors) != _norm_anchors(b.anchors):
+            continue
+        direction = "out" if e.source == a.id else "in"
+        k = sum(1 for p, _ in b.properties if p.startswith(REDUCED_PROP))
+        b.properties.append((f"{REDUCED_PROP}{k}", json.dumps([a.label, e.label, direction])))
+        g.nodes.remove(a)
+        g.edges.remove(e)
+        return True
+    return False
+
+
+def _edge_once(g):
+    by_id = g.node_by_id()
+    adj = _adjacency(g)
+    for a in sorted(g.nodes, key=lambda n: n.id):
+        if _is_surface_mapped(a, g.input) or a.anchors is None or a.id in g.tops:
+            continue
+        links = adj[a.id]
+        if len(links) != 2:
+            continue
+        ends = []
+        for e in links:
+            other = by_id[e.target if e.source == a.id else e.source]
+            ends.append((other, e))
+        (b, eb), (c, ec) = ends
+        if b.id == c.id:
+            continue
+        if not (_is_surface_mapped(b, g.input) and _is_surface_mapped(c, g.input)):
+            continue
+        if b.anchors is None or c.anchors is None:
+            continue
+        combined = _range(list(b.anchors) + list(c.anchors))
+        if _norm_anchors(a.anchors) != (combined,):
+            continue
+        src, esrc, tgt, etgt = _pick_direction(b, eb, c, ec)
+        payload = json.dumps([a.label,
+                              esrc.label, "out" if esrc.source == a.id else "in",
+                              etgt.label, "out" if etgt.source == a.id else "in"])
+        g.edges.remove(eb)
+        g.edges.remove(ec)
+        g.edges.append(MrpEdge(src.id, tgt.id, REDUCED_EDGE + payload))
+        g.nodes.remove(a)
+        return True
+    return False
+
+
+WORDS = ("aa", "bb", "cc", "dog", "dogs")
+QUANTIFIERS = ("udef_q", "proper_q", "def_q")
+EDGE_LABELS = ("ARG1", "ARG2", "BV", "L-INDEX", "R-INDEX")
+
+
+@st.composite
+def eds_graphs(draw, lossy=False):
+    """EDS-like graphs: surface nodes over tokens, then quantifier-like,
+    compound-like and chained type-1 nodes, extra links, one or two tops,
+    and shuffled ids with gaps. With lossy=True, type-1 nodes may carry
+    properties and edges attributes."""
+    words = draw(st.lists(st.sampled_from(WORDS), min_size=2, max_size=6))
+    spans, pos = [], 0
+    for w in words:
+        spans.append((pos, pos + len(w)))
+        pos += len(w) + 1
+    text = " ".join(words)
+    nodes, edges = [], []  # [label, anchors, props], (src, tgt, label, attrs)
+
+    def edge(s, t):
+        if draw(st.booleans()):
+            s, t = t, s
+        attrs = [("scope", "wide")] if lossy and draw(st.integers(0, 5)) == 0 else []
+        edges.append((s, t, draw(st.sampled_from(EDGE_LABELS)), attrs))
+
+    for i, w in enumerate(words):
+        kind = draw(st.sampled_from(("pred", "named", "pred", "phrase", "none")))
+        if kind == "pred":
+            nodes.append([f"_{w}_n_1", [spans[i]], []])
+        elif kind == "named":  # surface-mapped by matching the anchored text
+            nodes.append([draw(st.sampled_from((w, w.upper(), w + "s"))), [spans[i]],
+                          [("carg", "named")]])
+        elif kind == "phrase" and i + 1 < len(words):
+            nodes.append([f"_{w}+{words[i + 1]}_p", [spans[i], spans[i + 1]], []])
+    if not nodes:
+        nodes.append(["_x_n_1", None, []])
+    n_surface = len(nodes)
+    surface = st.integers(0, n_surface - 1)
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("quantifier", "compound", "chain", "loose")))
+        a = len(nodes)
+        if kind == "quantifier":
+            b = draw(surface)
+            anchors = nodes[b][1] if draw(st.integers(0, 4)) else [spans[0]]
+            nodes.append([draw(st.sampled_from(QUANTIFIERS)), anchors, []])
+            edge(a, b)
+        elif kind == "compound":
+            b = draw(surface)
+            c = draw(st.sampled_from([i for i in range(n_surface) if i != b] or [b]))
+            pieces = (nodes[b][1] or []) + (nodes[c][1] or [])
+            anchors = [_range(pieces)] if pieces and draw(st.integers(0, 4)) else nodes[b][1]
+            nodes.append(["compound", anchors, []])
+            edge(a, b)
+            edge(a, c)
+        elif kind == "chain":  # type-1 linked to any earlier node
+            b = draw(st.integers(0, a - 1))
+            nodes.append(["nominalization", nodes[b][1], []])
+            edge(a, b)
+        else:
+            i = draw(st.integers(0, len(words) - 1))
+            nodes.append(["loc_nonsp", draw(st.sampled_from((None, [spans[i]]))), []])
+        if lossy and draw(st.integers(0, 5)) == 0:
+            nodes[a][2] = [("carg", "2")]
+    for _ in range(draw(st.integers(0, 3))):
+        edge(draw(st.integers(0, len(nodes) - 1)), draw(st.integers(0, len(nodes) - 1)))
+
+    ids = draw(st.lists(st.integers(0, 3 * len(nodes)), min_size=len(nodes),
+                        max_size=len(nodes), unique=True))
+    pool = ids if draw(st.integers(0, 4)) == 0 else ids[:n_surface]  # mostly surface tops
+    tops = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+    order = draw(st.permutations(range(len(nodes))))
+    return MrpGraph(id="p", framework="eds", input=text, tops=tops,
+                    nodes=[MrpNode(ids[i], nodes[i][0], list(nodes[i][2]),
+                                   list(nodes[i][1]) if nodes[i][1] else None)
+                           for i in order],
+                    edges=[MrpEdge(ids[s], ids[t], lab, list(attrs))
+                           for s, t, lab, attrs in edges])
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _nx_up_to_ids(g):
+    """Node ids dropped; anchors compared as sorted pieces, as eds_restore
+    writes them."""
+    G = nx.MultiDiGraph()
+    for n in g.nodes:
+        G.add_node(n.id, key=(n.label, _norm_anchors(n.anchors), tuple(n.properties),
+                              n.id in g.tops))
+    for e in g.edges:
+        G.add_edge(e.source, e.target, key=(e.label, tuple(e.attributes)))
+    return G
+
+
+class TestReduceProperties:
+    @PROPERTY
+    @given(eds_graphs())
+    def test_one_pass_matches_fixpoint_reference(self, g):
+        assert serialize_mrp(eds_reduce(g)) == serialize_mrp(fixpoint_reduce(g))
+
+    @PROPERTY
+    @given(eds_graphs(lossy=True))
+    def test_idempotent(self, g):
+        once = eds_reduce(g)
+        assert serialize_mrp(eds_reduce(once)) == serialize_mrp(once)
+
+    @PROPERTY
+    @given(eds_graphs(lossy=True))
+    def test_restore_inverts_reduce_up_to_ids(self, g):
+        back = eds_restore(eds_reduce(g))
+        match = nx.algorithms.isomorphism
+        assert nx.is_isomorphic(_nx_up_to_ids(back), _nx_up_to_ids(g),
+                                node_match=match.categorical_node_match("key", None),
+                                edge_match=match.categorical_multiedge_match("key", None))

@@ -101,6 +101,17 @@ def test_multiple_tops_virtual_root():
     assert isomorphic(restored, g)
 
 
+@pytest.mark.parametrize("nodes, edges, tops", [
+    ([(0, "<ROOT>"), (1, "a")], [(0, 1, "L")], [0]),
+    ([(0, "<ROOT>"), (1, "a"), (2, "b")], [(0, 1, "L"), (2, 1, "R")], [0, 2]),
+])
+def test_real_node_labelled_root_survives_roundtrip(nodes, edges, tops):
+    g = build(nodes, edges, tops)
+    restored = tree_to_graph(graph_to_tree(g))
+    assert sorted(restored.tops) == tops
+    assert isomorphic(restored, g)
+
+
 def test_no_top_errors():
     g = build([(0, "a")], [], tops=[])
     with pytest.raises(TreeError):
