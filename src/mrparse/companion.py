@@ -10,7 +10,10 @@ sentence) or from the built-in gazetteer stub.
 
 from __future__ import annotations
 
+import bisect
 import difflib
+import itertools
+import re
 from dataclasses import dataclass, field, replace
 
 
@@ -167,64 +170,54 @@ class GazetteerTagger:
         return tags
 
 
-def _skip_ws(s, pos):
-    while pos < len(s) and s[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _nonspace(s):
-    return sum(1 for ch in s if not ch.isspace())
+# One input word; a token that does not match the input verbatim is split
+# into these.
+_WORD = re.compile(r"\S+")
 
 
 def align_companion(graph, sent: CompanionSentence) -> CompanionSentence:
     """Re-anchor companion tokens onto graph.input.
 
-    Tokens matching the input verbatim keep their lemma/xpos and get fresh
-    offsets. Mismatching stretches are re-tokenized from the input text
-    (whitespace split) and inherit lemma/xpos/NER from the nearest original
-    token. Raises AlignmentError when the repair would touch more than half
-    of the input's characters — that signals a wrong sentence pairing, not
-    tokenizer drift.
+    The input's non-space characters are aligned with those of the token
+    forms. Each input character belongs to the token whose character it
+    matches; an unmatched one belongs to the token of the nearest matched
+    character before it (after it, at the start). A token whose input text
+    equals its form keeps it with fresh offsets; any other token's input
+    text is split at whitespace and every piece inherits the token's
+    lemma/xpos/NER. Raises AlignmentError when more than half of the
+    input's non-space characters are unmatched — that signals a wrong
+    sentence pairing, not tokenizer drift.
     """
     s = graph.input
-    toks = sent.tokens
+    text = "".join(s.split())
+    pieces = ["".join(t.form.split()) for t in sent.tokens]
+    spelled = "".join(pieces)
+    ends = list(itertools.accumulate(map(len, pieces)))  # token k owns text[ends[k-1]:ends[k]]
+    if text != spelled:
+        owner = _match_owners(text, spelled, [k for k, piece in enumerate(pieces) for _ in piece])
+        changed = owner.count(None)
+        if changed * 2 > len(text):
+            raise AlignmentError(
+                f"graph {graph.id}: companion repair would rewrite {changed}/{len(text)} characters")
+        last = next((k for k in owner if k is not None), None)
+        for i, k in enumerate(owner):
+            if k is None:
+                owner[i] = last
+            else:
+                last = k
+        ends = [bisect.bisect_right(owner, k) for k in range(len(pieces))]  # owner never decreases
+    at = [i for i, ch in enumerate(s) if not ch.isspace()]  # s offset of each text character
     out = []
     out_tags = []
-    changed = 0
-    pos = _skip_ws(s, 0)
-    j = 0
-    while j < len(toks):
-        form = toks[j].form
-        if s.startswith(form, pos) and form:
-            out.append(Token(form, toks[j].lemma, toks[j].xpos, pos, pos + len(form)))
-            out_tags.append(sent.ner_tags[j])
-            pos = _skip_ws(s, pos + len(form))
-            j += 1
+    for k, (a, z) in enumerate(zip([0] + ends, ends)):
+        if a == z:
             continue
-        k, p = _find_sync(s, pos, toks, j)
-        region_pieces = _split_region(s, pos, p)
-        changed += _disagreement(
-            "".join(s[b:e] for b, e in region_pieces),
-            "".join(t.form for t in toks[j:k]))
-        src = list(range(j, k)) or [j]
-        for idx, (b, e) in enumerate(region_pieces):
-            si = src[min(len(src) - 1, idx * len(src) // max(len(region_pieces), 1))]
-            si = min(si, len(toks) - 1)
-            out.append(Token(s[b:e], toks[si].lemma, toks[si].xpos, b, e))
-            out_tags.append(sent.ner_tags[si])
-        pos = _skip_ws(s, p)
-        j = k
-    if pos < len(s) and s[pos:].strip():
-        for b, e in _split_region(s, pos, len(s)):
-            changed += e - b  # nothing in the companion accounts for this text
-            last = len(toks) - 1
-            out.append(Token(s[b:e], toks[last].lemma if toks else s[b:e], toks[last].xpos if toks else "XX", b, e))
-            out_tags.append(sent.ner_tags[last] if toks else "O")
-    total = _nonspace(s)
-    if total and changed * 2 > total:
-        raise AlignmentError(
-            f"graph {graph.id}: companion repair would rewrite {changed}/{total} characters")
+        lo, hi = at[a], at[z - 1] + 1
+        t = sent.tokens[k]
+        spans = [(lo, hi)] if s[lo:hi] == t.form else [m.span() for m in _WORD.finditer(s, lo, hi)]
+        for b, e in spans:
+            out.append(Token(s[b:e], t.lemma, t.xpos, b, e))
+            out_tags.append(sent.ner_tags[k])
     for prev, cur in zip(out, out[1:]):
         if s[prev.end:cur.start].strip():
             raise AlignmentError(
@@ -235,39 +228,23 @@ def align_companion(graph, sent: CompanionSentence) -> CompanionSentence:
     return CompanionSentence(tokens=out, ner_tags=out_tags, id=sent.id)
 
 
-def _disagreement(region_text, companion_text):
-    """Characters of the input region that no companion character accounts
-    for. Pure re-segmentation costs nothing; divergent text costs its
-    length."""
-    blocks = difflib.SequenceMatcher(None, region_text, companion_text, autojunk=False)
-    matched = sum(b.size for b in blocks.get_matching_blocks())
-    return len(region_text) - matched
-
-
-def _find_sync(s, pos, toks, j):
-    """Earliest position ≥ pos+1 where a later companion token resumes
-    matching; (len(toks), len(s)) when nothing resyncs."""
-    best = (len(toks), len(s))
-    for k in range(j + 1, len(toks)):
-        q = s.find(toks[k].form, pos) if toks[k].form else -1
-        if q >= 0 and (q, k) < (best[1], best[0]):
-            best = (k, q)
-    return best
-
-
-def _split_region(s, lo, hi):
-    pieces = []
-    b = None
-    for i in range(lo, hi):
-        if s[i].isspace():
-            if b is not None:
-                pieces.append((b, i))
-                b = None
-        elif b is None:
-            b = i
-    if b is not None:
-        pieces.append((b, hi))
-    return pieces
+def _match_owners(text, spelled, spelled_by):
+    """For each character of text, the token index (from spelled_by) of the
+    character of spelled it matches, or None. The common prefix and suffix
+    match as they stand; difflib aligns only what lies between them."""
+    n = min(len(text), len(spelled))
+    p = 0
+    while p < n and text[p] == spelled[p]:
+        p += 1
+    q = 0
+    while q < n - p and text[-1 - q] == spelled[-1 - q]:
+        q += 1
+    owner = spelled_by[:p] + [None] * (len(text) - p - q) + spelled_by[len(spelled) - q:]
+    blocks = difflib.SequenceMatcher(None, text[p:len(text) - q], spelled[p:len(spelled) - q],
+                                     autojunk=False).get_matching_blocks()
+    for i, j, size in blocks:
+        owner[p + i:p + i + size] = spelled_by[p + j:p + j + size]
+    return owner
 
 
 def retokenize(sent: CompanionSentence, groups) -> CompanionSentence:

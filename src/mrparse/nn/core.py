@@ -90,16 +90,15 @@ class LSTMCell(Module):
         h2 = ag.mul(o, ag.tanh(c2))
         return h2, c2
 
-    def zero_state(self, batch=1):
-        z = Tensor(np.zeros((batch, self.n_hidden)))
-        return z, Tensor(np.zeros((batch, self.n_hidden)))
+    def zero_state(self):
+        return Tensor(np.zeros((1, self.n_hidden))), Tensor(np.zeros((1, self.n_hidden)))
 
-    def run(self, xs, h=None, c=None, reverse=False):
-        """xs (n, n_in) -> outputs (n, n_hidden), processing rows one at a
-        time (optionally back to front)."""
+    def run(self, xs, reverse=False):
+        """xs (n, n_in) -> outputs (n, n_hidden) and the final (h, c),
+        processing rows one at a time from a zero state (optionally back to
+        front)."""
         n = xs.shape[0]
-        if h is None:
-            h, c = self.zero_state()
+        h, c = self.zero_state()
         outs = [None] * n
         order = range(n - 1, -1, -1) if reverse else range(n)
         for t in order:

@@ -66,33 +66,23 @@ class SentenceEncoder(Module):
                                                        cfg.char_hidden, rng))
         self.bilstm = self.child("bilstm", BiLSTM(cfg.input_width, cfg.hidden, cfg.layers, rng))
 
-    def embed_sentence(self, sent, char_cache=None):
-        """Token representations (n, input_width). A shared char_cache dict
-        lets one backward pass reuse character encodings of repeated
-        forms."""
+    def embed_sentence(self, sent):
+        """Token representations (n, input_width)."""
         v = self.vocabs
         words = self.word_emb([v["word"].index(t.form.lower()) for t in sent.tokens])
         pos = self.pos_emb([v["xpos"].index(t.xpos) for t in sent.tokens])
         lemmas = self.lemma_emb([v["lemma"].index(t.lemma.lower()) for t in sent.tokens])
         ner = self.ner_emb([v["ner"].index(tag) for tag in sent.ner_tags])
-        chars = []
-        for t in sent.tokens:
-            if char_cache is not None and t.form in char_cache:
-                chars.append(char_cache[t.form])
-                continue
-            enc = self.char_enc([v["char"].index(ch) for ch in t.form])
-            if char_cache is not None:
-                char_cache[t.form] = enc
-            chars.append(enc)
+        chars = [self.char_enc([v["char"].index(ch) for ch in t.form]) for t in sent.tokens]
         char_block = ag.concat(chars, axis=0)
         return ag.concat([words, pos, lemmas, char_block, ner], axis=1)
 
-    def encode(self, sent, char_cache=None):
+    def encode(self, sent):
         """(R, r_n): per-token hidden states (n, 2*hidden) and the final
         state used to seed the decoder."""
         if not sent.tokens:
             raise ValueError("cannot encode an empty sentence")
-        o = self.embed_sentence(sent, char_cache=char_cache)
+        o = self.embed_sentence(sent)
         r = self.bilstm(o)
         n = r.shape[0]
         return r, r[n - 1:n]

@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 
 SENSE_RE = re.compile(r"^(.+?)-(\d{2,})$")
 OP_RE = re.compile(r"^op(\d+)$")
+NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)")
 DATE_FIELDS = ("year", "month", "day", "weekday")
 
 DEFAULT_TEMPLATES = {
@@ -47,7 +48,7 @@ class AmrTables:
         counts = self.senses.get(stem)
         if counts:
             return max(sorted(counts), key=lambda k: counts[k])
-        if stem in self.bare:
+        if stem in self.bare or NUMBER_RE.fullmatch(stem):
             return stem
         return f"{stem}-01"
 

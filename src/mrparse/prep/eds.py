@@ -81,8 +81,8 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
             (b, eb), (c, ec) = ends
             if b.id == c.id or b.anchors is None or c.anchors is None:
                 continue
-            combined = _range(list(b.anchors) + list(c.anchors))
-            if _norm_anchors(a.anchors) != (combined,):
+            pieces = list(b.anchors) + list(c.anchors)
+            if not pieces or _norm_anchors(a.anchors) != (_range(pieces),):
                 continue
             src, esrc, tgt, etgt = _pick_direction(b, eb, c, ec)
             payload = json.dumps([a.label,
@@ -134,9 +134,14 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
         try:
             label, lab_src, dir_src, lab_tgt, dir_tgt = json.loads(payload)
         except (ValueError, TypeError):
-            raise EdsError(f"unrecognized reduced edge label {e.label!r}") from None
-        b, c = by_id[e.source], by_id[e.target]
-        anchors = [_range(list(b.anchors or []) + list(c.anchors or []))]
+            raise EdsError(f"graph {g.id}: unrecognized reduced edge label {e.label!r}") from None
+        b, c = by_id.get(e.source), by_id.get(e.target)
+        if b is None or c is None:
+            raise EdsError(f"graph {g.id}: reduced edge {e.source} -> {e.target} names a missing node")
+        pieces = list(b.anchors or []) + list(c.anchors or [])
+        if not pieces:
+            raise EdsError(f"graph {g.id}: reduced edge {e.source} -> {e.target} joins unanchored nodes")
+        anchors = [_range(pieces)]
         a = MrpNode(next_id, label=label, anchors=anchors)
         next_id += 1
         g.nodes.append(a)
@@ -159,7 +164,8 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
             try:
                 label, edge_label, direction = json.loads(value)
             except (ValueError, TypeError):
-                raise EdsError(f"unrecognized reduced property {name}={value!r} on node {b.id}") from None
+                raise EdsError(
+                    f"graph {g.id}: unrecognized reduced property {name}={value!r} on node {b.id}") from None
             a = MrpNode(next_id, label=label,
                         anchors=sorted(b.anchors) if b.anchors is not None else None)
             next_id += 1

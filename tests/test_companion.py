@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrparse import companion as comp
 from mrparse.companion import CompanionSentence, Token
@@ -129,10 +133,105 @@ class TestAlignCompanion:
 def test_alignment_invariant_failure_is_typed(monkeypatch):
     # a repair that drops the text of a drifted stretch must be reported
     # as an AlignmentError, also when asserts are compiled out
-    monkeypatch.setattr(comp, "_split_region", lambda s, lo, hi: [])
+    monkeypatch.setattr(comp, "_WORD", re.compile(r"(?!)"))
     g = MrpGraph(id="1", framework="dm", input="we gon na leave")
     with pytest.raises(comp.AlignmentError, match="between"):
         comp.align_companion(g, _sent([("we", "we"), ("gonna", "go"), ("leave", "leave")]))
+
+
+def _own(forms):
+    """Companion tokens whose lemma is their own form."""
+    return _sent([(f, f) for f in forms])
+
+
+@pytest.mark.parametrize("text, forms, expected, lemmas", [
+    # a glued word that recurs later must not pull the alignment forward
+    ("big dog saw the cat and the cow", "big dog sawthe cat and the cow",
+     "big dog saw the cat and the cow", "big dog sawthe sawthe cat and the cow"),
+    ("red fox saw a blue fox and a red hen", "redfox saw a blue fox and a red hen",
+     "red fox saw a blue fox and a red hen", "redfox redfox saw a blue fox and a red hen"),
+    # a later form that is a substring of the glued one, or of a later word
+    ("the cat sat at home.", "thecat sat at home .",
+     "the cat sat at home .", "thecat thecat sat at home ."),
+    ("a cat sat on a mat.", "acat sat on a mat .", "a cat sat on a mat .", "acat acat sat on a mat ."),
+], ids=["sawthe", "redfox", "thecat", "acat"])
+def test_merged_companion_token_splits_at_input_spaces(text, forms, expected, lemmas):
+    out = comp.align_companion(MrpGraph(id="1", framework="dm", input=text), _own(forms.split()))
+    assert out.forms == expected.split()
+    assert out.lemmas == lemmas.split()
+    assert all(text[t.start:t.end] == t.form for t in out.tokens)
+
+
+def test_accent_drift_keeps_neighbours():
+    s = _own(["the", "cafe", "is", "a", "cafe"])
+    g = MrpGraph(id="1", framework="dm", input="the café is a cafe")
+    out = comp.align_companion(g, s)
+    assert out.forms == ["the", "café", "is", "a", "cafe"]
+    assert out.lemmas == ["the", "cafe", "is", "a", "cafe"]
+    assert [(t.start, t.end) for t in out.tokens][1] == (4, 8)
+
+
+@pytest.mark.parametrize("text, forms, expected", [
+    ("   ", ["a", "b"], []),
+    ("", [], []),
+    ("a b", ["a", "", "b"], ["a", "b"]),
+    ("", ["", "a"], []),
+])
+def test_alignment_edge_cases(text, forms, expected):
+    out = comp.align_companion(MrpGraph(id="1", framework="dm", input=text), _own(forms))
+    assert out.forms == expected
+    assert out.lemmas == expected
+
+
+def test_empty_companion_on_nonempty_input_is_an_error():
+    with pytest.raises(comp.AlignmentError, match="rewrite 3/3"):
+        comp.align_companion(MrpGraph(id="1", framework="dm", input="a b c"), _own([]))
+
+
+# Words that repeat and contain each other, so that a search for a later
+# token's form would find it in the wrong place.
+RESEGMENT_WORDS = ["a", "at", "cat", "the", "then", "he", "sat", "saw", "an", "and", "fox", "red"]
+
+
+@st.composite
+def resegmented(draw):
+    """(input text, companion forms): the companion glues neighbouring
+    input words or splits a word inside, at random."""
+    words = draw(st.lists(st.sampled_from(RESEGMENT_WORDS), min_size=1, max_size=10))
+    gaps = draw(st.lists(st.sampled_from([" ", " ", "  ", "\t"]),
+                         min_size=len(words) + 1, max_size=len(words) + 1))
+    text = gaps[0] + "".join(w + gap for w, gap in zip(words, gaps[1:]))
+    forms = []
+    i = 0
+    while i < len(words):
+        move = draw(st.sampled_from(("keep", "keep", "glue", "split")))
+        if move == "glue" and i + 1 < len(words):
+            forms.append(words[i] + words[i + 1])
+            i += 2
+            continue
+        if move == "split" and len(words[i]) > 1:
+            cut = draw(st.integers(1, len(words[i]) - 1))
+            forms += [words[i][:cut], words[i][cut:]]
+        else:
+            forms.append(words[i])
+        i += 1
+    return text, forms
+
+
+@given(resegmented())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_resegmented_companion_aligns_exactly(case):
+    text, forms = case
+    sent = _sent([(f, f"L{k}") for k, f in enumerate(forms)], tags=[f"T{k}" for k in range(len(forms))])
+    out = comp.align_companion(MrpGraph(id="1", framework="dm", input=text), sent)
+    assert all(text[t.start:t.end] == t.form for t in out.tokens)
+    # the tokens cover each non-space input character once, in order
+    assert "".join(out.forms) == "".join(text.split())
+    assert all(a.end <= b.start for a, b in zip(out.tokens, out.tokens[1:]))
+    # every character carries the lemma and tag of the token that spelled it
+    assert [t.lemma for t in out.tokens for _ in t.form] == [f"L{k}" for k, f in enumerate(forms) for _ in f]
+    assert [tag for t, tag in zip(out.tokens, out.ner_tags) for _ in t.form] == \
+        [f"T{k}" for k, f in enumerate(forms) for _ in f]
 
 
 def test_retokenize_merges_groups():

@@ -1,0 +1,69 @@
+import numpy as np
+import pytest
+
+from mrparse import autograd as ag
+from mrparse.autograd import Tensor
+from mrparse.nn import BiLSTM, LSTMCell
+from mrparse.vocab import PAD, UNK, Vocab
+
+
+def test_state_roundtrip_restores_every_parameter():
+    src = BiLSTM(3, 4, 2, np.random.default_rng(0))
+    dst = BiLSTM(3, 4, 2, np.random.default_rng(1))
+    state = src.state_arrays()
+    assert sorted(state) == [name for name, _ in src.named_parameters()]
+    dst.load_state(state)
+    for (name, a), (_, b) in zip(src.named_parameters(), dst.named_parameters()):
+        assert np.array_equal(a.data, b.data), name
+        assert a.data is not b.data  # loading copies
+    xs = Tensor(np.random.default_rng(2).normal(size=(5, 3)))
+    assert np.array_equal(src(xs).data, dst(xs).data)
+
+
+def test_load_state_names_missing_parameter():
+    cell = LSTMCell(3, 4, np.random.default_rng(0))
+    state = cell.state_arrays()
+    del state["b"]
+    with pytest.raises(KeyError, match="missing parameter b"):
+        cell.load_state(state)
+
+
+def test_load_state_rejects_wrong_shape():
+    cell = LSTMCell(3, 4, np.random.default_rng(0))
+    state = dict(cell.state_arrays(), w=np.zeros((3, 16)))
+    with pytest.raises(ValueError, match=r"w: checkpoint shape \(3, 16\)"):
+        cell.load_state(state)
+
+
+def test_lstm_step_passes_float64_grad_check():
+    rng = np.random.default_rng(0)
+    cell = LSTMCell(3, 4, rng)
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    c = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    mix = Tensor(rng.normal(size=(2, 4)))
+
+    def loss():
+        h2, c2 = cell.step(x, h, c)
+        return ag.tsum(ag.add(ag.mul(h2, mix), ag.mul(c2, c2)))
+
+    assert cell.w.data.dtype == np.float64
+    assert ag.grad_check(loss, [cell.w, cell.b, x, h, c]) <= 1e-6
+
+
+def test_vocab_build_orders_by_count_then_string():
+    v = Vocab.build(["b", "c", "a", "c", "b", "d", "c"])
+    assert v.entries == [PAD, UNK, "c", "b", "a", "d"]
+    assert [v.index(e) for e in ("c", "b", "a", "d")] == [2, 3, 4, 5]
+    assert v.index("unseen") == v.index(UNK)
+
+
+def test_vocab_lines_roundtrip_keeps_entries_counts_and_reserved():
+    for reserved in [(PAD, UNK), (PAD, UNK, "<s>", "</s>"), ()]:
+        v = Vocab.build(["x", "y", "x", "z z"], reserved=reserved)
+        back = Vocab.from_lines(v.to_lines())
+        assert back.entries == v.entries
+        assert back.reserved == v.reserved
+        assert {e: back.counts.get(e, 0) for e in back.entries} == \
+            {e: v.counts.get(e, 0) for e in v.entries}
+        assert [back.index(e) for e in v.entries] == list(range(len(v)))

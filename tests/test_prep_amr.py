@@ -1,3 +1,5 @@
+import pytest
+
 from mrparse.companion import CompanionSentence, GazetteerTagger, Token
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
 from mrparse.prep import AmrTables, amr_postprocess, amr_preprocess
@@ -105,6 +107,13 @@ def test_sense_restoration_prefers_frequent():
 def test_unseen_predicate_gets_default_sense():
     out = amr_postprocess(amr([(0, "blorf", [])], [], [0]), {}, AmrTables())
     assert out.nodes[0].label == "blorf-01"
+
+
+@pytest.mark.parametrize("stem", ["1989", "2.5", "-3"])
+def test_number_keeps_no_sense(stem):
+    assert AmrTables().best_sense(stem) == stem
+    out = amr_postprocess(amr([(0, stem, [])], [], [0]), {}, AmrTables())
+    assert out.nodes[0].label == stem
 
 
 def test_bare_label_stays_bare():

@@ -10,8 +10,8 @@ from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
 from mrparse.prep import (MultiwordTable, anchors_to_spans, apply_multiword,
                           build_multiword_table, eds_exchange_properties, eds_reduce,
                           eds_restore, spans_to_anchors)
-from mrparse.prep.eds import (REDUCED_EDGE, REDUCED_PROP, _adjacency, _is_surface_mapped,
-                              _norm_anchors, _pick_direction, _range)
+from mrparse.prep.eds import (REDUCED_EDGE, REDUCED_PROP, EdsError, _adjacency,
+                              _is_surface_mapped, _norm_anchors, _pick_direction, _range)
 
 
 def graph(text, nodes, edges, tops):
@@ -89,6 +89,14 @@ class TestReduceRule2:
         assert len(out.nodes) == 2
         assert any(e.label.startswith("reduced:") for e in out.edges)
 
+    def test_unanchored_neighbours_leave_node_unreduced(self):
+        g = graph("aa bb",
+                  nodes=[(0, "compound", [(0, 5)], []),
+                         (1, "_aa_x", [], []),
+                         (2, "_bb_x", [], [])],
+                  edges=[(0, 1, "ARG1"), (0, 2, "ARG2")], tops=[1])
+        assert eds_reduce(g) == g
+
     def test_node_count_never_increases(self):
         g = graph("x y", nodes=[(0, "abstract1", [(0, 3)], []), (1, "abstract2", None, [])],
                   edges=[(0, 1, "L")], tops=[0])
@@ -148,6 +156,20 @@ class TestRestore:
                   edges=[(1, 0, "ARG1")], tops=[0])
         _, restored = self._roundtrip(g)
         assert _canonical(restored) == _canonical(g)
+
+    @pytest.mark.parametrize("edge, prop, message", [
+        ((0, 7, REDUCED_EDGE + '["compound", "ARG1", "out", "ARG2", "out"]'), None,
+         "reduced edge 0 -> 7 names a missing node"),
+        ((1, 0, REDUCED_EDGE + '["compound", "ARG1", "out", "ARG2", "out"]'), None,
+         "reduced edge 1 -> 0 joins unanchored nodes"),
+        ((0, 1, REDUCED_EDGE + "not json"), None, "unrecognized reduced edge label"),
+        (None, (REDUCED_PROP + "0", "not json"), "unrecognized reduced property"),
+    ], ids=["missing-node", "unanchored", "bad-edge-label", "bad-property"])
+    def test_malformed_reduction_names_graph(self, edge, prop, message):
+        g = graph("aa bb", nodes=[(0, "_aa_x", [], [prop] if prop else []), (1, "_bb_x", None, [])],
+                  edges=[edge] if edge else [], tops=[0])
+        with pytest.raises(EdsError, match=f"graph e: {message}"):
+            eds_restore(g)
 
 
 def _canonical(g):
