@@ -366,11 +366,15 @@ def tanh(a):
     return _make(y, (a,), bw)
 
 
+def _sigmoid(x):
+    # stable in both tails
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a):
     a = _lift(a)
-    # stable in both tails
-    y = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    y = _sigmoid(a.data)
 
     def bw(g):
         if a.requires_grad:
@@ -457,12 +461,97 @@ def triple_product_reduce(a, b, c):
     return einsum("d,d,d->", a, b, c)
 
 
-def linear(x, w, b=None):
-    """x @ w (+ b). x may be (d,) or (n, d)."""
-    y = matmul(x, w)
-    if b is not None:
-        y = add(y, b)
-    return y
+def lstm_sequence(X, W, b, lengths=None, reverse=False):
+    """A whole LSTM layer over a batch of sequences, as one tape node.
+
+    X is (B, T, n_in); W is (n_in + n_hidden, 4 * n_hidden) and b is
+    (4 * n_hidden,), with gates [x; h] @ W + b in the order input, forget,
+    candidate, output, from a zero state. Returns H (B, T, n_hidden), the
+    hidden state after each step. Steps run from T - 1 down to 0 with
+    `reverse`. Row k's steps at or past `lengths[k]` (default T) leave its
+    state unchanged, so H[:, T - 1] is each row's last valid state going
+    forwards, and H[:, 0] going backwards.
+
+    The input projection X @ W[:n_in] + b is computed for all steps at
+    once, so only h @ W[n_in:] recurs. Backward is backpropagation through
+    time, with the weight and input gradients taken over all steps at once.
+    """
+    X, W, b = _lift(X), _lift(W), _lift(b)
+    if X.data.ndim != 3:
+        raise ShapeError(f"lstm_sequence needs X of shape (B, T, n_in), got {X.data.shape}")
+    B, T, n_in = X.data.shape
+    nh = W.data.shape[1] // 4
+    if W.data.shape != (n_in + nh, 4 * nh) or b.data.shape != (4 * nh,):
+        raise ShapeError(f"lstm_sequence shapes X {X.data.shape}, W {W.data.shape}, b {b.data.shape}")
+    w_x, w_h = W.data[:n_in], W.data[n_in:]
+    # time-major from here on: step t reads and writes row t
+    x = X.data.transpose(1, 0, 2).reshape(T * B, n_in)
+    zx = (x @ w_x + b.data).reshape(T, B, 4 * nh)
+    active = None
+    if lengths is not None:
+        active = (np.arange(T)[:, None] < np.asarray(lengths))[:, :, None]  # (T, B, 1)
+    order = range(T - 1, -1, -1) if reverse else range(T)
+    keep = grad_enabled() and (X.requires_grad or W.requires_grad or b.requires_grad)
+    hs = np.empty((T, B, nh))
+    if keep:
+        gates, cs, tcs = np.empty((T, B, 4 * nh)), np.empty((T, B, nh)), np.empty((T, B, nh))
+    h = np.zeros((B, nh))
+    c = np.zeros((B, nh))
+    for t in order:
+        z = zx[t] + h @ w_h
+        a = _sigmoid(z)
+        a[:, 2 * nh:3 * nh] = np.tanh(z[:, 2 * nh:3 * nh])
+        c_new = a[:, nh:2 * nh] * c + a[:, :nh] * a[:, 2 * nh:3 * nh]
+        tc = np.tanh(c_new)
+        h_new = a[:, 3 * nh:] * tc
+        if active is None:
+            h, c = h_new, c_new
+        else:
+            h, c = np.where(active[t], h_new, h), np.where(active[t], c_new, c)
+        hs[t] = h
+        if keep:
+            gates[t], cs[t], tcs[t] = a, c, tc
+
+    def bw(g):
+        g = g.transpose(1, 0, 2)
+        # the state before each step is the state after the one before it
+        h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cs)
+        if reverse:
+            h_prev[:-1], c_prev[:-1] = hs[1:], cs[1:]
+        else:
+            h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
+        i, f, cand, o = np.split(gates, 4, axis=2)
+        slope = gates * (1.0 - gates)  # of each sigmoid gate at its pre-activation
+        # dz = [dc * cand, dc * c_prev, dc * i, dh * tanh(c)] * the gates' slopes
+        by_dc = np.stack([cand * slope[..., :nh], c_prev * slope[..., nh:2 * nh],
+                          i * (1.0 - cand * cand)], axis=2)
+        by_dh = tcs * slope[..., 3 * nh:]
+        dc_by_dh = o * (1.0 - tcs * tcs)
+        dz = np.empty((T, B, 4, nh))
+        dh = np.zeros((B, nh))
+        dc = np.zeros((B, nh))
+        for t in reversed(order):
+            dh = dh + g[t]
+            dc_new = dc + dh * dc_by_dh[t]
+            dz[t, :, :3] = dc_new[:, None] * by_dc[t]
+            dz[t, :, 3] = dh * by_dh[t]
+            dzt = dz[t].reshape(B, 4 * nh)
+            if active is None:
+                dh, dc = dzt @ w_h.T, dc_new * f[t]
+            else:
+                m = active[t]
+                dzt *= m
+                dh, dc = dzt @ w_h.T + np.where(m, 0.0, dh), np.where(m, dc_new * f[t], dc)
+        dz = dz.reshape(T * B, 4 * nh)
+        if X.requires_grad:
+            _accum(X, (dz @ w_x.T).reshape(T, B, n_in).transpose(1, 0, 2))
+        if W.requires_grad:
+            inputs = np.concatenate([x, h_prev.reshape(T * B, nh)], axis=1)
+            _accum(W, inputs.T @ dz)
+        if b.requires_grad:
+            _accum(b, dz.sum(axis=0))
+
+    return _make(hs.transpose(1, 0, 2), (X, W, b), bw)
 
 
 # -- numerical gradient checking ------------------------------------------

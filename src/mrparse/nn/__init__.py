@@ -1,3 +1,3 @@
-from .core import BiLSTM, CharEncoder, Embedding, LSTMCell, Linear, Module
+from .core import BiLSTM, CharEncoder, Embedding, LSTMCell, Module
 
-__all__ = ["BiLSTM", "CharEncoder", "Embedding", "LSTMCell", "Linear", "Module"]
+__all__ = ["BiLSTM", "CharEncoder", "Embedding", "LSTMCell", "Module"]

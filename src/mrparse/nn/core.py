@@ -46,16 +46,6 @@ class Module:
         return {name: p.data for name, p in self.named_parameters(prefix)}
 
 
-class Linear(Module):
-    def __init__(self, n_in, n_out, rng, bias=True):
-        super().__init__()
-        self.w = self.param("w", rng.normal(scale=1.0 / np.sqrt(n_in), size=(n_in, n_out)))
-        self.b = self.param("b", np.zeros(n_out)) if bias else None
-
-    def __call__(self, x):
-        return ag.linear(x, self.w, self.b)
-
-
 class Embedding(Module):
     def __init__(self, n, dim, rng):
         super().__init__()
@@ -79,7 +69,8 @@ class LSTMCell(Module):
         self.b = self.param("b", b)
 
     def step(self, x, h, c):
-        """x (B, n_in), h/c (B, n_hidden) -> new (h, c)."""
+        """x (B, n_in), h/c (B, n_hidden) -> new (h, c), recorded op by op
+        on the tape; `run` computes the same recurrence as one op."""
         nh = self.n_hidden
         z = ag.add(ag.matmul(ag.concat([x, h], axis=1), self.w), self.b)
         i = ag.sigmoid(z[:, 0 * nh:1 * nh])
@@ -90,21 +81,11 @@ class LSTMCell(Module):
         h2 = ag.mul(o, ag.tanh(c2))
         return h2, c2
 
-    def zero_state(self):
-        return Tensor(np.zeros((1, self.n_hidden))), Tensor(np.zeros((1, self.n_hidden)))
-
-    def run(self, xs, reverse=False):
-        """xs (n, n_in) -> outputs (n, n_hidden) and the final (h, c),
-        processing rows one at a time from a zero state (optionally back to
-        front)."""
-        n = xs.shape[0]
-        h, c = self.zero_state()
-        outs = [None] * n
-        order = range(n - 1, -1, -1) if reverse else range(n)
-        for t in order:
-            h, c = self.step(xs[t:t + 1], h, c)
-            outs[t] = h
-        return ag.concat(outs, axis=0), (h, c)
+    def run(self, xs, lengths=None, reverse=False):
+        """xs (B, T, n_in) -> hidden states (B, T, n_hidden) from a zero
+        state, optionally back to front; row k stops changing after
+        `lengths[k]` steps (see `autograd.lstm_sequence`)."""
+        return ag.lstm_sequence(xs, self.w, self.b, lengths=lengths, reverse=reverse)
 
 
 class BiLSTM(Module):
@@ -119,24 +100,30 @@ class BiLSTM(Module):
 
     def __call__(self, xs):
         """xs (n, n_in) -> (n, 2*n_hidden): per-position [forward; backward]."""
-        h = xs
+        h = ag.reshape(xs, (1,) + xs.shape)
         for fwd, bwd in self.cells:
-            f_out, _ = fwd.run(h)
-            b_out, _ = bwd.run(h, reverse=True)
-            h = ag.concat([f_out, b_out], axis=1)
-        return h
+            h = ag.concat([fwd.run(h), bwd.run(h, reverse=True)], axis=2)
+        return h[0]
 
 
 class CharEncoder(Module):
     """Single-layer character LSTM; a word's representation is the final
-    hidden state."""
+    hidden state, and that of a word without characters the zero state."""
 
     def __init__(self, n_chars, char_dim, n_hidden, rng):
         super().__init__()
         self.emb = self.child("emb", Embedding(n_chars, char_dim, rng))
         self.cell = self.child("cell", LSTMCell(char_dim, n_hidden, rng))
 
-    def __call__(self, char_indices):
-        xs = self.emb(char_indices)
-        _, (h, _) = self.cell.run(xs)
-        return h  # (1, n_hidden)
+    def __call__(self, words):
+        """words: one list of character indices per word -> (n_words,
+        n_hidden), all words run as one padded batch."""
+        lengths = [len(w) for w in words]
+        # at least one (masked) step, so that a batch of empty words has a
+        # last step too
+        width = max(lengths, default=0) or 1
+        padded = np.zeros((len(words), width), dtype=np.intp)
+        for k, w in enumerate(words):
+            padded[k, :len(w)] = w
+        hs = self.cell.run(self.emb(padded), lengths=lengths)
+        return hs[:, width - 1]

@@ -73,9 +73,8 @@ class SentenceEncoder(Module):
         pos = self.pos_emb([v["xpos"].index(t.xpos) for t in sent.tokens])
         lemmas = self.lemma_emb([v["lemma"].index(t.lemma.lower()) for t in sent.tokens])
         ner = self.ner_emb([v["ner"].index(tag) for tag in sent.ner_tags])
-        chars = [self.char_enc([v["char"].index(ch) for ch in t.form]) for t in sent.tokens]
-        char_block = ag.concat(chars, axis=0)
-        return ag.concat([words, pos, lemmas, char_block, ner], axis=1)
+        chars = self.char_enc([[v["char"].index(ch) for ch in t.form] for t in sent.tokens])
+        return ag.concat([words, pos, lemmas, chars, ner], axis=1)
 
     def encode(self, sent):
         """(R, r_n): per-token hidden states (n, 2*hidden) and the final

@@ -5,9 +5,6 @@ from __future__ import annotations
 
 PAD = "<pad>"
 UNK = "<unk>"
-BOS = "<s>"
-END = "</s>"
-NONE_LABEL = "<none>"
 
 
 class Vocab:
@@ -44,27 +41,18 @@ class Vocab:
         return self.entries[idx]
 
     def to_lines(self):
-        return [f"{e}\t{self.counts.get(e, 0)}" for e in self.entries]
+        """The number of reserved entries, then `entry<TAB>count` per entry."""
+        return [str(len(self.reserved))] + [f"{e}\t{self.counts.get(e, 0)}" for e in self.entries]
 
     @classmethod
     def from_lines(cls, lines):
+        lines = [line.rstrip("\n") for line in lines]
+        lines = [line for line in lines if line]
+        n_res = int(lines[0])
         entries = []
         counts = {}
-        for line in lines:
-            if not line.strip():
-                continue
+        for line in lines[1:]:
             e, c = line.rsplit("\t", 1)
             entries.append(e)
             counts[e] = int(c)
-        n_res = 0
-        for e in entries:
-            if e in (PAD, UNK, BOS, END, NONE_LABEL) and entries.index(e) == n_res:
-                n_res += 1
-            else:
-                break
-        v = cls.__new__(cls)
-        v.reserved = tuple(entries[:n_res])
-        v.entries = entries
-        v.counts = counts
-        v._index = {e: i for i, e in enumerate(entries)}
-        return v
+        return cls(entries[n_res:], counts=counts, reserved=entries[:n_res])

@@ -59,8 +59,12 @@ def test_vocab_build_orders_by_count_then_string():
 
 
 def test_vocab_lines_roundtrip_keeps_entries_counts_and_reserved():
-    for reserved in [(PAD, UNK), (PAD, UNK, "<s>", "</s>"), ()]:
-        v = Vocab.build(["x", "y", "x", "z z"], reserved=reserved)
+    words = ["x", "y", "x", "z z"]
+    # ordinary entries spelled like special names stay ordinary, and an
+    # empty form's entry survives
+    for items, reserved in [(words, (PAD, UNK)), (words, (PAD, UNK, "<s>", "</s>")), (words, ()),
+                            (["<s>", "<s>", "x"], ()), ([UNK, "x"], (PAD,)), (["", "x", " "], (PAD, UNK))]:
+        v = Vocab.build(items, reserved=reserved)
         back = Vocab.from_lines(v.to_lines())
         assert back.entries == v.entries
         assert back.reserved == v.reserved
