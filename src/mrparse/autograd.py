@@ -5,6 +5,16 @@ closure on its output, `backward()` walks the tape in reverse topological
 order. All data is 64-bit; broadcasting is restricted to a trailing-shape
 operand against leading batch axes (anything else needs an explicit
 reshape), which keeps shape bugs loud.
+
+A gradient that reaches a tensor first becomes its `.grad` without a copy
+when the backward has just made it and holds it nowhere else: the
+products of `mul`, `matmul`, `tanh` and `sigmoid`, the filled array of
+`tsum` over all axes, the sum of a broadcast `add` operand, and `dX`, `dW`
+and `db` of `lstm_sequence`. `take` scatters straight into the table's
+`.grad`. Every other backward hands on its incoming gradient or a view of
+it (`add` without broadcast gives the same array to both operands,
+`reshape`, `concat`'s slices, `tsum` along an axis), and that is copied, so
+no two tensors' gradients share memory.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ class Tensor:
         return self.data.ndim
 
     def item(self):
-        return float(self.data)
+        return self.data.item()
 
     def zero_grad(self):
         self.grad = None
@@ -68,15 +78,6 @@ class Tensor:
 
     def __radd__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(_lift(other)))
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -118,9 +119,11 @@ def _make(data, parents, backward_fn):
     return out
 
 
-def _accum(t, g):
+def _accum(t, g, fresh=False):
+    """Add `g` into `t.grad`. `fresh` says that the caller has just made
+    `g` and holds it nowhere else, so a first gradient is kept as it is."""
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.asarray(g, dtype=np.float64) if fresh else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -173,22 +176,13 @@ def add(a, b):
     out_data = a.data + b.data
 
     def bw(g):
+        # an operand of the output's shape gets g itself; a broadcast one a new sum
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, sa))
+            _accum(a, _unbroadcast(g, sa), fresh=sa != g.shape)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, sb))
+            _accum(b, _unbroadcast(g, sb), fresh=sb != g.shape)
 
     return _make(out_data, (a, b), bw)
-
-
-def neg(a):
-    a = _lift(a)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, -g)
-
-    return _make(-a.data, (a,), bw)
 
 
 def mul(a, b):
@@ -198,7 +192,7 @@ def mul(a, b):
 
         def bw_scalar(g):
             if a.requires_grad:
-                _accum(a, g * c)
+                _accum(a, g * c, fresh=True)
 
         return _make(a.data * c, (a,), bw_scalar)
     if a.data.shape != b.data.shape:
@@ -206,9 +200,9 @@ def mul(a, b):
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * b.data)
+            _accum(a, g * b.data, fresh=True)
         if b.requires_grad:
-            _accum(b, g * a.data)
+            _accum(b, g * a.data, fresh=True)
 
     return _make(a.data * b.data, (a, b), bw)
 
@@ -225,54 +219,26 @@ def matmul(a, b):
         ad, bd = a.data, b.data
         if ad.ndim == 1 and bd.ndim == 2:
             if a.requires_grad:
-                _accum(a, g @ bd.T)
+                _accum(a, g @ bd.T, fresh=True)
             if b.requires_grad:
-                _accum(b, np.outer(ad, g))
+                _accum(b, np.outer(ad, g), fresh=True)
         elif ad.ndim == 2 and bd.ndim == 1:
             if a.requires_grad:
-                _accum(a, np.outer(g, bd))
+                _accum(a, np.outer(g, bd), fresh=True)
             if b.requires_grad:
-                _accum(b, ad.T @ g)
+                _accum(b, ad.T @ g, fresh=True)
         elif ad.ndim == 1 and bd.ndim == 1:
             if a.requires_grad:
-                _accum(a, g * bd)
+                _accum(a, g * bd, fresh=True)
             if b.requires_grad:
-                _accum(b, g * ad)
+                _accum(b, g * ad, fresh=True)
         else:
             if a.requires_grad:
-                _accum(a, g @ bd.T)
+                _accum(a, g @ bd.T, fresh=True)
             if b.requires_grad:
-                _accum(b, ad.T @ g)
+                _accum(b, ad.T @ g, fresh=True)
 
     return _make(out_data, (a, b), bw)
-
-
-def einsum(spec, *tensors):
-    """Autograd einsum, restricted: explicit output, no ellipsis, and no
-    repeated index within a single operand.
-
-    Under those restrictions the gradient w.r.t. operand k is the einsum of
-    the output gradient with the remaining operands, mapped onto operand
-    k's index string.
-    """
-    tensors = tuple(_lift(t) for t in tensors)
-    lhs, out_spec = spec.split("->")
-    in_specs = lhs.split(",")
-    if len(in_specs) != len(tensors):
-        raise ShapeError(f"einsum spec {spec} expects {len(in_specs)} operands, got {len(tensors)}")
-    arrays = [t.data for t in tensors]
-    out_data = np.einsum(spec, *arrays)
-
-    def bw(g):
-        for k, t in enumerate(tensors):
-            if not t.requires_grad:
-                continue
-            others = [arrays[j] for j in range(len(tensors)) if j != k]
-            other_specs = [in_specs[j] for j in range(len(tensors)) if j != k]
-            sub = ",".join([out_spec] + other_specs) + "->" + in_specs[k]
-            _accum(t, np.einsum(sub, g, *others))
-
-    return _make(out_data, tensors, bw)
 
 
 def take(a, idx):
@@ -282,9 +248,9 @@ def take(a, idx):
 
     def bw(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            _accum(a, buf)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, idx, g)
 
     return _make(np.array(out_data, dtype=np.float64), (a,), bw)
 
@@ -299,17 +265,6 @@ def reshape(a, shape):
             _accum(a, g.reshape(orig))
 
     return _make(out_data, (a,), bw)
-
-
-def transpose(a, axes):
-    a = _lift(a)
-    inv = np.argsort(axes)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g.transpose(inv))
-
-    return _make(a.data.transpose(axes), (a,), bw)
 
 
 def concat(tensors, axis=0):
@@ -328,18 +283,6 @@ def concat(tensors, axis=0):
     return _make(out_data, tuple(tensors), bw)
 
 
-def stack(tensors, axis=0):
-    tensors = [_lift(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                _accum(t, np.take(g, i, axis=axis))
-
-    return _make(out_data, tuple(tensors), bw)
-
-
 def tsum(a, axis=None):
     a = _lift(a)
     out_data = a.data.sum(axis=axis)
@@ -348,7 +291,7 @@ def tsum(a, axis=None):
         if not a.requires_grad:
             return
         if axis is None:
-            _accum(a, np.full_like(a.data, g))
+            _accum(a, np.full_like(a.data, g), fresh=True)
         else:
             _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
 
@@ -361,7 +304,7 @@ def tanh(a):
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * (1.0 - y * y))
+            _accum(a, g * (1.0 - y * y), fresh=True)
 
     return _make(y, (a,), bw)
 
@@ -378,87 +321,9 @@ def sigmoid(a):
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * y * (1.0 - y))
+            _accum(a, g * y * (1.0 - y), fresh=True)
 
     return _make(y, (a,), bw)
-
-
-def relu(a):
-    a = _lift(a)
-    y = np.maximum(a.data, 0.0)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * (a.data > 0))
-
-    return _make(y, (a,), bw)
-
-
-def exp(a):
-    a = _lift(a)
-    y = np.exp(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * y)
-
-    return _make(y, (a,), bw)
-
-
-def log(a):
-    a = _lift(a)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), bw)
-
-
-def clamp_min(a, lo):
-    a = _lift(a)
-    mask = a.data >= lo
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * mask)
-
-    return _make(np.maximum(a.data, lo), (a,), bw)
-
-
-def softmax(a, axis=-1):
-    """Softmax computed in log space: exp(x - logsumexp(x))."""
-    a = _lift(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        if a.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            _accum(a, y * (g - dot))
-
-    return _make(y, (a,), bw)
-
-
-def log_softmax(a, axis=-1):
-    a = _lift(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    y = np.exp(out_data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g - y * g.sum(axis=axis, keepdims=True))
-
-    return _make(out_data, (a,), bw)
-
-
-def triple_product_reduce(a, b, c):
-    """Sum_d a[d]*b[d]*c[d] — the elementwise-product contraction used by
-    trilinear scoring."""
-    return einsum("d,d,d->", a, b, c)
 
 
 def lstm_sequence(X, W, b, lengths=None, reverse=False):
@@ -544,12 +409,12 @@ def lstm_sequence(X, W, b, lengths=None, reverse=False):
                 dh, dc = dzt @ w_h.T + np.where(m, 0.0, dh), np.where(m, dc_new * f[t], dc)
         dz = dz.reshape(T * B, 4 * nh)
         if X.requires_grad:
-            _accum(X, (dz @ w_x.T).reshape(T, B, n_in).transpose(1, 0, 2))
+            _accum(X, (dz @ w_x.T).reshape(T, B, n_in).transpose(1, 0, 2), fresh=True)
         if W.requires_grad:
             inputs = np.concatenate([x, h_prev.reshape(T * B, nh)], axis=1)
-            _accum(W, inputs.T @ dz)
+            _accum(W, inputs.T @ dz, fresh=True)
         if b.requires_grad:
-            _accum(b, dz.sum(axis=0))
+            _accum(b, dz.sum(axis=0), fresh=True)
 
     return _make(hs.transpose(1, 0, 2), (X, W, b), bw)
 
