@@ -9,12 +9,13 @@ reshape), which keeps shape bugs loud.
 A gradient that reaches a tensor first becomes its `.grad` without a copy
 when the backward has just made it and holds it nowhere else: the
 products of `mul`, `matmul`, `tanh` and `sigmoid`, the filled array of
-`tsum` over all axes, the sum of a broadcast `add` operand, and `dX`, `dW`
-and `db` of `lstm_sequence`. `take` scatters straight into the table's
-`.grad`. Every other backward hands on its incoming gradient or a view of
-it (`add` without broadcast gives the same array to both operands,
-`reshape`, `concat`'s slices, `tsum` along an axis), and that is copied, so
-no two tensors' gradients share memory.
+`tsum` over all axes, the sum of a broadcast `add` operand, and `dX` and
+each direction's `dW` and `db` of `lstm_sequence`. `take` scatters straight
+into the table's `.grad`, which it starts from `np.zeros` (allocated zero
+pages, not a written fill) when there is none. Every other backward hands
+on its incoming gradient or a view of it (`add` without broadcast gives the
+same array to both operands, `reshape`, `concat`'s slices, `tsum` along an
+axis), and that is copied, so no two tensors' gradients share memory.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ def take(a, idx):
     def bw(g):
         if a.requires_grad:
             if a.grad is None:
-                a.grad = np.zeros_like(a.data)
+                a.grad = np.zeros(a.data.shape)
             np.add.at(a.grad, idx, g)
 
     return _make(np.array(out_data, dtype=np.float64), (a,), bw)
@@ -326,97 +327,148 @@ def sigmoid(a):
     return _make(y, (a,), bw)
 
 
-def lstm_sequence(X, W, b, lengths=None, reverse=False):
-    """A whole LSTM layer over a batch of sequences, as one tape node.
+def lstm_sequence(X, directions, lengths=None):
+    """LSTM layers over the same batch of sequences, as one tape node.
 
-    X is (B, T, n_in); W is (n_in + n_hidden, 4 * n_hidden) and b is
-    (4 * n_hidden,), with gates [x; h] @ W + b in the order input, forget,
-    candidate, output, from a zero state. Returns H (B, T, n_hidden), the
-    hidden state after each step. Steps run from T - 1 down to 0 with
-    `reverse`. Row k's steps at or past `lengths[k]` (default T) leave its
-    state unchanged, so H[:, T - 1] is each row's last valid state going
-    forwards, and H[:, 0] going backwards.
+    X is (B, T, n_in). Each direction is (W, b, reverse), W of shape
+    (n_in + n_hidden, 4 * n_hidden) and b of shape (4 * n_hidden,), with
+    gates [x; h] @ W + b in the order input, forget, candidate, output,
+    from a zero state; every W has the same shape. Returns (B, T, D *
+    n_hidden) for D directions, direction d's hidden state after each step
+    in columns d * n_hidden up to (d + 1) * n_hidden. Step s of a reversed
+    direction reads position T - 1 - s. Row k's steps at positions at or
+    past `lengths[k]` (default T) leave its state unchanged, so position
+    T - 1 holds each row's last valid state going forwards, and position 0
+    going backwards.
 
-    The input projection X @ W[:n_in] + b is computed for all steps at
-    once, so only h @ W[n_in:] recurs. Backward is backpropagation through
-    time, with the weight and input gradients taken over all steps at once.
+    All directions run in one time loop on (D, B, .) arrays. The input
+    projection X @ W[:n_in] + b is computed for all steps at once, so only
+    h @ W[n_in:] recurs. The four gates come from one tanh, as sigmoid(z) =
+    (1 + tanh(z / 2)) / 2: the sigmoid gates' pre-activations are halved
+    (exactly, a power of two) before it, and their tanh is then scaled by
+    1/2 and shifted by 1/2. Backward is backpropagation through time, with
+    the weight and input gradients taken over all steps at once.
     """
-    X, W, b = _lift(X), _lift(W), _lift(b)
+    X = _lift(X)
+    directions = [(_lift(W), _lift(b), reverse) for W, b, reverse in directions]
     if X.data.ndim != 3:
         raise ShapeError(f"lstm_sequence needs X of shape (B, T, n_in), got {X.data.shape}")
     B, T, n_in = X.data.shape
-    nh = W.data.shape[1] // 4
-    if W.data.shape != (n_in + nh, 4 * nh) or b.data.shape != (4 * nh,):
-        raise ShapeError(f"lstm_sequence shapes X {X.data.shape}, W {W.data.shape}, b {b.data.shape}")
-    w_x, w_h = W.data[:n_in], W.data[n_in:]
-    # time-major from here on: step t reads and writes row t
-    x = X.data.transpose(1, 0, 2).reshape(T * B, n_in)
-    zx = (x @ w_x + b.data).reshape(T, B, 4 * nh)
-    active = None
+    D = len(directions)
+    nh = directions[0][0].data.shape[1] // 4
+    for W, b, _ in directions:
+        if W.data.shape != (n_in + nh, 4 * nh) or b.data.shape != (4 * nh,):
+            raise ShapeError(f"lstm_sequence shapes X {X.data.shape}, W "
+                             f"{[W.data.shape for W, _, _ in directions]}, b {b.data.shape}")
+    # Step s of direction d reads position s, or T - 1 - s when reversed:
+    # `flips[d]` maps between the two orders along the time axis.
+    flips = [slice(None, None, -1 if reverse else None) for _, _, reverse in directions]
+    x = X.data.transpose(1, 0, 2)  # (T, B, n_in)
+    x_steps = [x[f].reshape(T * B, n_in) for f in flips]
+    w_x = [W.data[:n_in] for W, _, _ in directions]
+    w_h = [W.data[n_in:] for W, _, _ in directions]
+    # zs[d, s]: direction d's input projection at step s, then halved where
+    # a sigmoid gate's tanh reads it
+    scale = np.full(4 * nh, 0.5)
+    scale[2 * nh:3 * nh] = 1.0
+    shift = 1.0 - scale
+    zs = np.empty((D, T, B, 4 * nh))
+    for d, (_, b, _) in enumerate(directions):
+        np.matmul(x_steps[d], w_x[d], out=zs[d].reshape(T * B, 4 * nh))
+        zs[d] += b.data
+    zs *= scale
+    idle = None
     if lengths is not None:
-        active = (np.arange(T)[:, None] < np.asarray(lengths))[:, :, None]  # (T, B, 1)
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    keep = grad_enabled() and (X.requires_grad or W.requires_grad or b.requires_grad)
-    hs = np.empty((T, B, nh))
-    if keep:
-        gates, cs, tcs = np.empty((T, B, 4 * nh)), np.empty((T, B, nh)), np.empty((T, B, nh))
-    h = np.zeros((B, nh))
-    c = np.zeros((B, nh))
-    for t in order:
-        z = zx[t] + h @ w_h
-        a = _sigmoid(z)
-        a[:, 2 * nh:3 * nh] = np.tanh(z[:, 2 * nh:3 * nh])
-        c_new = a[:, nh:2 * nh] * c + a[:, :nh] * a[:, 2 * nh:3 * nh]
-        tc = np.tanh(c_new)
-        h_new = a[:, 3 * nh:] * tc
-        if active is None:
-            h, c = h_new, c_new
-        else:
-            h, c = np.where(active[t], h_new, h), np.where(active[t], c_new, c)
-        hs[t] = h
-        if keep:
-            gates[t], cs[t], tcs[t] = a, c, tc
+        valid = (np.arange(T)[:, None] < np.asarray(lengths))[:, :, None]  # (T, B, 1)
+        idle = np.stack([~valid[f] for f in flips], axis=1)  # (T, D, B, 1) in step order
+    gates = np.empty((T, D, B, 4 * nh))
+    hs, cs, tcs = np.empty((T, D, B, nh)), np.empty((T, D, B, nh)), np.empty((T, D, B, nh))
+    ig = np.empty((D, B, nh))
+    h = c = np.zeros((D, B, nh))
+    for s in range(T):
+        a = gates[s]
+        for d in range(D):
+            np.matmul(h[d], w_h[d], out=a[d])
+        a *= scale
+        a += zs[:, s]
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        np.multiply(a[..., nh:2 * nh], c, out=cs[s])
+        np.multiply(a[..., :nh], a[..., 2 * nh:3 * nh], out=ig)
+        cs[s] += ig
+        np.tanh(cs[s], out=tcs[s])
+        np.multiply(a[..., 3 * nh:], tcs[s], out=hs[s])
+        if idle is not None:
+            np.copyto(hs[s], h, where=idle[s])
+            np.copyto(cs[s], c, where=idle[s])
+        h, c = hs[s], cs[s]
+    out = np.empty((B, T, D, nh))
+    for d in range(D):
+        out[:, :, d] = hs[flips[d], d].transpose(1, 0, 2)
 
     def bw(g):
-        g = g.transpose(1, 0, 2)
-        # the state before each step is the state after the one before it
-        h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cs)
-        if reverse:
-            h_prev[:-1], c_prev[:-1] = hs[1:], cs[1:]
-        else:
-            h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
-        i, f, cand, o = np.split(gates, 4, axis=2)
-        slope = gates * (1.0 - gates)  # of each sigmoid gate at its pre-activation
-        # dz = [dc * cand, dc * c_prev, dc * i, dh * tanh(c)] * the gates' slopes
-        by_dc = np.stack([cand * slope[..., :nh], c_prev * slope[..., nh:2 * nh],
-                          i * (1.0 - cand * cand)], axis=2)
-        by_dh = tcs * slope[..., 3 * nh:]
-        dc_by_dh = o * (1.0 - tcs * tcs)
-        dz = np.empty((T, B, 4, nh))
-        dh = np.zeros((B, nh))
-        dc = np.zeros((B, nh))
-        for t in reversed(order):
-            dh = dh + g[t]
-            dc_new = dc + dh * dc_by_dh[t]
-            dz[t, :, :3] = dc_new[:, None] * by_dc[t]
-            dz[t, :, 3] = dh * by_dh[t]
-            dzt = dz[t].reshape(B, 4 * nh)
+        g = g.reshape(B, T, D, nh)
+        g_steps = np.empty((T, D, B, nh))
+        for d in range(D):
+            g_steps[:, d] = g[:, flips[d], d].transpose(1, 0, 2)
+        # dz = [dc * cand, dc * c_prev, dc * i, dh * tanh(c)] * the gates'
+        # slopes; dz holds the factors of dc and dh until step s fills it in
+        a = gates.reshape(T, D, B, 4, nh).transpose(1, 0, 2, 3, 4)
+        dz = np.empty((D, T, B, 4, nh))
+        np.subtract(1.0, a, out=dz)
+        dz *= a  # the slope of each sigmoid gate at its pre-activation
+        dz[:, :, :, 0] *= a[:, :, :, 2]
+        dz[:, :1, :, 1] = 0.0
+        dz[:, 1:, :, 1] *= cs[:-1].transpose(1, 0, 2, 3)
+        cand_slope = dz[:, :, :, 2]
+        np.multiply(a[:, :, :, 2], a[:, :, :, 2], out=cand_slope)
+        np.subtract(1.0, cand_slope, out=cand_slope)
+        cand_slope *= a[:, :, :, 0]
+        dz[:, :, :, 3] *= tcs.transpose(1, 0, 2, 3)
+        dc_by_dh = gates[..., 3 * nh:] * (1.0 - tcs * tcs)
+        active = None if idle is None else ~idle
+        dh, dc = np.zeros((D, B, nh)), np.zeros((D, B, nh))
+        dh_step, dc_by_step = np.empty((D, B, nh)), np.empty((D, B, nh))
+        for s in range(T - 1, -1, -1):
+            dh += g_steps[s]
+            np.multiply(dh, dc_by_dh[s], out=dc_by_step)
+            if active is not None:
+                dc_by_step *= active[s]  # an idle row's dc stays as it is
+            dc += dc_by_step
+            dz[:, s, :, :3] *= dc[:, :, None]
+            dz[:, s, :, 3] *= dh
+            dzs = dz[:, s].reshape(D, B, 4 * nh)
+            if active is not None:
+                dzs *= active[s]
+            for d in range(D):
+                np.matmul(dzs[d], w_h[d].T, out=dh_step[d])
             if active is None:
-                dh, dc = dzt @ w_h.T, dc_new * f[t]
+                dh, dh_step = dh_step, dh
             else:
-                m = active[t]
-                dzt *= m
-                dh, dc = dzt @ w_h.T + np.where(m, 0.0, dh), np.where(m, dc_new * f[t], dc)
-        dz = dz.reshape(T * B, 4 * nh)
-        if X.requires_grad:
-            _accum(X, (dz @ w_x.T).reshape(T, B, n_in).transpose(1, 0, 2), fresh=True)
-        if W.requires_grad:
-            inputs = np.concatenate([x, h_prev.reshape(T * B, nh)], axis=1)
-            _accum(W, inputs.T @ dz, fresh=True)
-        if b.requires_grad:
-            _accum(b, dz.sum(axis=0), fresh=True)
+                np.copyto(dh, dh_step, where=active[s])
+            # this loop meets a forward row's idle steps before its valid
+            # ones, while its dc is 0, and a reversed row's after them, when
+            # its dc is no longer read, so idle rows need no mask here
+            dc *= gates[s, :, :, nh:2 * nh]
+        dz = dz.reshape(D, T * B, 4 * nh)
+        dx = np.zeros((T, B, n_in)) if X.requires_grad else None
+        for d, (W, b, _) in enumerate(directions):
+            if dx is not None:
+                dx[flips[d]] += (dz[d] @ w_x[d].T).reshape(T, B, n_in)
+            if W.requires_grad:
+                # the state before step s is the state after step s - 1
+                dW = np.empty(W.data.shape)
+                np.matmul(x_steps[d].T, dz[d], out=dW[:n_in])
+                np.matmul(hs[:-1, d].reshape(-1, nh).T, dz[d, B:], out=dW[n_in:])
+                _accum(W, dW, fresh=True)
+            if b.requires_grad:
+                _accum(b, dz[d].sum(axis=0), fresh=True)
+        if dx is not None:
+            _accum(X, dx.transpose(1, 0, 2), fresh=True)
 
-    return _make(hs.transpose(1, 0, 2), (X, W, b), bw)
+    parents = (X,) + tuple(t for W, b, _ in directions for t in (W, b))
+    return _make(out.reshape(B, T, D * nh), parents, bw)
 
 
 # -- numerical gradient checking ------------------------------------------

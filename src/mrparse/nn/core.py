@@ -57,7 +57,9 @@ class Embedding(Module):
 
 class LSTMCell(Module):
     """Fused-gate cell: gates = [x; h] @ w + b, order (input, forget,
-    candidate, output); forget bias starts at 1."""
+    candidate, output); forget bias starts at 1. A cell is one direction of
+    `autograd.lstm_sequence`: `run` calls it with this cell alone, and
+    `BiLSTM` with both cells of a layer."""
 
     def __init__(self, n_in, n_hidden, rng):
         super().__init__()
@@ -70,7 +72,8 @@ class LSTMCell(Module):
 
     def step(self, x, h, c):
         """x (B, n_in), h/c (B, n_hidden) -> new (h, c), recorded op by op
-        on the tape; `run` computes the same recurrence as one op."""
+        on the tape; `run` computes the same recurrence as one op, equal
+        up to rounding (it computes the sigmoid gates through tanh)."""
         nh = self.n_hidden
         z = ag.add(ag.matmul(ag.concat([x, h], axis=1), self.w), self.b)
         i = ag.sigmoid(z[:, 0 * nh:1 * nh])
@@ -85,10 +88,14 @@ class LSTMCell(Module):
         """xs (B, T, n_in) -> hidden states (B, T, n_hidden) from a zero
         state, optionally back to front; row k stops changing after
         `lengths[k]` steps (see `autograd.lstm_sequence`)."""
-        return ag.lstm_sequence(xs, self.w, self.b, lengths=lengths, reverse=reverse)
+        return ag.lstm_sequence(xs, [(self.w, self.b, reverse)], lengths=lengths)
 
 
 class BiLSTM(Module):
+    """Stacked bidirectional LSTM. Each layer is one
+    `autograd.lstm_sequence` call that runs its forward and backward cells
+    in the same time loop and returns their states side by side."""
+
     def __init__(self, n_in, n_hidden, n_layers, rng):
         super().__init__()
         self.n_layers = n_layers
@@ -102,13 +109,15 @@ class BiLSTM(Module):
         """xs (n, n_in) -> (n, 2*n_hidden): per-position [forward; backward]."""
         h = ag.reshape(xs, (1,) + xs.shape)
         for fwd, bwd in self.cells:
-            h = ag.concat([fwd.run(h), bwd.run(h, reverse=True)], axis=2)
+            h = ag.lstm_sequence(h, [(fwd.w, fwd.b, False), (bwd.w, bwd.b, True)])
         return h[0]
 
 
 class CharEncoder(Module):
     """Single-layer character LSTM; a word's representation is the final
-    hidden state, and that of a word without characters the zero state."""
+    hidden state, and that of a word without characters the zero state.
+    All words run as one padded batch through one forward
+    `autograd.lstm_sequence` direction (`LSTMCell.run`)."""
 
     def __init__(self, n_chars, char_dim, n_hidden, rng):
         super().__init__()
@@ -117,7 +126,7 @@ class CharEncoder(Module):
 
     def __call__(self, words):
         """words: one list of character indices per word -> (n_words,
-        n_hidden), all words run as one padded batch."""
+        n_hidden)."""
         lengths = [len(w) for w in words]
         # at least one (masked) step, so that a batch of empty words has a
         # last step too

@@ -200,14 +200,18 @@ def test_lstm_sequence_gives_every_leaf_its_own_gradient():
     rng = np.random.default_rng(22)
     lengths = [4, 1, 3]
     X = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
-    W = Tensor(rng.normal(size=(5, 12)), requires_grad=True)
-    b = Tensor(rng.normal(size=(12,)), requires_grad=True)
-    for reverse in (False, True):
-        for t in (X, W, b):
+    W1, W2 = (Tensor(rng.normal(size=(5, 12)), requires_grad=True) for _ in range(2))
+    b1, b2 = (Tensor(rng.normal(size=(12,)), requires_grad=True) for _ in range(2))
+    for directions in ([(W1, b1, False)], [(W1, b1, True)], [(W1, b1, False), (W2, b2, True)]):
+        for t in (X, W1, b1, W2, b2):
             t.zero_grad()
-        loss = ag.tsum(ag.mul(ag.lstm_sequence(X, W, b, lengths, reverse), Tensor(rng.normal(size=(3, 4, 3)))))
+        out = ag.lstm_sequence(X, directions, lengths)
+        loss = ag.tsum(ag.mul(out, Tensor(rng.normal(size=out.shape))))
         loss.backward()
         _assert_gradients_owned(loss)
+    # the two directions' weight gradients are separate arrays
+    assert W1.grad is not None and W2.grad is not None
+    assert not np.shares_memory(W1.grad, W2.grad)
 
 
 def test_take_scatters_into_the_table_gradient():
