@@ -14,7 +14,7 @@ import bisect
 import difflib
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class CompanionError(Exception):
@@ -25,7 +25,7 @@ class AlignmentError(CompanionError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     form: str
     lemma: str
@@ -48,6 +48,9 @@ class CompanionSentence:
                 f"sentence {self.id}: {len(self.ner_tags)} NER tags for {len(self.tokens)} tokens")
         prev_end = -1
         for t in self.tokens:
+            if t.end < t.start:
+                raise CompanionError(
+                    f"sentence {self.id}: token {t.form!r} ends at {t.end}, before its start {t.start}")
             if t.start < prev_end:
                 raise CompanionError(f"sentence {self.id}: token offsets overlap at {t.form!r}")
             prev_end = t.end
@@ -279,14 +282,28 @@ def retokenize(sent: CompanionSentence, groups) -> CompanionSentence:
     return CompanionSentence(tokens=merged, ner_tags=tags, id=sent.id)
 
 
-def replace_span(sent: CompanionSentence, lo, hi, form, lemma=None, xpos="NNP", tag=None):
-    """Replace tokens lo..hi (inclusive) with a single placeholder token.
-    Offsets downstream are shifted so the result stays self-consistent."""
+def replace_spans(sent: CompanionSentence, spans) -> CompanionSentence:
+    """Replace token runs with single placeholder tokens, in one
+    left-to-right pass. `spans` holds (lo, hi, form, tag) runs, hi
+    inclusive, in token order and not overlapping. A placeholder takes
+    its form as lemma, xpos NNP and NER tag `tag`; every later token's
+    offsets shift by the length the placeholders so far added or removed,
+    so the result stays self-consistent."""
     old = sent.tokens
-    start = old[lo].start
-    new_tok = Token(form, lemma if lemma is not None else form, xpos, start, start + len(form))
-    delta = new_tok.end - old[hi].end
-    toks = list(old[:lo]) + [new_tok] + [
-        replace(t, start=t.start + delta, end=t.end + delta) for t in old[hi + 1:]]
-    tags = sent.ner_tags[:lo] + [tag if tag is not None else sent.ner_tags[lo]] + sent.ner_tags[hi + 1:]
-    return CompanionSentence(tokens=toks, ner_tags=tags, id=sent.id)
+    tokens, tags = [], []
+    shift = i = 0
+    for lo, hi, form, tag in spans:
+        tokens += _shifted(old[i:lo], shift)
+        tags += sent.ner_tags[i:lo]
+        start = old[lo].start + shift
+        tokens.append(Token(form, form, "NNP", start, start + len(form)))
+        tags.append(tag)
+        shift = start + len(form) - old[hi].end
+        i = hi + 1
+    tokens += _shifted(old[i:], shift)
+    tags += sent.ner_tags[i:]
+    return CompanionSentence(tokens=tokens, ner_tags=tags, id=sent.id)
+
+
+def _shifted(tokens, shift):
+    return [Token(t.form, t.lemma, t.xpos, t.start + shift, t.end + shift) for t in tokens] if shift else tokens

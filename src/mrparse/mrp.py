@@ -31,7 +31,7 @@ class MrpValidationError(MrpError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class MrpNode:
     id: int
     label: str | None = None
@@ -40,7 +40,7 @@ class MrpNode:
     extras: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class MrpEdge:
     source: int
     target: int
@@ -49,7 +49,7 @@ class MrpEdge:
     extras: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class MrpGraph:
     id: str
     framework: str

@@ -16,14 +16,13 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from ..companion import CompanionSentence, replace_span
+from ..companion import CompanionSentence, replace_spans
 from ..mrp import MrpEdge, MrpGraph, MrpNode
 
 log = logging.getLogger(__name__)
 
 SENSE_RE = re.compile(r"^(.+?)-(\d{2,})$")
 OP_RE = re.compile(r"^op(\d+)$")
-NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)")
 DATE_FIELDS = ("year", "month", "day", "weekday")
 
 DEFAULT_TEMPLATES = {
@@ -45,12 +44,12 @@ class AmrTables:
     templates: dict = field(default_factory=lambda: dict(DEFAULT_TEMPLATES))
 
     def best_sense(self, stem):
+        """The stem's most frequent sensed label; a stem never seen with a
+        sense comes back bare."""
         counts = self.senses.get(stem)
         if counts:
             return max(sorted(counts), key=lambda k: counts[k])
-        if stem in self.bare or NUMBER_RE.fullmatch(stem):
-            return stem
-        return f"{stem}-01"
+        return stem
 
     def wants_polarity(self, stem):
         with_pol, total = self.polarity.get(stem, (0, 0))
@@ -234,9 +233,7 @@ def _anonymize(g, sent, tables, update):
     dead = {id(e) for e in removed_edges}
     g.nodes = [n for n in g.nodes if n.id not in removed_nodes]
     g.edges = [e for e in g.edges if id(e) not in dead]
-    for lo, hi, placeholder, tag in sorted(replacements, reverse=True):
-        sent = replace_span(sent, lo, hi, placeholder, tag=tag)
-    return g, sent, entry
+    return g, replace_spans(sent, sorted(replacements)), entry
 
 
 def sentence_entry(sent: CompanionSentence, tables: AmrTables):
@@ -244,17 +241,17 @@ def sentence_entry(sent: CompanionSentence, tables: AmrTables):
     and build the restoration entry from corpus statistics."""
     entry = {}
     counters = {}
-    out = sent
+    runs = []
     i = 0
-    while i < len(out.tokens):
-        tag = out.ner_tags[i]
+    while i < len(sent.tokens):
+        tag = sent.ner_tags[i]
         if tag == "O":
             i += 1
             continue
         j = i
-        while j + 1 < len(out.tokens) and out.ner_tags[j + 1] == tag:
+        while j + 1 < len(sent.tokens) and sent.ner_tags[j + 1] == tag:
             j += 1
-        words = [t.form for t in out.tokens[i:j + 1]]
+        words = [t.form for t in sent.tokens[i:j + 1]]
         template = tables.templates.get(tag, "ENTITY")
         k = counters.get(template, 0)
         counters[template] = k + 1
@@ -267,9 +264,9 @@ def sentence_entry(sent: CompanionSentence, tables: AmrTables):
             entry[placeholder] = {"kind": "named",
                                   "type": tables.best_entity_type(tag, "thing"),
                                   "phrase": words}
-        out = replace_span(out, i, j, placeholder, tag=tag)
-        i += 1
-    return out, entry
+        runs.append((i, j, placeholder, tag))
+        i = j + 1
+    return replace_spans(sent, runs), entry
 
 
 def amr_postprocess(g: MrpGraph, entry: dict, tables: AmrTables) -> MrpGraph:

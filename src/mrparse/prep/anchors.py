@@ -3,11 +3,16 @@
 Node anchors are assumed contiguous: the (possibly multi-span) character
 range collapses to one covering token run. Anchors that cut through a
 token are snapped outward to whole tokens and reported back to the caller.
+
+The covering run is found by bisection on the tokens' start and end
+offsets, not by a scan over the tokens. That needs both offset lists to be
+non-decreasing, which CompanionSentence guarantees: its tokens are in
+order, do not overlap and none ends before it starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 
 from ..mrp import MrpGraph
 
@@ -16,42 +21,29 @@ class AnchorError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TokenSpan:
-    start_token: int
-    end_token: int  # inclusive
-
-    def __post_init__(self):
-        if not (0 <= self.start_token <= self.end_token):
-            raise AnchorError(f"bad token span ({self.start_token}, {self.end_token})")
-
-
-def char_range_to_span(lo, hi, tokens) -> tuple:
-    """Covering token run for character range [lo, hi); second element
-    tells whether snapping was needed."""
-    overlapping = [i for i, t in enumerate(tokens) if t.end > lo and t.start < max(hi, lo + 1)]
-    if not overlapping:
-        raise AnchorError(f"character range ({lo},{hi}) covers no token")
-    s, e = overlapping[0], overlapping[-1]
-    snapped = tokens[s].start != lo or tokens[e].end != hi
-    return TokenSpan(s, e), snapped
-
-
 def anchors_to_spans(g: MrpGraph, sent) -> tuple:
     """Replace character anchors with token-index spans (stored as a single
-    (start_token, end_token) anchor pair). Returns (graph, flagged node
-    ids)."""
+    (start_token, end_token) anchor pair, end inclusive). The span covers
+    every token overlapping the node's range [lo, hi); a node whose range
+    does not start and end on its span's token boundaries is flagged as
+    snapped. A node without anchors, or with an empty anchor list, keeps
+    them as they are. Returns (graph, flagged node ids)."""
     g = g.copy()
+    starts = [t.start for t in sent.tokens]
+    ends = [t.end for t in sent.tokens]
     flagged = []
     for n in g.nodes:
-        if n.anchors is None:
+        if not n.anchors:
             continue
         lo = min(f for f, _ in n.anchors)
         hi = max(t for _, t in n.anchors)
-        span, snapped = char_range_to_span(lo, hi, sent.tokens)
-        if snapped:
+        s = bisect_right(ends, lo)  # first token ending after lo
+        e = bisect_left(starts, max(hi, lo + 1)) - 1  # last token starting before hi (lo + 1 if empty)
+        if s > e:
+            raise AnchorError(f"character range ({lo},{hi}) covers no token")
+        if starts[s] != lo or ends[e] != hi:
             flagged.append(n.id)
-        n.anchors = [(span.start_token, span.end_token)]
+        n.anchors = [(s, e)]
     return g, flagged
 
 

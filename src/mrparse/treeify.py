@@ -9,6 +9,7 @@ positions sharing an idx back into single nodes.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -17,14 +18,16 @@ from .mrp import MrpEdge, MrpGraph, MrpNode
 ROOT_LABEL = "<ROOT>"
 
 _SEGMENTS = re.compile(r"\d+|\D+")
+_NATURAL_KEYS_KEPT = 4096  # labels repeat across graphs; this bounds the memo
 
 
 class TreeError(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=_NATURAL_KEYS_KEPT)
 def natural_key(label):
-    """Lexicographic key with numeric-aware segments."""
+    """Lexicographic key with numeric-aware segments; memoised, as keys are tuples."""
     if label is None:
         label = ""
     key = []
@@ -36,7 +39,7 @@ def natural_key(label):
     return tuple(key)
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqNode:
     label: str | None
     idx: int

@@ -19,3 +19,33 @@ def test_traced_encode_train_reports_every_per_layer_metric():
     assert result["correct"] and result["failed"] == 0, out.stderr
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     assert [name for name in declared if name not in result["metrics"]] == []
+
+
+def test_graph_spans_trace_one_sentence_per_framework(monkeypatch):
+    """The graph spans of `benchmarks/tracing.py`, installed in this process,
+    each record a call over one generated sentence per framework, the
+    slotted `MrpGraph.copy` included, and uninstalling restores every
+    wrapped original."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import run
+    import tracing
+    from mrparse.mrp import MrpGraph
+
+    monkeypatch.setattr(run.gen, "PREP_TRAIN", 4)
+    monkeypatch.setattr(run.gen, "PREP_TIMED", 3)
+    w = run.PrepRoundtrip(1)
+    state = w.setup()
+    copy = MrpGraph.copy
+    tracer = tracing.Tracer()
+    tracer.install(tracing.GRAPH_SPANS)
+    wrapped = list(tracer._undo)
+    try:
+        assert MrpGraph.copy is not copy
+        results = [w.roundtrip(it, *state) for it in w.items]
+    finally:
+        tracer.uninstall()
+    assert sorted(it.framework for it in w.items) == ["amr", "eds", "ucca"]
+    assert [name for _, _, name in tracing.GRAPH_SPANS if tracer.calls[name] == 0] == []
+    assert MrpGraph.copy is copy
+    assert [(owner, attr) for owner, attr, original in wrapped if getattr(owner, attr) is not original] == []
+    assert w.check(results) == [[], [], []]

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,12 @@ def test_read_column_mismatch_names_line():
     with pytest.raises(comp.CompanionError) as ei:
         comp.read_companion("1\tonly\ttwo\n")
     assert "line 1" in str(ei.value)
+
+
+def test_token_ending_before_its_start_is_rejected():
+    with pytest.raises(comp.CompanionError, match=r"sentence s1: token 'ab' ends at 3, before its start 5"):
+        comp.read_companion("#s1\n1\tab\tab\tXX\tTokenRange=5:3\n")
+    comp.read_companion("#s1\n1\t\t\tXX\tTokenRange=5:5\n")  # zero width is fine
 
 
 def test_companion_file_roundtrip(tmp_path):
@@ -242,10 +249,57 @@ def test_retokenize_merges_groups():
     assert (out.tokens[0].start, out.tokens[0].end) == (0, 7)
 
 
-def test_replace_span_shifts_offsets():
+def test_replace_spans_shifts_offsets():
     s = _sent([("met", "meet"), ("Pierre", "Pierre"), ("Vinken", "Vinken"), ("today", "today")],
               tags=["O", "PER", "PER", "O"])
-    out = comp.replace_span(s, 1, 2, "PERSON_0", tag="PER")
+    out = comp.replace_spans(s, [(1, 2, "PERSON_0", "PER")])
     assert out.forms == ["met", "PERSON_0", "today"]
     assert out.text() == "met PERSON_0 today"
     assert out.ner_tags == ["O", "PER", "O"]
+
+
+def replace_span(sent, lo, hi, form, lemma=None, xpos="NNP", tag=None):
+    """Reference: the one-run splice replace_spans replaced, which rebuilt
+    the whole token list per run."""
+    old = sent.tokens
+    start = old[lo].start
+    new_tok = Token(form, lemma if lemma is not None else form, xpos, start, start + len(form))
+    delta = new_tok.end - old[hi].end
+    toks = list(old[:lo]) + [new_tok] + [
+        replace(t, start=t.start + delta, end=t.end + delta) for t in old[hi + 1:]]
+    tags = sent.ner_tags[:lo] + [tag if tag is not None else sent.ner_tags[lo]] + sent.ner_tags[hi + 1:]
+    return CompanionSentence(tokens=toks, ner_tags=tags, id=sent.id)
+
+
+@st.composite
+def spliced(draw):
+    """(sentence, runs): tokens with gaps and zero-width forms, and sorted,
+    non-overlapping runs with placeholders longer or shorter than them."""
+    n = draw(st.integers(0, 12))
+    toks, pos = [], 0
+    for k in range(n):
+        pos += draw(st.integers(0, 3))
+        form = draw(st.text("abc", max_size=6))
+        toks.append(Token(form, f"l{k}", draw(st.sampled_from(["NN", "VB"])), pos, pos + len(form)))
+        pos += len(form)
+    tags = draw(st.lists(st.sampled_from(["O", "PER", "LOC"]), min_size=n, max_size=n))
+    cuts = sorted(draw(st.sets(st.integers(0, n), max_size=n + 1)))
+    runs = []
+    for lo, end in zip(cuts, cuts[1:]):
+        if draw(st.booleans()):
+            hi = draw(st.integers(lo, end - 1))
+            runs.append((lo, hi, draw(st.text("XYZ_0", max_size=12)), draw(st.sampled_from(["PER", "DATE"]))))
+    return CompanionSentence(tokens=toks, ner_tags=tags, id="s"), runs
+
+
+@given(spliced())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_replace_spans_matches_right_to_left_reference(case):
+    sent, runs = case
+    want = sent
+    for lo, hi, form, tag in reversed(runs):
+        want = replace_span(want, lo, hi, form, tag=tag)
+    got = comp.replace_spans(sent, runs)
+    assert [(t.form, t.start, t.end, t.lemma, t.xpos) for t in got.tokens] == \
+        [(t.form, t.start, t.end, t.lemma, t.xpos) for t in want.tokens]
+    assert got.ner_tags == want.ner_tags and got.id == want.id

@@ -3,6 +3,8 @@ round-trip harness."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrparse import mrp
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
@@ -143,3 +145,40 @@ def test_file_roundtrip(tmp_path):
     path = tmp_path / "graphs.mrp"
     mrp.write_mrp_file(path, graphs)
     assert mrp.read_mrp_file(path) == graphs
+
+
+TEXT = st.text("aé\"\\ x0", max_size=4)
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-9, 10**12)
+               | st.floats(allow_nan=False, allow_infinity=False) | TEXT)
+JSON_VALUES = JSON_LEAVES | st.lists(JSON_LEAVES, max_size=2) | st.dictionaries(TEXT, JSON_LEAVES, max_size=2)
+
+
+# extras keys: none of them is a key the record format maps at any level
+EXTRAS = st.dictionaries(st.sampled_from(["rank", "flavor", "time", "é", ""]), JSON_VALUES, max_size=2)
+PAIRS = st.lists(st.tuples(TEXT, JSON_LEAVES), max_size=2)
+LABELS = st.none() | TEXT
+
+
+@st.composite
+def mrp_graphs(draw):
+    """Graphs with extras keys at every level, properties, edge attributes,
+    None and empty anchors, None labels and node ids out of order."""
+    n = draw(st.integers(0, 4))
+    anchors = st.none() | st.just([]) | st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), max_size=2)
+    nodes = [MrpNode(i, draw(LABELS), draw(PAIRS), draw(anchors), draw(EXTRAS))
+             for i in draw(st.permutations(range(n)))]
+    ends = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = [MrpEdge(s, t, draw(LABELS), draw(PAIRS), draw(EXTRAS))
+             for s, t in draw(st.lists(ends, max_size=4 if n else 0))]
+    return MrpGraph(id=draw(TEXT), framework=draw(st.sampled_from(mrp.FRAMEWORKS)), input=draw(TEXT),
+                    tops=draw(st.lists(st.integers(0, 4), max_size=2)), nodes=nodes, edges=edges,
+                    extras=draw(EXTRAS))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mrp_graphs())
+def test_parse_inverts_serialize(g):
+    line = mrp.serialize_mrp(g)
+    back = mrp.parse_mrp(line)
+    assert back == g
+    assert mrp.serialize_mrp(back) == line

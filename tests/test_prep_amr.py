@@ -85,6 +85,7 @@ def test_postprocess_expands_recorded_subgraph():
 def test_postprocess_expands_placeholder_of_custom_template():
     tables = AmrTables()
     tables.templates["MON"] = "MONEY"
+    tables.senses["cost"] = {"cost-01": 1}
     g = amr([(0, "cost", []), (1, "MONEY_0", [])], [(0, 1, "ARG1")], [0])
     entry = {"MONEY_0": {"kind": "named", "type": "monetary-quantity", "phrase": ["$5"]}}
     post = amr_postprocess(g, entry, tables)
@@ -104,9 +105,11 @@ def test_sense_restoration_prefers_frequent():
     assert out.nodes[0].label == "want-01"
 
 
-def test_unseen_predicate_gets_default_sense():
-    out = amr_postprocess(amr([(0, "blorf", [])], [], [0]), {}, AmrTables())
-    assert out.nodes[0].label == "blorf-01"
+def test_unseen_stem_stays_bare():
+    tables = AmrTables(senses={"want": {"want-01": 1}})
+    out = amr_postprocess(amr([(0, "want", []), (1, "person", [])], [(0, 1, "ARG0")], [0]), {}, tables)
+    assert [n.label for n in out.nodes] == ["want-01", "person"]
+    assert AmrTables().best_sense("blorf") == "blorf"
 
 
 @pytest.mark.parametrize("stem", ["1989", "2.5", "-3"])
@@ -169,6 +172,7 @@ def test_sentence_entry_for_test_time():
     s = sent("Pierre Vinken visited Rome")
     out, entry = sentence_entry(s, tables)
     assert out.forms == ["PERSON_0", "visited", "LOCATION_0"]
+    assert out.text() == "PERSON_0 visited LOCATION_0" and out.ner_tags == ["PER", "O", "LOC"]
     assert entry["PERSON_0"] == {"kind": "named", "type": "person", "phrase": ["Pierre", "Vinken"]}
     assert entry["LOCATION_0"]["type"] == "city"
 

@@ -1,7 +1,11 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrparse.companion import CompanionSentence, Token
-from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
+from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
 from mrparse.prep import (AnchorError, anchors_to_spans, decode_edge_label,
                           decode_graph_attrs, encode_edge_label, encode_graph_attrs,
                           spans_to_anchors, ucca_mark_implicit, ucca_strip_implicit)
@@ -58,6 +62,100 @@ class TestAnchors:
                      nodes=[MrpNode(0, "x", anchors=[(0, 5)])])
         with pytest.raises(AnchorError):
             spans_to_anchors(g, sent("ab"))
+
+    def test_empty_anchor_list_passes_through(self):
+        g = MrpGraph(id="1", framework="eds", input="hi",
+                     nodes=[MrpNode(0, "x", anchors=[]), MrpNode(1, "y", anchors=[(0, 2)])])
+        out, flagged = anchors_to_spans(g, sent("hi"))
+        assert [n.anchors for n in out.nodes] == [[], [(0, 0)]] and flagged == []
+        assert spans_to_anchors(out, sent("hi")) == g
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def char_range_to_span(lo, hi, tokens):
+    """Reference: the linear scan anchors_to_spans replaced. The covering
+    token run of [lo, hi) as (first, last), and whether snapping was
+    needed."""
+    overlapping = [i for i, t in enumerate(tokens) if t.end > lo and t.start < max(hi, lo + 1)]
+    if not overlapping:
+        raise AnchorError(f"character range ({lo},{hi}) covers no token")
+    s, e = overlapping[0], overlapping[-1]
+    return (s, e), tokens[s].start != lo or tokens[e].end != hi
+
+
+@st.composite
+def token_layouts(draw, min_width=0):
+    """A sentence whose tokens have gaps of 0-3 characters between them and
+    widths from min_width to 4 (zero-width tokens when min_width is 0)."""
+    toks, pos = [], draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 10))):
+        width = draw(st.integers(min_width, 4))
+        toks.append(Token("x" * width, "x", "XX", pos, pos + width))
+        pos += width + draw(st.integers(0, 3))
+    return CompanionSentence(tokens=toks), pos + 3
+
+
+@st.composite
+def anchored(draw):
+    """(sentence, graph): nodes anchored nowhere, on an empty list, or on
+    1-3 arbitrary pieces that may cut through tokens, fall in gaps, lie
+    outside the text or be inverted."""
+    s, length = draw(token_layouts())
+    piece = st.tuples(st.integers(0, length), st.integers(0, length))
+    anchors = st.none() | st.just([]) | st.lists(piece, min_size=1, max_size=3)
+    nodes = [MrpNode(i, "n", anchors=a) for i, a in enumerate(draw(st.lists(anchors, max_size=5)))]
+    return s, MrpGraph(id="p", framework="eds", input=s.text(), nodes=nodes)
+
+
+@PROPERTY
+@given(anchored())
+def test_anchors_to_spans_matches_linear_scan(case):
+    s, g = case
+    want, want_flagged = [], []
+    try:
+        for n in g.nodes:
+            if not n.anchors:
+                want.append(n.anchors)
+                continue
+            span, snapped = char_range_to_span(min(f for f, _ in n.anchors),
+                                               max(t for _, t in n.anchors), s.tokens)
+            want.append([span])
+            if snapped:
+                want_flagged.append(n.id)
+    except AnchorError as e:
+        with pytest.raises(AnchorError, match=re.escape(str(e))):
+            anchors_to_spans(g, s)
+        return
+    out, flagged = anchors_to_spans(g, s)
+    assert [n.anchors for n in out.nodes] == want
+    assert flagged == want_flagged
+
+
+@st.composite
+def on_token_boundaries(draw):
+    """(sentence, graph): every anchor is one piece from the start of a
+    token to the end of the same or a later one. Tokens have width >= 1:
+    a zero-width token overlaps no character range, so no anchor maps to
+    it."""
+    s, _ = draw(token_layouts(min_width=1))
+    n_tok = len(s.tokens)
+    index = st.integers(0, n_tok - 1) if n_tok else st.nothing()
+    runs = st.tuples(index, index).map(sorted)
+    anchors = [None if run is None else [(s.tokens[run[0]].start, s.tokens[run[1]].end)]
+               for run in draw(st.lists(st.none() | runs, max_size=6))]
+    return s, MrpGraph(id="b", framework="eds", input=s.text(),
+                       nodes=[MrpNode(i, "n", anchors=a) for i, a in enumerate(anchors)])
+
+
+@PROPERTY
+@given(on_token_boundaries())
+def test_spans_to_anchors_inverts_anchors_to_spans_on_token_boundaries(case):
+    s, g = case
+    spans, flagged = anchors_to_spans(g, s)
+    assert flagged == []
+    assert serialize_mrp(spans_to_anchors(spans, s)) == serialize_mrp(g)
 
 
 def ucca_graph(labels, edges=(), tops=(0,)):
