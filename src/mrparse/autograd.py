@@ -210,34 +210,15 @@ def mul(a, b):
 
 def matmul(a, b):
     a, b = _lift(a), _lift(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports 1D/2D, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shapes {a.data.shape} @ {b.data.shape}")
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul needs 2-D operands (m, k) @ (k, n), got {a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
 
     def bw(g):
-        ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 2:
-            if a.requires_grad:
-                _accum(a, g @ bd.T, fresh=True)
-            if b.requires_grad:
-                _accum(b, np.outer(ad, g), fresh=True)
-        elif ad.ndim == 2 and bd.ndim == 1:
-            if a.requires_grad:
-                _accum(a, np.outer(g, bd), fresh=True)
-            if b.requires_grad:
-                _accum(b, ad.T @ g, fresh=True)
-        elif ad.ndim == 1 and bd.ndim == 1:
-            if a.requires_grad:
-                _accum(a, g * bd, fresh=True)
-            if b.requires_grad:
-                _accum(b, g * ad, fresh=True)
-        else:
-            if a.requires_grad:
-                _accum(a, g @ bd.T, fresh=True)
-            if b.requires_grad:
-                _accum(b, ad.T @ g, fresh=True)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T, fresh=True)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g, fresh=True)
 
     return _make(out_data, (a, b), bw)
 
@@ -310,15 +291,11 @@ def tanh(a):
     return _make(y, (a,), bw)
 
 
-def _sigmoid(x):
-    # stable in both tails
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def sigmoid(a):
     a = _lift(a)
-    y = _sigmoid(a.data)
+    # stable in both tails
+    e = np.exp(-np.abs(a.data))
+    y = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
 
     def bw(g):
         if a.requires_grad:
@@ -327,7 +304,7 @@ def sigmoid(a):
     return _make(y, (a,), bw)
 
 
-def lstm_sequence(X, directions, lengths=None):
+def lstm_sequence(X, directions):
     """LSTM layers over the same batch of sequences, as one tape node.
 
     X is (B, T, n_in). Each direction is (W, b, reverse), W of shape
@@ -336,10 +313,10 @@ def lstm_sequence(X, directions, lengths=None):
     from a zero state; every W has the same shape. Returns (B, T, D *
     n_hidden) for D directions, direction d's hidden state after each step
     in columns d * n_hidden up to (d + 1) * n_hidden. Step s of a reversed
-    direction reads position T - 1 - s. Row k's steps at positions at or
-    past `lengths[k]` (default T) leave its state unchanged, so position
-    T - 1 holds each row's last valid state going forwards, and position 0
-    going backwards.
+    direction reads position T - 1 - s. Every row runs all T steps; a
+    forward direction's state at position t depends on positions up to t
+    only, so a row padded at its end holds its own last state at its last
+    valid position.
 
     All directions run in one time loop on (D, B, .) arrays. The input
     projection X @ W[:n_in] + b is computed for all steps at once, so only
@@ -377,10 +354,6 @@ def lstm_sequence(X, directions, lengths=None):
         np.matmul(x_steps[d], w_x[d], out=zs[d].reshape(T * B, 4 * nh))
         zs[d] += b.data
     zs *= scale
-    idle = None
-    if lengths is not None:
-        valid = (np.arange(T)[:, None] < np.asarray(lengths))[:, :, None]  # (T, B, 1)
-        idle = np.stack([~valid[f] for f in flips], axis=1)  # (T, D, B, 1) in step order
     gates = np.empty((T, D, B, 4 * nh))
     hs, cs, tcs = np.empty((T, D, B, nh)), np.empty((T, D, B, nh)), np.empty((T, D, B, nh))
     ig = np.empty((D, B, nh))
@@ -399,9 +372,6 @@ def lstm_sequence(X, directions, lengths=None):
         cs[s] += ig
         np.tanh(cs[s], out=tcs[s])
         np.multiply(a[..., 3 * nh:], tcs[s], out=hs[s])
-        if idle is not None:
-            np.copyto(hs[s], h, where=idle[s])
-            np.copyto(cs[s], c, where=idle[s])
         h, c = hs[s], cs[s]
     out = np.empty((B, T, D, nh))
     for d in range(D):
@@ -427,29 +397,18 @@ def lstm_sequence(X, directions, lengths=None):
         cand_slope *= a[:, :, :, 0]
         dz[:, :, :, 3] *= tcs.transpose(1, 0, 2, 3)
         dc_by_dh = gates[..., 3 * nh:] * (1.0 - tcs * tcs)
-        active = None if idle is None else ~idle
         dh, dc = np.zeros((D, B, nh)), np.zeros((D, B, nh))
         dh_step, dc_by_step = np.empty((D, B, nh)), np.empty((D, B, nh))
         for s in range(T - 1, -1, -1):
             dh += g_steps[s]
             np.multiply(dh, dc_by_dh[s], out=dc_by_step)
-            if active is not None:
-                dc_by_step *= active[s]  # an idle row's dc stays as it is
             dc += dc_by_step
             dz[:, s, :, :3] *= dc[:, :, None]
             dz[:, s, :, 3] *= dh
             dzs = dz[:, s].reshape(D, B, 4 * nh)
-            if active is not None:
-                dzs *= active[s]
             for d in range(D):
                 np.matmul(dzs[d], w_h[d].T, out=dh_step[d])
-            if active is None:
-                dh, dh_step = dh_step, dh
-            else:
-                np.copyto(dh, dh_step, where=active[s])
-            # this loop meets a forward row's idle steps before its valid
-            # ones, while its dc is 0, and a reversed row's after them, when
-            # its dc is no longer read, so idle rows need no mask here
+            dh, dh_step = dh_step, dh
             dc *= gates[s, :, :, nh:2 * nh]
         dz = dz.reshape(D, T * B, 4 * nh)
         dx = np.zeros((T, B, n_in)) if X.requires_grad else None

@@ -58,8 +58,8 @@ class Embedding(Module):
 class LSTMCell(Module):
     """Fused-gate cell: gates = [x; h] @ w + b, order (input, forget,
     candidate, output); forget bias starts at 1. A cell is one direction of
-    `autograd.lstm_sequence`: `run` calls it with this cell alone, and
-    `BiLSTM` with both cells of a layer."""
+    `autograd.lstm_sequence`: `run` calls it with this cell alone, front to
+    back, and `BiLSTM` with both cells of a layer."""
 
     def __init__(self, n_in, n_hidden, rng):
         super().__init__()
@@ -84,11 +84,10 @@ class LSTMCell(Module):
         h2 = ag.mul(o, ag.tanh(c2))
         return h2, c2
 
-    def run(self, xs, lengths=None, reverse=False):
-        """xs (B, T, n_in) -> hidden states (B, T, n_hidden) from a zero
-        state, optionally back to front; row k stops changing after
-        `lengths[k]` steps (see `autograd.lstm_sequence`)."""
-        return ag.lstm_sequence(xs, [(self.w, self.b, reverse)], lengths=lengths)
+    def run(self, xs):
+        """xs (B, T, n_in) -> hidden states (B, T, n_hidden), front to back
+        from a zero state."""
+        return ag.lstm_sequence(xs, [(self.w, self.b, False)])
 
 
 class BiLSTM(Module):
@@ -117,7 +116,9 @@ class CharEncoder(Module):
     """Single-layer character LSTM; a word's representation is the final
     hidden state, and that of a word without characters the zero state.
     All words run as one padded batch through one forward
-    `autograd.lstm_sequence` direction (`LSTMCell.run`)."""
+    `autograd.lstm_sequence` direction (`LSTMCell.run`). The padding after
+    a word comes after its last state, so it cannot change that state and
+    needs no mask."""
 
     def __init__(self, n_chars, char_dim, n_hidden, rng):
         super().__init__()
@@ -127,12 +128,12 @@ class CharEncoder(Module):
     def __call__(self, words):
         """words: one list of character indices per word -> (n_words,
         n_hidden)."""
-        lengths = [len(w) for w in words]
-        # at least one (masked) step, so that a batch of empty words has a
-        # last step too
-        width = max(lengths, default=0) or 1
-        padded = np.zeros((len(words), width), dtype=np.intp)
+        lengths = np.array([len(w) for w in words], dtype=np.intp)
+        # at least one step, so that a batch of empty words has a state to
+        # read; an empty word reads position 0 and the mask zeroes it
+        padded = np.zeros((len(words), max(lengths.max(initial=0), 1)), dtype=np.intp)
         for k, w in enumerate(words):
             padded[k, :len(w)] = w
-        hs = self.cell.run(self.emb(padded), lengths=lengths)
-        return hs[:, width - 1]
+        hs = self.cell.run(self.emb(padded))
+        last = hs[np.arange(len(words)), np.maximum(lengths, 1) - 1]
+        return ag.mul(last, Tensor(np.repeat((lengths > 0)[:, None], self.cell.n_hidden, axis=1)))

@@ -44,12 +44,14 @@ class AmrTables:
     templates: dict = field(default_factory=lambda: dict(DEFAULT_TEMPLATES))
 
     def best_sense(self, stem):
-        """The stem's most frequent sensed label; a stem never seen with a
-        sense comes back bare."""
+        """The stem's most frequent sensed label, unless the stem was seen
+        bare strictly more often; a stem never seen with a sense comes back
+        bare."""
         counts = self.senses.get(stem)
-        if counts:
-            return max(sorted(counts), key=lambda k: counts[k])
-        return stem
+        if not counts:
+            return stem
+        best = max(sorted(counts), key=lambda k: counts[k])
+        return stem if self.bare.get(stem, 0) > counts[best] else best
 
     def wants_polarity(self, stem):
         with_pol, total = self.polarity.get(stem, (0, 0))

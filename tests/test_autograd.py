@@ -32,8 +32,8 @@ def test_three_layer_composition_matches_fd():
     rng = np.random.default_rng(0)
     w1 = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     w2 = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    w3 = Tensor(rng.normal(size=(3,)), requires_grad=True)
-    x = Tensor(rng.normal(size=(4,)))
+    w3 = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 4)))
 
     def f():
         h = ag.tanh(ag.matmul(x, w1))
@@ -59,6 +59,12 @@ def test_shape_mismatch_reports_both_shapes():
     with pytest.raises(ag.ShapeError) as ei:
         ag.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
     assert "(2, 3)" in str(ei.value) and "(4, 5)" in str(ei.value)
+
+
+@pytest.mark.parametrize("a, b", [((4,), (4, 3)), ((3, 4), (4,)), ((4,), (4,)), ((2, 3, 4), (4, 3))])
+def test_matmul_rejects_operands_that_are_not_2d(a, b):
+    with pytest.raises(ag.ShapeError, match="2-D"):
+        ag.matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
 
 def test_forward_independent_of_grad_tracking():
@@ -89,7 +95,6 @@ def _op_cases(rng):
     b2 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     row = Tensor(rng.normal(size=(4,)), requires_grad=True)
     m1 = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    v = Tensor(rng.normal(size=(4,)), requires_grad=True)
     t3 = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     idx = np.array([0, 2, 2, 1])
     return [
@@ -98,9 +103,6 @@ def _op_cases(rng):
         ("mul", [a2, b2], lambda: ag.tsum(ag.mul(a2, b2))),
         ("mul_scalar", [a2], lambda: ag.tsum(ag.mul(a2, 1.7))),
         ("matmul_22", [a2, m1], lambda: ag.tsum(ag.matmul(a2, m1))),
-        ("matmul_12", [v, m1], lambda: ag.tsum(ag.matmul(v, m1))),
-        ("matmul_21", [a2, v], lambda: ag.tsum(ag.matmul(a2, v))),
-        ("matmul_11", [v, row], lambda: ag.matmul(v, row)),
         ("take_slice", [t3], lambda: ag.tsum(ag.take(t3, (slice(None), 1)))),
         ("take_rows", [a2], lambda: ag.tsum(ag.take(a2, idx))),
         ("reshape", [t3], lambda: ag.tsum(ag.reshape(t3, (6, 4)))),
@@ -198,14 +200,13 @@ def test_backward_gives_every_leaf_its_own_gradient():
 
 def test_lstm_sequence_gives_every_leaf_its_own_gradient():
     rng = np.random.default_rng(22)
-    lengths = [4, 1, 3]
     X = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
     W1, W2 = (Tensor(rng.normal(size=(5, 12)), requires_grad=True) for _ in range(2))
     b1, b2 = (Tensor(rng.normal(size=(12,)), requires_grad=True) for _ in range(2))
     for directions in ([(W1, b1, False)], [(W1, b1, True)], [(W1, b1, False), (W2, b2, True)]):
         for t in (X, W1, b1, W2, b2):
             t.zero_grad()
-        out = ag.lstm_sequence(X, directions, lengths)
+        out = ag.lstm_sequence(X, directions)
         loss = ag.tsum(ag.mul(out, Tensor(rng.normal(size=out.shape))))
         loss.backward()
         _assert_gradients_owned(loss)

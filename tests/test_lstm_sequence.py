@@ -11,9 +11,6 @@ from mrparse.companion import read_companion
 from mrparse.nn import CharEncoder, LSTMCell
 from mrparse.nn.encoder import EncoderConfig, SentenceEncoder, build_token_vocabs
 
-LENGTHS = [5, 2, 0, 4]
-
-
 # The per-step `LSTMCell.run` that `lstm_sequence` replaced, kept as the
 # reference: rows of xs (n, n_in) one at a time from a zero state.
 
@@ -35,27 +32,32 @@ def _setup(seed=0):
     weights for its output."""
     rng = np.random.default_rng(seed)
     cell = LSTMCell(3, 4, rng)
-    xs = Tensor(rng.normal(size=(len(LENGTHS), max(LENGTHS), 3)), requires_grad=True)
-    mix = Tensor(rng.normal(size=(len(LENGTHS), max(LENGTHS), 4)))
+    xs = Tensor(rng.normal(size=(4, 5, 3)), requires_grad=True)
+    mix = Tensor(rng.normal(size=(4, 5, 4)))
     return cell, xs, mix
+
+
+def _one(cell, xs, reverse):
+    return ag.lstm_sequence(xs, [(cell.w, cell.b, reverse)])
+
+
+def _tape_loss(terms):
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ag.add(loss, term)
+    return loss
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_forward_matches_tape_reference(reverse):
     cell, xs, _ = _setup()
-    hs = cell.run(xs, lengths=LENGTHS, reverse=reverse).data
+    hs = _one(cell, xs, reverse).data
     assert hs.shape == (4, 5, 4)
-    for k, n in enumerate(LENGTHS):
-        if n:
-            ref, _ = tape_run(cell, xs[k, :n], reverse)
-            np.testing.assert_allclose(hs[k, :n], ref.data, rtol=0, atol=1e-12)
-        # padding carries the state: the last valid one going forwards,
-        # the zero state going backwards
-        carried = hs[k, n - 1] if n and not reverse else np.zeros(4)
-        np.testing.assert_array_equal(hs[k, n:], np.broadcast_to(carried, hs[k, n:].shape))
-    full = cell.run(xs, reverse=reverse).data
-    np.testing.assert_allclose(full[0], cell.run(xs[0:1], reverse=reverse).data[0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(full[1], tape_run(cell, xs[1], reverse)[0].data, rtol=0, atol=1e-12)
+    for k in range(4):
+        ref, _ = tape_run(cell, xs[k], reverse)
+        np.testing.assert_allclose(hs[k], ref.data, rtol=0, atol=1e-12)
+    if not reverse:
+        np.testing.assert_array_equal(cell.run(xs).data, hs)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -63,7 +65,7 @@ def test_gradients_pass_float64_grad_check(reverse):
     cell, xs, mix = _setup(1)
 
     def loss():
-        return ag.tsum(ag.mul(cell.run(xs, lengths=LENGTHS, reverse=reverse), mix))
+        return ag.tsum(ag.mul(_one(cell, xs, reverse), mix))
 
     assert ag.grad_check(loss, [cell.w, cell.b, xs]) <= 1e-6
 
@@ -71,30 +73,23 @@ def test_gradients_pass_float64_grad_check(reverse):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_gradients_match_tape_reference(reverse):
     cell, xs, mix = _setup(2)
-    # the tape sees valid positions only, so the loss weighs no padding
-    mix = Tensor(mix.data * (np.arange(5) < np.array(LENGTHS)[:, None])[:, :, None])
     params = [cell.w, cell.b, xs]
-    ag.backward(ag.tsum(ag.mul(cell.run(xs, lengths=LENGTHS, reverse=reverse), mix)))
+    ag.backward(ag.tsum(ag.mul(_one(cell, xs, reverse), mix)))
     fused = [p.grad.copy() for p in params]
     for p in params:
         p.zero_grad()
-    terms = [ag.tsum(ag.mul(tape_run(cell, xs[k, :n], reverse)[0], mix[k, :n]))
-             for k, n in enumerate(LENGTHS) if n]
-    loss = terms[0]
-    for term in terms[1:]:
-        loss = ag.add(loss, term)
-    ag.backward(loss)
+    ag.backward(_tape_loss([ag.tsum(ag.mul(tape_run(cell, xs[k], reverse)[0], mix[k]))
+                            for k in range(4)]))
     for p, g in zip(params, fused):
         np.testing.assert_allclose(g, p.grad, rtol=1e-12, atol=1e-14)
-    assert not xs.grad[2].any() and not xs.grad[1, 2:].any()  # padding gets nothing
 
 
 def test_no_grad_records_nothing_and_matches_taped_forward():
     cell, xs, _ = _setup()
-    taped = cell.run(xs, lengths=LENGTHS, reverse=True)
+    taped = _one(cell, xs, True)
     assert taped._backward is not None
     with ag.no_grad():
-        out = cell.run(xs, lengths=LENGTHS, reverse=True)
+        out = _one(cell, xs, True)
     assert out._parents == () and out._backward is None and not out.requires_grad
     np.testing.assert_array_equal(out.data, taped.data)
 
@@ -122,19 +117,17 @@ def _setup_pair(seed=0):
     cell, xs, _ = _setup(seed)
     rng = np.random.default_rng(seed + 100)
     other = LSTMCell(3, 4, rng)
-    mix = Tensor(rng.normal(size=(len(LENGTHS), max(LENGTHS), 8)))
+    mix = Tensor(rng.normal(size=(4, 5, 8)))
     return (cell, other), xs, mix
 
 
-def _both(cells, xs, order, lengths=LENGTHS):
-    return ag.lstm_sequence(xs, [(c.w, c.b, r) for c, r in zip(cells, order)], lengths=lengths)
+def _both(cells, xs, order):
+    return ag.lstm_sequence(xs, [(c.w, c.b, r) for c, r in zip(cells, order)])
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_two_directions_match_two_tape_runs(order):
     cells, xs, mix = _setup_pair(3)
-    # the tape sees valid positions only, so the loss weighs no padding
-    mix = Tensor(mix.data * (np.arange(5) < np.array(LENGTHS)[:, None])[:, :, None])
     params = [cells[0].w, cells[0].b, cells[1].w, cells[1].b, xs]
     out = _both(cells, xs, order)
     assert out.shape == (4, 5, 8)
@@ -143,31 +136,13 @@ def test_two_directions_match_two_tape_runs(order):
     for p in params:
         p.zero_grad()
     terms = []
-    for k, n in enumerate(LENGTHS):
-        if n:
-            ref = ag.concat([tape_run(c, xs[k, :n], r)[0] for c, r in zip(cells, order)], axis=1)
-            np.testing.assert_allclose(out.data[k, :n], ref.data, rtol=0, atol=1e-12)
-            terms.append(ag.tsum(ag.mul(ref, mix[k, :n])))
-    loss = terms[0]
-    for term in terms[1:]:
-        loss = ag.add(loss, term)
-    ag.backward(loss)
+    for k in range(4):
+        ref = ag.concat([tape_run(c, xs[k], r)[0] for c, r in zip(cells, order)], axis=1)
+        np.testing.assert_allclose(out.data[k], ref.data, rtol=0, atol=1e-12)
+        terms.append(ag.tsum(ag.mul(ref, mix[k])))
+    ag.backward(_tape_loss(terms))
     for p, g in zip(params, fused):
         np.testing.assert_allclose(g, p.grad, rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("order", ORDERS)
-def test_each_direction_pads_by_its_own_rule(order):
-    """Within one call, a row keeps its last valid state going forwards and
-    the zero state going backwards."""
-    cells, xs, _ = _setup_pair(4)
-    hs = _both(cells, xs, order).data.reshape(4, 5, 2, 4)
-    for d, reverse in enumerate(order):
-        alone = cells[d].run(xs, lengths=LENGTHS, reverse=reverse).data
-        np.testing.assert_allclose(hs[:, :, d], alone, rtol=0, atol=1e-15)
-        for k, n in enumerate(LENGTHS):
-            carried = hs[k, n - 1, d] if n and not reverse else np.zeros(4)
-            np.testing.assert_array_equal(hs[k, n:, d], np.broadcast_to(carried, hs[k, n:, d].shape))
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -199,11 +174,11 @@ def test_saturated_gates_stay_finite(sign):
     # input, candidate and output gates open; forget gate shut
     b1 = Tensor(np.repeat([1e3, -1e3, 1e3, 1e3], nh) * sign, requires_grad=True)
     b2 = Tensor(np.full(4 * nh, -1e3 * sign), requires_grad=True)
-    out = ag.lstm_sequence(xs, [(W1, b1, False), (W2, b2, True)], lengths=[3, 2])
+    out = ag.lstm_sequence(xs, [(W1, b1, False), (W2, b2, True)])
     # forwards c = i * cand = sign, so h = o * tanh(c); backwards every gate
     # reads -sign: with sign 1 all are shut, with -1 open and c grows by 1
     h1 = np.tanh(1.0) if sign > 0 else 0.0
-    h2 = 0.0 if sign > 0 else np.tanh(np.array([[3.0, 2.0, 1.0], [2.0, 1.0, 0.0]]))
+    h2 = 0.0 if sign > 0 else np.tanh(np.array([3.0, 2.0, 1.0]))
     np.testing.assert_array_equal(out.data[:, :, :nh], np.broadcast_to(h1, (2, 3, nh)))
     np.testing.assert_array_equal(out.data[:, :, nh:], np.broadcast_to(np.asarray(h2)[..., None], (2, 3, nh)))
     ag.backward(ag.tsum(out))
@@ -212,18 +187,38 @@ def test_saturated_gates_stay_finite(sign):
         np.testing.assert_array_equal(t.grad, 0.0)
 
 
-def test_char_encoder_batch_matches_one_tape_run_per_word():
-    rng = np.random.default_rng(3)
+CHAR_WORDS = [[1, 2, 3], [4], [], [5, 6, 7, 8, 9], [2, 2]]
+
+
+def _char_setup(seed):
+    """A character encoder over 10 characters (index 0 pads) and loss
+    weights for its output on `CHAR_WORDS`."""
+    rng = np.random.default_rng(seed)
     enc = CharEncoder(10, 3, 4, rng)
-    words = [[1, 2, 3], [4], [], [5, 6, 7, 8, 9], [2, 2]]
-    out = enc(words)
+    return enc, Tensor(rng.normal(size=(len(CHAR_WORDS), 4)))
+
+
+def test_char_encoder_batch_matches_one_tape_run_per_word():
+    enc, mix = _char_setup(3)
+    out = enc(CHAR_WORDS)
     assert out.shape == (5, 4)
-    for k, w in enumerate(words):
-        if w:
-            _, (h, _) = tape_run(enc.cell, enc.emb(w))
-            np.testing.assert_allclose(out.data[k], h.data[0], rtol=0, atol=1e-12)
-        else:
-            np.testing.assert_array_equal(out.data[k], np.zeros(4))
+    np.testing.assert_array_equal(out.data[2], np.zeros(4))
+    ag.backward(ag.tsum(ag.mul(out, mix)))
+    fused = {name: p.grad.copy() for name, p in enc.named_parameters()}
+    assert not fused["emb.table"][0].any()  # the padding gets nothing
+    for p in enc.parameters():
+        p.zero_grad()
+    ref = _tape_chars(enc, CHAR_WORDS)
+    np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+    ag.backward(ag.tsum(ag.mul(ref, mix)))
+    for name, p in enc.named_parameters():
+        np.testing.assert_allclose(fused[name], p.grad, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_char_encoder_passes_float64_grad_check():
+    """A ragged batch with an empty word, every parameter coordinate."""
+    enc, mix = _char_setup(4)
+    assert ag.grad_check(lambda: ag.tsum(ag.mul(enc(CHAR_WORDS), mix)), enc.parameters()) <= 1e-6
 
 
 def _encoder(doc):

@@ -125,6 +125,18 @@ def test_bare_label_stays_bare():
     assert out.nodes[0].label == "boy"
 
 
+@pytest.mark.parametrize("senses, bare, want", [
+    ({"boy-01": 1}, 50, "boy"),
+    ({"boy-01": 2, "boy-02": 1}, 3, "boy"),
+    ({"boy-01": 2, "boy-02": 1}, 2, "boy-01"),
+    ({"boy-01": 2, "boy-02": 1}, 1, "boy-01"),
+])
+def test_bare_count_weighs_against_the_best_sense(senses, bare, want):
+    """The bare stem wins only when seen strictly more often than its most
+    frequent sensed label."""
+    assert AmrTables(senses={"boy": senses}, bare={"boy": bare}).best_sense("boy") == want
+
+
 def test_polarity_restored_above_threshold():
     tables = AmrTables(bare={"possible": 1}, polarity={"possible": [3, 4]})
     out = amr_postprocess(amr([(0, "possible", [])], [], [0]), {}, tables)
