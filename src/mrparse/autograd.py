@@ -9,13 +9,13 @@ reshape), which keeps shape bugs loud.
 A gradient that reaches a tensor first becomes its `.grad` without a copy
 when the backward has just made it and holds it nowhere else: the
 products of `mul`, `matmul`, `tanh` and `sigmoid`, the filled array of
-`tsum` over all axes, the sum of a broadcast `add` operand, and `dX` and
-each direction's `dW` and `db` of `lstm_sequence`. `take` scatters straight
+`tsum`, the sum of a broadcast `add` operand, and `dX` and each
+direction's `dW` and `db` of `lstm_sequence`. `take` scatters straight
 into the table's `.grad`, which it starts from `np.zeros` (allocated zero
 pages, not a written fill) when there is none. Every other backward hands
 on its incoming gradient or a view of it (`add` without broadcast gives the
-same array to both operands, `reshape`, `concat`'s slices, `tsum` along an
-axis), and that is copied, so no two tensors' gradients share memory.
+same array to both operands, `reshape`, `concat`'s slices), and that is
+copied, so no two tensors' gradients share memory.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self):
         return self.data.item()
 
@@ -74,34 +70,14 @@ class Tensor:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division unsupported; use reciprocal ops explicitly")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def sum(self, axis=None):
-        return tsum(self, axis=axis)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
 
     def backward(self):
         backward(self)
@@ -265,17 +241,13 @@ def concat(tensors, axis=0):
     return _make(out_data, tuple(tensors), bw)
 
 
-def tsum(a, axis=None):
+def tsum(a):
     a = _lift(a)
-    out_data = a.data.sum(axis=axis)
+    out_data = a.data.sum()
 
     def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
+        if a.requires_grad:
             _accum(a, np.full_like(a.data, g), fresh=True)
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
 
     return _make(out_data, (a,), bw)
 

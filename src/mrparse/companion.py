@@ -5,7 +5,7 @@ Companion files are tab-separated blocks (index, form, lemma, xpos, misc)
 separated by blank lines. The misc column may carry `TokenRange=start:end`
 character offsets; otherwise offsets are reconstructed assuming single
 spaces between tokens. NER tags come from a sidecar file (one tag line per
-sentence) or from the built-in gazetteer stub.
+sentence).
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def read_companion(doc: str) -> list:
         cols = line.split("\t")
         if len(cols) != 5:
             raise CompanionError(f"line {lineno}: expected 5 columns, got {len(cols)}")
-        block.append(cols)
+        block.append((lineno, cols))
     if block:
         sentences.append(_finish_block(block, block_id))
     return sentences
@@ -103,12 +103,14 @@ def read_companion(doc: str) -> list:
 def _finish_block(rows, block_id):
     tokens = []
     pos = 0
-    for _, form, lemma, xpos, misc in rows:
+    for lineno, (_, form, lemma, xpos, misc) in rows:
         start = end = None
         for item in misc.split("|"):
             if item.startswith("TokenRange="):
-                lo, hi = item[len("TokenRange="):].split(":")
-                start, end = int(lo), int(hi)
+                try:
+                    start, end = map(int, item[len("TokenRange="):].split(":"))
+                except ValueError:
+                    raise CompanionError(f"line {lineno}: {item!r} is not TokenRange=start:end") from None
         if start is None:
             start, end = pos, pos + len(form)
         tokens.append(Token(form, lemma, xpos, start, end))
@@ -129,48 +131,6 @@ def write_companion(path, sentences):
 def read_ner_sidecar(doc: str) -> list:
     """One whitespace-separated tag line per sentence."""
     return [line.split() for line in doc.splitlines()]
-
-
-# A tiny exact-match lexicon standing in for an external NER tagger.
-DEFAULT_GAZETTEER = {
-    ("Pierre",): "PER",
-    ("Vinken",): "PER",
-    ("Pierre", "Vinken"): "PER",
-    ("Maria",): "PER",
-    ("John",): "PER",
-    ("Rome",): "LOC",
-    ("Paris",): "LOC",
-    ("London",): "LOC",
-    ("Elsevier",): "ORG",
-    ("Consolidated", "Gold", "Fields"): "ORG",
-    ("November",): "DATE",
-    ("June",): "DATE",
-    ("1989",): "DATE",
-    ("29",): "DATE",
-}
-
-
-class GazetteerTagger:
-    """Exact-match NER stub: longest phrase match wins, others get 'O'."""
-
-    def __init__(self, lexicon=None):
-        self.lexicon = dict(DEFAULT_GAZETTEER if lexicon is None else lexicon)
-        self._max_len = max((len(k) for k in self.lexicon), default=1)
-
-    def tag(self, forms):
-        tags = ["O"] * len(forms)
-        i = 0
-        while i < len(forms):
-            matched = 0
-            for width in range(min(self._max_len, len(forms) - i), 0, -1):
-                key = tuple(forms[i:i + width])
-                if key in self.lexicon:
-                    for k in range(width):
-                        tags[i + k] = self.lexicon[key]
-                    matched = width
-                    break
-            i += matched if matched else 1
-        return tags
 
 
 # One input word; a token that does not match the input verbatim is split
@@ -250,53 +210,21 @@ def _match_owners(text, spelled, spelled_by):
     return owner
 
 
-def retokenize(sent: CompanionSentence, groups) -> CompanionSentence:
-    """Merge token index groups into single tokens (used by multiword
-    combination). `groups` is a list of (start, end_inclusive) spans; spans
-    must not overlap. Lemmas join with '+'."""
-    merged = []
-    tags = []
-    text = sent.text()
-    covered = {}
-    for lo, hi in groups:
-        for i in range(lo, hi + 1):
-            covered[i] = (lo, hi)
-    i = 0
-    while i < len(sent.tokens):
-        if i in covered and covered[i][0] == i:
-            lo, hi = covered[i]
-            span = sent.tokens[lo:hi + 1]
-            merged.append(Token(
-                form=text[span[0].start:span[-1].end],
-                lemma="+".join(t.lemma for t in span),
-                xpos=span[0].xpos,
-                start=span[0].start,
-                end=span[-1].end,
-            ))
-            tags.append(sent.ner_tags[lo])
-            i = hi + 1
-        else:
-            merged.append(sent.tokens[i])
-            tags.append(sent.ner_tags[i])
-            i += 1
-    return CompanionSentence(tokens=merged, ner_tags=tags, id=sent.id)
-
-
 def replace_spans(sent: CompanionSentence, spans) -> CompanionSentence:
-    """Replace token runs with single placeholder tokens, in one
-    left-to-right pass. `spans` holds (lo, hi, form, tag) runs, hi
-    inclusive, in token order and not overlapping. A placeholder takes
-    its form as lemma, xpos NNP and NER tag `tag`; every later token's
-    offsets shift by the length the placeholders so far added or removed,
-    so the result stays self-consistent."""
+    """Replace token runs with single tokens, in one left-to-right pass
+    (multiword merging and entity anonymization). `spans` holds (lo, hi,
+    form, lemma, xpos, tag) runs, hi inclusive, in token order and not
+    overlapping. A new token starts where its run starts and takes NER tag
+    `tag`; every later token's offsets shift by the length the new tokens
+    so far added or removed, so the result stays self-consistent."""
     old = sent.tokens
     tokens, tags = [], []
     shift = i = 0
-    for lo, hi, form, tag in spans:
+    for lo, hi, form, lemma, xpos, tag in spans:
         tokens += _shifted(old[i:lo], shift)
         tags += sent.ner_tags[i:lo]
         start = old[lo].start + shift
-        tokens.append(Token(form, form, "NNP", start, start + len(form)))
+        tokens.append(Token(form, lemma, xpos, start, start + len(form)))
         tags.append(tag)
         shift = start + len(form) - old[hi].end
         i = hi + 1

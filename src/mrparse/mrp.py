@@ -84,17 +84,25 @@ class Violation:
     message: str
 
 
-def _pairs(names, values):
-    names = names or []
-    values = values or []
+def _list(raw, key, gid):
+    """raw[key] as a list; [] when it is absent, null or empty."""
+    value = raw.get(key) or []
+    if not isinstance(value, list):
+        raise MrpParseError(f"graph {gid}: '{key}' is {type(value).__name__}, not a list")
+    return value
+
+
+def _pairs(raw, names_key, gid):
+    names, values = _list(raw, names_key, gid), _list(raw, "values", gid)
     if len(names) != len(values):
-        raise MrpParseError(f"properties/values length mismatch: {len(names)} vs {len(values)}")
+        raise MrpParseError(f"graph {gid}: {names_key}/values length mismatch: {len(names)} vs {len(values)}")
     return list(zip(names, values))
 
 
 def parse_mrp(line: str) -> MrpGraph:
     """Parse one MRP record. Raises MrpParseError on malformed JSON (with
-    the byte offset) and MrpValidationError on dangling edge endpoints."""
+    the byte offset) or a mistyped record, and MrpValidationError on
+    dangling edge endpoints."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
@@ -104,7 +112,9 @@ def parse_mrp(line: str) -> MrpGraph:
 
     gid = str(obj.get("id", ""))
     nodes = []
-    for raw in obj.get("nodes") or []:
+    for raw in _list(obj, "nodes", gid):
+        if not isinstance(raw, dict):
+            raise MrpParseError(f"graph {gid}: node {raw!r} is not an object")
         if "id" not in raw:
             raise MrpParseError(f"graph {gid}: node without 'id'")
         anchors = None
@@ -116,26 +126,28 @@ def parse_mrp(line: str) -> MrpGraph:
         nodes.append(MrpNode(
             id=raw["id"],
             label=raw.get("label"),
-            properties=_pairs(raw.get("properties"), raw.get("values")),
+            properties=_pairs(raw, "properties", gid),
             anchors=anchors,
             extras={k: v for k, v in raw.items() if k not in _NODE_KEYS},
         ))
     edges = []
-    for raw in obj.get("edges") or []:
+    for raw in _list(obj, "edges", gid):
+        if not isinstance(raw, dict):
+            raise MrpParseError(f"graph {gid}: edge {raw!r} is not an object")
         if "source" not in raw or "target" not in raw:
             raise MrpParseError(f"graph {gid}: edge without 'source'/'target'")
         edges.append(MrpEdge(
             source=raw["source"],
             target=raw["target"],
             label=raw.get("label"),
-            attributes=_pairs(raw.get("attributes"), raw.get("values")),
+            attributes=_pairs(raw, "attributes", gid),
             extras={k: v for k, v in raw.items() if k not in _EDGE_KEYS},
         ))
     g = MrpGraph(
         id=gid,
         framework=str(obj.get("framework", "")).lower(),
         input=obj.get("input", ""),
-        tops=list(obj.get("tops") or []),
+        tops=list(_list(obj, "tops", gid)),
         nodes=nodes,
         edges=edges,
         extras={k: v for k, v in obj.items() if k not in _GRAPH_KEYS},

@@ -196,7 +196,7 @@ def _anonymize(g, sent, tables, update):
     used_tokens = set()
     removed_nodes = set()
     removed_edges = []
-    replacements = []  # (token lo, hi, placeholder, tag)
+    replacements = []  # replace_spans runs
 
     for kind, v, m, name_edge, parts in _entity_subgraphs(g):
         if v.id in removed_nodes or (m is not None and m.id in removed_nodes):
@@ -230,7 +230,7 @@ def _anonymize(g, sent, tables, update):
         v.label = placeholder
         for i in range(pos, pos + len(words)):
             used_tokens.add(i)
-        replacements.append((pos, pos + len(words) - 1, placeholder, tag))
+        replacements.append((pos, pos + len(words) - 1, placeholder, placeholder, "NNP", tag))
 
     dead = {id(e) for e in removed_edges}
     g.nodes = [n for n in g.nodes if n.id not in removed_nodes]
@@ -266,7 +266,7 @@ def sentence_entry(sent: CompanionSentence, tables: AmrTables):
             entry[placeholder] = {"kind": "named",
                                   "type": tables.best_entity_type(tag, "thing"),
                                   "phrase": words}
-        runs.append((i, j, placeholder, tag))
+        runs.append((i, j, placeholder, placeholder, "NNP", tag))
         i = j + 1
     return replace_spans(sent, runs), entry
 

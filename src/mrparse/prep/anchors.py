@@ -21,6 +21,21 @@ class AnchorError(Exception):
     pass
 
 
+def _range(anchors):
+    """The character range (lo, hi) that a node's anchor pieces span."""
+    return (min(f for f, _ in anchors), max(t for _, t in anchors))
+
+
+def covering_run(starts, ends, lo, hi):
+    """The run of tokens overlapping [lo, hi) (the token at lo if the range
+    is empty), as (s, e, exact) with e inclusive and s > e when no token
+    overlaps. `exact` says the run starts at lo and ends at hi. `starts` and
+    `ends` are the tokens' offsets, both non-decreasing."""
+    s = bisect_right(ends, lo)  # first token ending after lo
+    e = bisect_left(starts, max(hi, lo + 1)) - 1  # last token starting before hi (lo + 1 if empty)
+    return s, e, s <= e and starts[s] == lo and ends[e] == hi
+
+
 def anchors_to_spans(g: MrpGraph, sent) -> tuple:
     """Replace character anchors with token-index spans (stored as a single
     (start_token, end_token) anchor pair, end inclusive). The span covers
@@ -35,13 +50,11 @@ def anchors_to_spans(g: MrpGraph, sent) -> tuple:
     for n in g.nodes:
         if not n.anchors:
             continue
-        lo = min(f for f, _ in n.anchors)
-        hi = max(t for _, t in n.anchors)
-        s = bisect_right(ends, lo)  # first token ending after lo
-        e = bisect_left(starts, max(hi, lo + 1)) - 1  # last token starting before hi (lo + 1 if empty)
+        lo, hi = _range(n.anchors)
+        s, e, exact = covering_run(starts, ends, lo, hi)
         if s > e:
             raise AnchorError(f"character range ({lo},{hi}) covers no token")
-        if starts[s] != lo or ends[e] != hi:
+        if not exact:
             flagged.append(n.id)
         n.anchors = [(s, e)]
     return g, flagged

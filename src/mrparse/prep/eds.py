@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..companion import replace_spans
 from ..mrp import MrpEdge, MrpGraph, MrpNode
+from .anchors import _range, covering_run
 
 REDUCED_PROP = "reduced:"
 REDUCED_EDGE = "reduced:"
@@ -27,10 +29,6 @@ class EdsError(Exception):
 
 def _norm_anchors(anchors):
     return tuple(sorted(anchors or []))
-
-
-def _range(anchors):
-    return (min(f for f, _ in anchors), max(t for _, t in anchors))
 
 
 def _is_surface_mapped(node, text):
@@ -126,9 +124,10 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
     next_id = max((n.id for n in g.nodes), default=-1) + 1
     by_id = g.node_by_id()
 
-    new_edges = []
-    for e in list(g.edges):
+    kept_edges, new_edges = [], []
+    for e in g.edges:
         if not (e.label and e.label.startswith(REDUCED_EDGE)):
+            kept_edges.append(e)
             continue
         payload = e.label[len(REDUCED_EDGE):]
         try:
@@ -146,10 +145,9 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
         next_id += 1
         g.nodes.append(a)
         by_id[a.id] = a
-        g.edges.remove(e)
         new_edges.append(MrpEdge(*(a.id, b.id) if dir_src == "out" else (b.id, a.id), lab_src))
         new_edges.append(MrpEdge(*(a.id, c.id) if dir_tgt == "out" else (c.id, a.id), lab_tgt))
-    g.edges.extend(new_edges)
+    g.edges = kept_edges + new_edges
 
     for b in list(g.nodes):
         kept = []
@@ -217,26 +215,18 @@ class MultiwordTable:
         return cls(entries)
 
 
-def _node_token_span(node, tokens):
-    if not node.anchors:
-        return None
-    lo, hi = _range(node.anchors)
-    covered = [i for i, t in enumerate(tokens) if t.start >= lo and t.end <= hi]
-    if not covered:
-        return None
-    if tokens[covered[0]].start != lo or tokens[covered[-1]].end != hi:
-        return None
-    return covered[0], covered[-1]
-
-
 def build_multiword_table(corpus) -> MultiwordTable:
     """corpus: (graph, companion) pairs. A phrase occurrence counts as
     single-node when some node's anchor covers exactly that token window
-    and no other node's window lies strictly inside it (a compound over
-    two names is not a phrase)."""
+    (the window anchors_to_spans gives it, unsnapped) and no other node's
+    window lies strictly inside it (a compound over two names is not a
+    phrase)."""
     single = {}
     for g, sent in corpus:
-        spans = {s for s in (_node_token_span(n, sent.tokens) for n in g.nodes) if s}
+        starts = [t.start for t in sent.tokens]
+        ends = [t.end for t in sent.tokens]
+        runs = (covering_run(starts, ends, *_range(n.anchors)) for n in g.nodes if n.anchors)
+        spans = {(s, e) for s, e, exact in runs if exact}
         for lo, hi in spans:
             if hi > lo and not any(lo <= i <= j <= hi and (i, j) != (lo, hi) for i, j in spans):
                 phrase = " ".join(t.form.lower() for t in sent.tokens[lo:hi + 1])
@@ -257,22 +247,25 @@ def build_multiword_table(corpus) -> MultiwordTable:
 
 def apply_multiword(sent, table: MultiwordTable):
     """Merge mergeable phrase occurrences into single tokens, greedy
-    left-to-right with longer phrases first."""
-    from ..companion import retokenize
-
+    left-to-right with longer phrases first. A merged token spells the
+    sentence text its run spans, joins the run's lemmas with '+' and takes
+    the first token's xpos and NER tag."""
     mergeable = [p.split(" ") for p in table.entries if table.should_merge(p)]
     mergeable.sort(key=lambda w: (-len(w), w))
     forms = [t.form.lower() for t in sent.tokens]
     taken = [False] * len(forms)
-    groups = []
+    text = sent.text()
+    runs = []
     for words in mergeable:
         i = 0
         while i + len(words) <= len(forms):
             if forms[i:i + len(words)] == words and not any(taken[i:i + len(words)]):
-                groups.append((i, i + len(words) - 1))
+                run = sent.tokens[i:i + len(words)]
+                runs.append((i, i + len(words) - 1, text[run[0].start:run[-1].end],
+                             "+".join(t.lemma for t in run), run[0].xpos, sent.ner_tags[i]))
                 for k in range(i, i + len(words)):
                     taken[k] = True
                 i += len(words)
             else:
                 i += 1
-    return retokenize(sent, sorted(groups))
+    return replace_spans(sent, sorted(runs))

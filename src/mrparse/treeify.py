@@ -57,20 +57,14 @@ class NodeSequence:
     def __len__(self):
         return len(self.nodes)
 
-    def labels(self):
-        return [n.label for n in self.nodes]
-
-    def indices(self):
-        return [n.idx for n in self.nodes]
-
     def validate(self):
         for t, n in enumerate(self.nodes):
-            if n.idx > t:
-                raise TreeError(f"position {t}: idx {n.idx} references a later position")
+            if not 0 <= n.idx <= t:
+                raise TreeError(f"position {t}: idx {n.idx} is not a position up to {t}")
             if n.idx != t and self.nodes[n.idx].idx != n.idx:
                 raise TreeError(f"position {t}: idx {n.idx} does not point at an original node")
-            if n.parent is not None and n.parent >= t:
-                raise TreeError(f"position {t}: parent {n.parent} not earlier in sequence")
+            if n.parent is not None and not 0 <= n.parent < t:
+                raise TreeError(f"position {t}: parent {n.parent} is not an earlier position")
 
 
 def graph_to_tree(g: MrpGraph) -> NodeSequence:

@@ -37,9 +37,6 @@ class Vocab:
                 raise KeyError(f"{item!r} not in vocabulary and no {UNK} entry")
         return idx
 
-    def value(self, idx):
-        return self.entries[idx]
-
     def to_lines(self):
         """The number of reserved entries, then `entry<TAB>count` per entry."""
         return [str(len(self.reserved))] + [f"{e}\t{self.counts.get(e, 0)}" for e in self.entries]

@@ -107,7 +107,6 @@ def _op_cases(rng):
         ("take_rows", [a2], lambda: ag.tsum(ag.take(a2, idx))),
         ("reshape", [t3], lambda: ag.tsum(ag.reshape(t3, (6, 4)))),
         ("concat", [a2, b2], lambda: ag.tsum(ag.mul(ag.concat([a2, b2], axis=1), ag.concat([b2, a2], axis=1)))),
-        ("sum_axis", [t3], lambda: ag.tsum(ag.mul(ag.tsum(t3, axis=1), ag.tsum(t3, axis=1)))),
         ("tanh", [a2], lambda: ag.tsum(ag.tanh(a2))),
         ("sigmoid", [a2], lambda: ag.tsum(ag.sigmoid(a2))),
     ]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mrparse import companion as comp
 from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpGraph
+from mrparse.prep import MultiwordTable, apply_multiword
 
 DOC = """#s1
 1\tPierre\tPierre\tNNP\tTokenRange=0:6
@@ -44,6 +45,13 @@ def test_read_column_mismatch_names_line():
     assert "line 1" in str(ei.value)
 
 
+@pytest.mark.parametrize("token_range", ["0-1", "a:1", "1:2:3", ""])
+def test_malformed_token_range_names_line(token_range):
+    doc = f"#s1\n1\tab\tab\tXX\tTokenRange=0:2\n2\tcd\tcd\tXX\tTokenRange={token_range}\n"
+    with pytest.raises(comp.CompanionError, match="line 3"):
+        comp.read_companion(doc)
+
+
 def test_token_ending_before_its_start_is_rejected():
     with pytest.raises(comp.CompanionError, match=r"sentence s1: token 'ab' ends at 3, before its start 5"):
         comp.read_companion("#s1\n1\tab\tab\tXX\tTokenRange=5:3\n")
@@ -60,12 +68,6 @@ def test_companion_file_roundtrip(tmp_path):
 def test_ner_sidecar():
     lines = comp.read_ner_sidecar("O PER\nO O O\n")
     assert lines == [["O", "PER"], ["O", "O", "O"]]
-
-
-def test_gazetteer_longest_match():
-    tagger = comp.GazetteerTagger()
-    tags = tagger.tag(["Pierre", "Vinken", "saw", "Rome", "."])
-    assert tags == ["PER", "PER", "O", "LOC", "O"]
 
 
 def _sent(pairs, tags=None):
@@ -241,9 +243,9 @@ def test_resegmented_companion_aligns_exactly(case):
         [f"T{k}" for k, f in enumerate(forms) for _ in f]
 
 
-def test_retokenize_merges_groups():
+def test_apply_multiword_merges_groups():
     s = _sent([("such", "such"), ("as", "as"), ("dogs", "dog")])
-    out = comp.retokenize(s, [(0, 1)])
+    out = apply_multiword(s, MultiwordTable({"such as": (1.0, 2)}))
     assert out.forms == ["such as", "dogs"]
     assert out.tokens[0].lemma == "such+as"
     assert (out.tokens[0].start, out.tokens[0].end) == (0, 7)
@@ -252,29 +254,29 @@ def test_retokenize_merges_groups():
 def test_replace_spans_shifts_offsets():
     s = _sent([("met", "meet"), ("Pierre", "Pierre"), ("Vinken", "Vinken"), ("today", "today")],
               tags=["O", "PER", "PER", "O"])
-    out = comp.replace_spans(s, [(1, 2, "PERSON_0", "PER")])
+    out = comp.replace_spans(s, [(1, 2, "PERSON_0", "PERSON_0", "NNP", "PER")])
     assert out.forms == ["met", "PERSON_0", "today"]
     assert out.text() == "met PERSON_0 today"
     assert out.ner_tags == ["O", "PER", "O"]
 
 
-def replace_span(sent, lo, hi, form, lemma=None, xpos="NNP", tag=None):
+def replace_span(sent, lo, hi, form, lemma, xpos, tag):
     """Reference: the one-run splice replace_spans replaced, which rebuilt
     the whole token list per run."""
     old = sent.tokens
     start = old[lo].start
-    new_tok = Token(form, lemma if lemma is not None else form, xpos, start, start + len(form))
+    new_tok = Token(form, lemma, xpos, start, start + len(form))
     delta = new_tok.end - old[hi].end
     toks = list(old[:lo]) + [new_tok] + [
         replace(t, start=t.start + delta, end=t.end + delta) for t in old[hi + 1:]]
-    tags = sent.ner_tags[:lo] + [tag if tag is not None else sent.ner_tags[lo]] + sent.ner_tags[hi + 1:]
+    tags = sent.ner_tags[:lo] + [tag] + sent.ner_tags[hi + 1:]
     return CompanionSentence(tokens=toks, ner_tags=tags, id=sent.id)
 
 
 @st.composite
 def spliced(draw):
     """(sentence, runs): tokens with gaps and zero-width forms, and sorted,
-    non-overlapping runs with placeholders longer or shorter than them."""
+    non-overlapping runs with new tokens longer or shorter than them."""
     n = draw(st.integers(0, 12))
     toks, pos = [], 0
     for k in range(n):
@@ -288,7 +290,9 @@ def spliced(draw):
     for lo, end in zip(cuts, cuts[1:]):
         if draw(st.booleans()):
             hi = draw(st.integers(lo, end - 1))
-            runs.append((lo, hi, draw(st.text("XYZ_0", max_size=12)), draw(st.sampled_from(["PER", "DATE"]))))
+            form = draw(st.text("XYZ_0", max_size=12))
+            runs.append((lo, hi, form, draw(st.sampled_from([form, "a+b"])), draw(st.sampled_from(["NNP", "IN"])),
+                         draw(st.sampled_from(["PER", "DATE"]))))
     return CompanionSentence(tokens=toks, ner_tags=tags, id="s"), runs
 
 
@@ -297,8 +301,8 @@ def spliced(draw):
 def test_replace_spans_matches_right_to_left_reference(case):
     sent, runs = case
     want = sent
-    for lo, hi, form, tag in reversed(runs):
-        want = replace_span(want, lo, hi, form, tag=tag)
+    for lo, hi, form, lemma, xpos, tag in reversed(runs):
+        want = replace_span(want, lo, hi, form, lemma, xpos, tag)
     got = comp.replace_spans(sent, runs)
     assert [(t.form, t.start, t.end, t.lemma, t.xpos) for t in got.tokens] == \
         [(t.form, t.start, t.end, t.lemma, t.xpos) for t in want.tokens]

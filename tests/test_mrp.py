@@ -51,6 +51,17 @@ def test_parse_missing_field_is_parse_error(nodes, edges):
         mrp.parse_mrp(f'{{"id": "7", "input": "ab", "nodes": [{nodes}], "edges": [{edges}]}}')
 
 
+@pytest.mark.parametrize("record", [
+    '{"id": "7", "nodes": [1]}',
+    '{"id": "7", "tops": 5}',
+    '{"id": "7", "nodes": [{"id": 0, "properties": ["a"], "values": 5}]}',
+    '{"id": "7", "nodes": [{"id": 0}], "edges": [{"source": 0, "target": 0, "attributes": 5}]}',
+], ids=["node not an object", "tops not a list", "node values not a list", "edge attributes not a list"])
+def test_mistyped_record_is_parse_error(record):
+    with pytest.raises(mrp.MrpParseError, match="graph 7"):
+        mrp.parse_mrp(record)
+
+
 def test_parse_rejects_dangling_edge():
     with pytest.raises(mrp.MrpValidationError):
         mrp.parse_mrp('{"id": "1", "framework": "dm", "input": "", "tops": [],'

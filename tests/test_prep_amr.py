@@ -1,21 +1,20 @@
 import pytest
 
-from mrparse.companion import CompanionSentence, GazetteerTagger, Token
+from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
 from mrparse.prep import AmrTables, amr_postprocess, amr_preprocess
 from mrparse.prep.amr import sentence_entry
 
 
-def sent(text, tags=None):
+def sent(text, tags=""):
+    """One token per space-separated word; `tags` holds one NER tag per
+    word, all 'O' when empty."""
     toks = []
     pos = 0
-    forms = text.split(" ")
-    for f in forms:
+    for f in text.split(" "):
         toks.append(Token(f, f.lower(), "XX", pos, pos + len(f)))
         pos += len(f) + 1
-    if tags is None:
-        tags = GazetteerTagger().tag(forms)
-    return CompanionSentence(tokens=toks, ner_tags=tags)
+    return CompanionSentence(tokens=toks, ner_tags=tags.split())
 
 
 def amr(nodes, edges, tops, text=""):
@@ -45,7 +44,7 @@ def test_untouched_graph_unchanged():
 def test_name_subgraph_anonymized():
     g = amr([(0, "visit-01", []), (1, "person", []), (2, "name", []), (3, "Pierre", [])],
             [(0, 1, "ARG0"), (1, 2, "name"), (2, 3, "op1")], [0])
-    s = sent("Pierre visited")
+    s = sent("Pierre visited", "PER O")
     out, s2, entry = amr_preprocess(g, s)
     labels = sorted(n.label for n in out.nodes)
     assert labels == ["PERSON_0", "visit"]
@@ -56,7 +55,7 @@ def test_name_subgraph_anonymized():
 def test_multiword_name_anonymized():
     g = amr([(0, "person", []), (1, "name", []), (2, "Pierre", []), (3, "Vinken", [])],
             [(0, 1, "name"), (1, 2, "op1"), (1, 3, "op2")], [0])
-    s = sent("Pierre Vinken retired")
+    s = sent("Pierre Vinken retired", "PER PER O")
     out, s2, entry = amr_preprocess(g, s)
     assert s2.forms == ["PERSON_0", "retired"]
     assert entry["PERSON_0"]["phrase"] == ["Pierre", "Vinken"]
@@ -74,7 +73,7 @@ def test_postprocess_expands_recorded_subgraph():
     g = amr([(0, "visit-01", []), (1, "person", []), (2, "name", []), (3, "Pierre", [])],
             [(0, 1, "ARG0"), (1, 2, "name"), (2, 3, "op1")], [0])
     tables = AmrTables()
-    pre, _, entry = amr_preprocess(g, sent("Pierre visited"), tables, update=True)
+    pre, _, entry = amr_preprocess(g, sent("Pierre visited", "PER O"), tables, update=True)
     post = amr_postprocess(pre, entry, tables)
     by_label = {n.label for n in post.nodes}
     assert {"person", "name", "Pierre"} <= by_label
@@ -152,18 +151,18 @@ def test_missing_entry_leaves_placeholder(caplog):
 def test_preprocess_postprocess_roundtrip_on_mini_corpus():
     tables = AmrTables()
     corpus = []
-    for text, nodes, edges, tops in [
-        ("Pierre visited Rome",
+    for text, tags, nodes, edges, tops in [
+        ("Pierre visited Rome", "PER O LOC",
          [(0, "visit-01", []), (1, "person", []), (2, "name", []), (3, "Pierre", []),
           (4, "city", []), (5, "name", []), (6, "Rome", [])],
          [(0, 1, "ARG0"), (1, 2, "name"), (2, 3, "op1"),
           (0, 4, "ARG1"), (4, 5, "name"), (5, 6, "op1")], [0]),
-        ("the boy wants sleep",
+        ("the boy wants sleep", "",
          [(0, "want-01", []), (1, "boy", []), (2, "sleep-01", [])],
          [(0, 1, "ARG0"), (0, 2, "ARG1")], [0]),
     ]:
         g = amr(nodes, edges, tops, text=text)
-        s = sent(text)
+        s = sent(text, tags)
         corpus.append((g, s))
         amr_preprocess(g, s, tables, update=True)
     for g, s in corpus:
@@ -181,7 +180,7 @@ def _sig(g):
 
 def test_sentence_entry_for_test_time():
     tables = AmrTables(entity_types={"PER": {"person": 7}, "LOC": {"city": 3}})
-    s = sent("Pierre Vinken visited Rome")
+    s = sent("Pierre Vinken visited Rome", "PER PER O LOC")
     out, entry = sentence_entry(s, tables)
     assert out.forms == ["PERSON_0", "visited", "LOCATION_0"]
     assert out.text() == "PERSON_0 visited LOCATION_0" and out.ner_tags == ["PER", "O", "LOC"]
@@ -194,7 +193,7 @@ def test_tables_serialization_roundtrip():
     g = amr([(0, "visit-01", [("polarity", "-")]), (1, "person", []), (2, "name", []),
              (3, "Pierre", [])],
             [(0, 1, "ARG0"), (1, 2, "name"), (2, 3, "op1")], [0])
-    amr_preprocess(g, sent("Pierre visited"), tables, update=True)
+    amr_preprocess(g, sent("Pierre visited", "PER O"), tables, update=True)
     back = AmrTables.from_lines(tables.to_lines())
     assert back.senses == tables.senses
     assert back.bare == tables.bare

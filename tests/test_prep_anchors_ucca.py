@@ -9,6 +9,7 @@ from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
 from mrparse.prep import (AnchorError, anchors_to_spans, decode_edge_label,
                           decode_graph_attrs, encode_edge_label, encode_graph_attrs,
                           spans_to_anchors, ucca_mark_implicit, ucca_strip_implicit)
+from mrparse.prep.anchors import _range, covering_run
 
 
 def sent(*forms):
@@ -131,6 +132,44 @@ def test_anchors_to_spans_matches_linear_scan(case):
     out, flagged = anchors_to_spans(g, s)
     assert [n.anchors for n in out.nodes] == want
     assert flagged == want_flagged
+
+
+def _node_token_span(node, tokens):
+    """Reference: the scan build_multiword_table used before covering_run.
+    The tokens lying inside the node's range, as (first, last), when they
+    start and end exactly on it; None otherwise."""
+    if not node.anchors:
+        return None
+    lo, hi = _range(node.anchors)
+    covered = [i for i, t in enumerate(tokens) if t.start >= lo and t.end <= hi]
+    if not covered:
+        return None
+    if tokens[covered[0]].start != lo or tokens[covered[-1]].end != hi:
+        return None
+    return covered[0], covered[-1]
+
+
+@st.composite
+def near_token_boundaries(draw):
+    """(sentence, nodes): tokens of width >= 1, and nodes anchored on 1-2
+    pieces that start on a token start or anywhere and end on a token end
+    or anywhere, so that many ranges fit a token run exactly."""
+    s, length = draw(token_layouts(min_width=1))
+    anywhere = st.integers(0, length)
+    lo = anywhere | st.sampled_from([t.start for t in s.tokens]) if s.tokens else anywhere
+    hi = anywhere | st.sampled_from([t.end for t in s.tokens]) if s.tokens else anywhere
+    pieces = st.lists(st.tuples(lo, hi), min_size=1, max_size=2)
+    return s, [MrpNode(i, "n", anchors=a) for i, a in enumerate(draw(st.lists(pieces, max_size=8)))]
+
+
+@PROPERTY
+@given(near_token_boundaries())
+def test_exact_covering_run_matches_inside_scan(case):
+    s, nodes = case
+    starts, ends = [t.start for t in s.tokens], [t.end for t in s.tokens]
+    for n in nodes:
+        first, last, exact = covering_run(starts, ends, *_range(n.anchors))
+        assert ((first, last) if exact else None) == _node_token_span(n, s.tokens)
 
 
 @st.composite

@@ -10,8 +10,9 @@ from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
 from mrparse.prep import (MultiwordTable, anchors_to_spans, apply_multiword,
                           build_multiword_table, eds_exchange_properties, eds_reduce,
                           eds_restore, spans_to_anchors)
+from mrparse.prep.anchors import _range
 from mrparse.prep.eds import (REDUCED_EDGE, REDUCED_PROP, EdsError, _adjacency,
-                              _is_surface_mapped, _norm_anchors, _pick_direction, _range)
+                              _is_surface_mapped, _norm_anchors, _pick_direction)
 
 
 def graph(text, nodes, edges, tops):

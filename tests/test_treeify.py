@@ -44,8 +44,8 @@ def test_natural_key_ordering():
 def test_plain_tree_is_identity():
     g = build([(0, "a"), (1, "b"), (2, "c")], [(0, 1, "L"), (0, 2, "R")], tops=[0])
     seq = graph_to_tree(g)
-    assert seq.labels() == ["a", "b", "c"]
-    assert seq.indices() == [0, 1, 2]
+    assert [n.label for n in seq.nodes] == ["a", "b", "c"]
+    assert [n.idx for n in seq.nodes] == [0, 1, 2]
 
 
 def test_diamond_duplicates_join_node():
@@ -53,8 +53,8 @@ def test_diamond_duplicates_join_node():
     g = build([(0, "a"), (1, "b"), (2, "c"), (3, "d")],
               [(0, 1, "x"), (0, 2, "y"), (1, 3, "z"), (2, 3, "w")], tops=[0])
     seq = graph_to_tree(g)
-    assert seq.labels() == ["a", "b", "d", "c", "d"]
-    assert seq.indices() == [0, 1, 2, 3, 2]
+    assert [n.label for n in seq.nodes] == ["a", "b", "d", "c", "d"]
+    assert [n.idx for n in seq.nodes] == [0, 1, 2, 3, 2]
 
 
 def test_two_parent_node_appears_twice():
@@ -62,14 +62,14 @@ def test_two_parent_node_appears_twice():
     g = build([(0, "want"), (1, "believe"), (2, "boy")],
               [(0, 1, "ARG1"), (0, 2, "ARG0"), (1, 2, "ARG0")], tops=[0])
     seq = graph_to_tree(g)
-    assert seq.labels().count("boy") == 2
+    assert [n.label for n in seq.nodes].count("boy") == 2
     idxs = [n.idx for n in seq.nodes if n.label == "boy"]
     assert idxs[0] == idxs[1]
 
 
 def test_children_sorted_alphanumerically():
     g = build([(0, "r"), (1, "x10"), (2, "x2")], [(0, 1, "e"), (0, 2, "e")], tops=[0])
-    assert graph_to_tree(g).labels() == ["r", "x2", "x10"]
+    assert [n.label for n in graph_to_tree(g).nodes] == ["r", "x2", "x10"]
 
 
 def test_label_tie_broken_by_node_id():
@@ -81,8 +81,8 @@ def test_label_tie_broken_by_node_id():
 def test_cycle_becomes_copy_not_error():
     g = build([(0, "a"), (1, "b")], [(0, 1, "f"), (1, 0, "g")], tops=[0])
     seq = graph_to_tree(g)
-    assert seq.labels() == ["a", "b", "a"]
-    assert seq.indices() == [0, 1, 0]
+    assert [n.label for n in seq.nodes] == ["a", "b", "a"]
+    assert [n.idx for n in seq.nodes] == [0, 1, 0]
 
 
 def test_disconnected_graph_lists_unreachable():
@@ -162,6 +162,16 @@ def test_idx_forward_reference_is_error():
         tree_to_graph(seq)
 
 
+@pytest.mark.parametrize("idx, parent", [(1, -1), (1, -2), (-1, 0)],
+                         ids=["parent -1", "parent -2", "idx -1"])
+def test_negative_position_is_error(idx, parent):
+    # read as Python indices from the end, parent -1 would be the node
+    # itself (a self-loop) and parent -2 position 0 (a plausible edge)
+    seq = NodeSequence(nodes=[SeqNode("a", 0), SeqNode("b", idx, parent=parent)])
+    with pytest.raises(TreeError, match="position 1"):
+        tree_to_graph(seq)
+
+
 def random_rooted_dag(rng, max_nodes=12):
     n = int(rng.integers(1, max_nodes + 1))
     labels = [rng.choice(["p", "q", "r", "s"]) + str(int(rng.integers(0, 3))) for _ in range(n)]
@@ -208,6 +218,6 @@ def test_dfs_order_deterministic_under_edge_permutation():
                             nodes=list(reversed(g.nodes)),
                             edges=[g.edges[i] for i in rng.permutation(len(g.edges))])
         seq2 = graph_to_tree(shuffled)
-        assert seq1.labels() == seq2.labels()
-        assert seq1.indices() == seq2.indices()
+        assert [n.label for n in seq1.nodes] == [n.label for n in seq2.nodes]
+        assert [n.idx for n in seq1.nodes] == [n.idx for n in seq2.nodes]
         assert [n.node_id for n in seq1.nodes] == [n.node_id for n in seq2.nodes]
