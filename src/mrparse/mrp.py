@@ -3,6 +3,13 @@
 One JSON object per line. Known keys are mapped onto the dataclasses
 below; everything else is kept verbatim in an `extras` dict so a
 parse/serialize cycle is structurally lossless.
+
+Parse contract: node ids, edge endpoints and tops are integers (not
+booleans), `input` is a string, and the keyed lists are lists; a record
+that breaks any of these raises `MrpParseError` naming the graph, and an
+edge to a missing node raises `MrpValidationError`. Unknown keys at every
+level land in `extras` as they were read, and `serialize_mrp` writes them
+back unchanged.
 """
 
 from __future__ import annotations
@@ -12,9 +19,9 @@ from dataclasses import dataclass, field
 
 FRAMEWORKS = ("dm", "psd", "eds", "ucca", "amr")
 
-_GRAPH_KEYS = ("id", "framework", "input", "tops", "nodes", "edges")
-_NODE_KEYS = ("id", "label", "properties", "values", "anchors")
-_EDGE_KEYS = ("source", "target", "label", "attributes", "values")
+_GRAPH_KEYS = frozenset(("id", "framework", "input", "tops", "nodes", "edges"))
+_NODE_KEYS = frozenset(("id", "label", "properties", "values", "anchors"))
+_EDGE_KEYS = frozenset(("source", "target", "label", "attributes", "values"))
 
 
 class MrpError(Exception):
@@ -112,58 +119,57 @@ def parse_mrp(line: str) -> MrpGraph:
 
     gid = str(obj.get("id", ""))
     nodes = []
+    ids = set()
     for raw in _list(obj, "nodes", gid):
         if not isinstance(raw, dict):
             raise MrpParseError(f"graph {gid}: node {raw!r} is not an object")
         if "id" not in raw:
             raise MrpParseError(f"graph {gid}: node without 'id'")
-        anchors = None
-        if raw.get("anchors") is not None:
+        nid = raw["id"]
+        if type(nid) is not int:
+            raise MrpParseError(f"graph {gid}: node id {nid!r} is not an integer")
+        anchors = raw.get("anchors")
+        if anchors is not None:
             try:
-                anchors = [(a["from"], a["to"]) for a in raw["anchors"]]
+                anchors = [(a["from"], a["to"]) for a in anchors]
             except (KeyError, TypeError):
-                raise MrpParseError(f"graph {gid}: node {raw['id']}: anchor without 'from'/'to'") from None
-        nodes.append(MrpNode(
-            id=raw["id"],
-            label=raw.get("label"),
-            properties=_pairs(raw, "properties", gid),
-            anchors=anchors,
-            extras={k: v for k, v in raw.items() if k not in _NODE_KEYS},
-        ))
+                raise MrpParseError(f"graph {gid}: node {nid}: anchor without 'from'/'to'") from None
+        properties = _pairs(raw, "properties", gid) if "properties" in raw or "values" in raw else []
+        extras = {} if raw.keys() <= _NODE_KEYS else {k: v for k, v in raw.items() if k not in _NODE_KEYS}
+        nodes.append(MrpNode(nid, raw.get("label"), properties, anchors, extras))
+        ids.add(nid)
     edges = []
     for raw in _list(obj, "edges", gid):
         if not isinstance(raw, dict):
             raise MrpParseError(f"graph {gid}: edge {raw!r} is not an object")
         if "source" not in raw or "target" not in raw:
             raise MrpParseError(f"graph {gid}: edge without 'source'/'target'")
-        edges.append(MrpEdge(
-            source=raw["source"],
-            target=raw["target"],
-            label=raw.get("label"),
-            attributes=_pairs(raw, "attributes", gid),
-            extras={k: v for k, v in raw.items() if k not in _EDGE_KEYS},
-        ))
-    g = MrpGraph(
-        id=gid,
-        framework=str(obj.get("framework", "")).lower(),
-        input=obj.get("input", ""),
-        tops=list(_list(obj, "tops", gid)),
-        nodes=nodes,
-        edges=edges,
-        extras={k: v for k, v in obj.items() if k not in _GRAPH_KEYS},
-    )
-    ids = {n.id for n in g.nodes}
-    for e in g.edges:
+        source, target = raw["source"], raw["target"]
+        if type(source) is not int or type(target) is not int:
+            raise MrpParseError(f"graph {gid}: edge {source!r}->{target!r}: endpoints are not integers")
+        attributes = _pairs(raw, "attributes", gid) if "attributes" in raw or "values" in raw else []
+        extras = {} if raw.keys() <= _EDGE_KEYS else {k: v for k, v in raw.items() if k not in _EDGE_KEYS}
+        edges.append(MrpEdge(source, target, raw.get("label"), attributes, extras))
+    tops = _list(obj, "tops", gid)
+    for t in tops:
+        if type(t) is not int:
+            raise MrpParseError(f"graph {gid}: top {t!r} is not an integer")
+    text = obj.get("input", "")
+    if type(text) is not str:
+        raise MrpParseError(f"graph {gid}: 'input' is {type(text).__name__}, not a string")
+    for e in edges:
         if e.source not in ids or e.target not in ids:
             raise MrpValidationError(
-                f"graph {g.id}: edge {e.source}->{e.target} references a missing node")
-    return g
+                f"graph {gid}: edge {e.source}->{e.target} references a missing node")
+    extras = {} if obj.keys() <= _GRAPH_KEYS else {k: v for k, v in obj.items() if k not in _GRAPH_KEYS}
+    return MrpGraph(gid, str(obj.get("framework", "")), text, tops, nodes, edges, extras)
 
 
 def serialize_mrp(g: MrpGraph) -> str:
     """One-line JSON record; parse_mrp(serialize_mrp(g)) == g."""
     obj = {"id": g.id}
-    obj.update(g.extras)
+    if g.extras:
+        obj.update(g.extras)
     obj["framework"] = g.framework
     obj["input"] = g.input
     obj["tops"] = list(g.tops)
@@ -181,7 +187,8 @@ def _node_obj(n: MrpNode):
         obj["values"] = [v for _, v in n.properties]
     if n.anchors is not None:
         obj["anchors"] = [{"from": f, "to": t} for f, t in n.anchors]
-    obj.update(n.extras)
+    if n.extras:
+        obj.update(n.extras)
     return obj
 
 
@@ -192,7 +199,8 @@ def _edge_obj(e: MrpEdge):
     if e.attributes:
         obj["attributes"] = [a for a, _ in e.attributes]
         obj["values"] = [v for _, v in e.attributes]
-    obj.update(e.extras)
+    if e.extras:
+        obj.update(e.extras)
     return obj
 
 

@@ -57,16 +57,17 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
     neither encoding carries, are left alone; node count never increases."""
     g = g.copy()
     by_id = g.node_by_id()
+    surface = {n.id: _is_surface_mapped(n, g.input) for n in g.nodes}
     adj = _adjacency(g)
     dead = set()  # identities of the removed nodes and edges
     reduced_edges = []
     for a in sorted(g.nodes, key=lambda n: n.id):
         links = adj[a.id]
-        if (len(links) not in (1, 2) or _is_surface_mapped(a, g.input) or a.anchors is None
+        if (len(links) not in (1, 2) or surface[a.id] or a.anchors is None
                 or a.id in g.tops or a.properties or any(e.attributes for e in links)):
             continue
         ends = [(by_id[e.target if e.source == a.id else e.source], e) for e in links]
-        if not all(_is_surface_mapped(b, g.input) for b, _ in ends):
+        if not all(surface[b.id] for b, _ in ends):
             continue
         if len(ends) == 1:
             [(b, e)] = ends

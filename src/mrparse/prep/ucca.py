@@ -7,7 +7,7 @@ import json
 import re
 
 from ..mrp import MrpGraph
-from ..treeify import graph_to_tree
+from ..treeify import visit_order
 
 IMPLICIT_RE = re.compile(r"^n_(\d+)$")
 _ESCAPED_RE = re.compile(r"^n(__+)(\d+)$")
@@ -19,11 +19,12 @@ def ucca_mark_implicit(g: MrpGraph) -> MrpGraph:
     """Give every unlabeled node a positional name n_i, i counted in node
     sequence order. Genuine labels already shaped like n_3 get an extra
     underscore so the namespace stays reserved."""
-    order = dict.fromkeys(sn.node_id for sn in graph_to_tree(g).nodes
-                          if sn.node_id is not None)
-    by_id = g.node_by_id()
-    implicit_ids = [nid for nid in order if by_id[nid].label is None]
-    number = {nid: i for i, nid in enumerate(implicit_ids)}
+    first, steps = visit_order(g)
+    number = {}
+    for pos in first.values():
+        node = steps[pos][0]
+        if node.label is None:
+            number[node.id] = len(number)
     g = g.copy()
     for n in g.nodes:
         if n.label is None:

@@ -63,16 +63,27 @@ class NodeSequence:
                 raise TreeError(f"position {t}: idx {n.idx} is not a position up to {t}")
             if n.idx != t and self.nodes[n.idx].idx != n.idx:
                 raise TreeError(f"position {t}: idx {n.idx} does not point at an original node")
-            if n.parent is not None and not 0 <= n.parent < t:
+            if n.parent is None:
+                if t > 0:
+                    raise TreeError(f"position {t}: no parent, but only position 0 may be the root")
+            elif not 0 <= n.parent < t:
                 raise TreeError(f"position {t}: parent {n.parent} is not an earlier position")
 
 
-def graph_to_tree(g: MrpGraph) -> NodeSequence:
-    """Linearize a rooted graph, duplicating every extra edge entrance.
+def visit_order(g: MrpGraph):
+    """The depth-first walk that graph_to_tree emits in, without building
+    the sequence.
 
-    Edges into already-visited nodes (reentrancies and cycles alike)
-    become copies. Disconnected nodes are an error; with several tops a
-    synthetic root is prepended and linked to each of them.
+    Children are taken in natural label order, ties broken by node id and
+    then edge label; an edge into an already-visited node (reentrancy or
+    cycle) is emitted as a copy and not walked again. With several tops a
+    synthetic root takes position 0 and the tops, in natural label order,
+    hang off it. Returns (first, steps): `first` maps each node id to the
+    position of its first emission and is keyed in first-emission order;
+    `steps` lists every emission as (node, parent position, edge label),
+    copies included, with (None, None, None) for the synthetic root. A
+    graph without tops, with a top that is not a node, or with a node
+    unreachable from the tops raises TreeError.
     """
     by_id = g.node_by_id()
     if not g.tops:
@@ -83,47 +94,58 @@ def graph_to_tree(g: MrpGraph) -> NodeSequence:
     children = {n.id: [] for n in g.nodes}
     for e in g.edges:
         children[e.source].append(e)
-    for nid in children:
-        children[nid].sort(key=lambda e: (natural_key(by_id[e.target].label), e.target, e.label or ""))
+    for out in children.values():
+        if len(out) > 1:
+            out.sort(key=lambda e: (natural_key(by_id[e.target].label), e.target, e.label or ""))
 
-    seq = []
-    first_pos = {}
-
-    def emit(node, parent_pos, edge_label):
-        pos = len(seq)
-        if node.id in first_pos:
-            orig = first_pos[node.id]
-            seq.append(SeqNode(label=node.label, idx=orig, parent=parent_pos,
-                               edge_label=edge_label, anchors=_copy_anchors(node),
-                               node_id=node.id))
-            return None
-        first_pos[node.id] = pos
-        seq.append(SeqNode(label=node.label, idx=pos, parent=parent_pos,
-                           edge_label=edge_label, anchors=_copy_anchors(node),
-                           properties=list(node.properties), node_id=node.id))
-        return pos
-
+    steps = []
+    first = {}
     if len(g.tops) == 1:
-        root = by_id[g.tops[0]]
-        stack = [(root, None, None)]
+        stack = [(by_id[g.tops[0]], None, None)]
     else:
-        seq.append(SeqNode(label=ROOT_LABEL, idx=0, parent=None, edge_label=None))
-        first_pos[None] = 0
+        steps.append((None, None, None))
         tops = sorted((by_id[t] for t in g.tops), key=lambda n: (natural_key(n.label), n.id))
         stack = [(n, 0, None) for n in reversed(tops)]
 
     while stack:
-        node, parent_pos, edge_label = stack.pop()
-        pos = emit(node, parent_pos, edge_label)
-        if pos is None:
+        step = stack.pop()
+        pos = len(steps)
+        steps.append(step)
+        nid = step[0].id
+        if nid in first:
             continue
-        for e in reversed(children[node.id]):
+        first[nid] = pos
+        for e in reversed(children[nid]):
             stack.append((by_id[e.target], pos, e.label))
 
-    unreachable = sorted(n.id for n in g.nodes if n.id not in first_pos)
-    if unreachable:
+    if len(first) < len(by_id):
+        unreachable = sorted(n.id for n in g.nodes if n.id not in first)
         raise TreeError(f"graph {g.id}: nodes unreachable from top: {unreachable}")
-    return NodeSequence(nodes=seq)
+    return first, steps
+
+
+def graph_to_tree(g: MrpGraph) -> NodeSequence:
+    """Linearize a rooted graph, duplicating every extra edge entrance.
+
+    Edges into already-visited nodes (reentrancies and cycles alike)
+    become copies. Disconnected nodes are an error; with several tops a
+    synthetic root is prepended and linked to each of them. Positions
+    follow visit_order.
+    """
+    first, steps = visit_order(g)
+    seq = []
+    for pos, (node, parent, edge_label) in enumerate(steps):
+        if node is None:
+            seq.append(SeqNode(ROOT_LABEL, 0))
+            continue
+        idx = first[node.id]
+        if idx == pos:
+            seq.append(SeqNode(node.label, pos, parent, edge_label, _copy_anchors(node),
+                               list(node.properties), node.id))
+        else:
+            seq.append(SeqNode(node.label, idx, parent, edge_label, _copy_anchors(node),
+                               [], node.id))
+    return NodeSequence(seq)
 
 
 def _copy_anchors(node):

@@ -2,7 +2,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mrparse import companion as comp
@@ -228,7 +228,6 @@ def resegmented(draw):
 
 
 @given(resegmented())
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 def test_resegmented_companion_aligns_exactly(case):
     text, forms = case
     sent = _sent([(f, f"L{k}") for k, f in enumerate(forms)], tags=[f"T{k}" for k in range(len(forms))])
@@ -297,7 +296,6 @@ def spliced(draw):
 
 
 @given(spliced())
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 def test_replace_spans_matches_right_to_left_reference(case):
     sent, runs = case
     want = sent

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mrparse.companion import CompanionSentence, Token
@@ -72,9 +72,6 @@ class TestAnchors:
         assert spans_to_anchors(out, sent("hi")) == g
 
 
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
 def char_range_to_span(lo, hi, tokens):
     """Reference: the linear scan anchors_to_spans replaced. The covering
     token run of [lo, hi) as (first, last), and whether snapping was
@@ -110,7 +107,6 @@ def anchored(draw):
     return s, MrpGraph(id="p", framework="eds", input=s.text(), nodes=nodes)
 
 
-@PROPERTY
 @given(anchored())
 def test_anchors_to_spans_matches_linear_scan(case):
     s, g = case
@@ -162,7 +158,6 @@ def near_token_boundaries(draw):
     return s, [MrpNode(i, "n", anchors=a) for i, a in enumerate(draw(st.lists(pieces, max_size=8)))]
 
 
-@PROPERTY
 @given(near_token_boundaries())
 def test_exact_covering_run_matches_inside_scan(case):
     s, nodes = case
@@ -188,7 +183,6 @@ def on_token_boundaries(draw):
                        nodes=[MrpNode(i, "n", anchors=a) for i, a in enumerate(anchors)])
 
 
-@PROPERTY
 @given(on_token_boundaries())
 def test_spans_to_anchors_inverts_anchors_to_spans_on_token_boundaries(case):
     s, g = case

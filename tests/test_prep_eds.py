@@ -2,7 +2,7 @@ import json
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mrparse.companion import CompanionSentence, Token
@@ -414,9 +414,6 @@ def eds_graphs(draw, lossy=False):
                            for s, t, lab, attrs in edges])
 
 
-PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
 def _nx_up_to_ids(g):
     """Node ids dropped; anchors compared as sorted pieces, as eds_restore
     writes them."""
@@ -430,18 +427,15 @@ def _nx_up_to_ids(g):
 
 
 class TestReduceProperties:
-    @PROPERTY
     @given(eds_graphs())
     def test_one_pass_matches_fixpoint_reference(self, g):
         assert serialize_mrp(eds_reduce(g)) == serialize_mrp(fixpoint_reduce(g))
 
-    @PROPERTY
     @given(eds_graphs(lossy=True))
     def test_idempotent(self, g):
         once = eds_reduce(g)
         assert serialize_mrp(eds_reduce(once)) == serialize_mrp(once)
 
-    @PROPERTY
     @given(eds_graphs(lossy=True))
     def test_restore_inverts_reduce_up_to_ids(self, g):
         back = eds_restore(eds_reduce(g))

@@ -4,10 +4,12 @@ independent oracle."""
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
 from mrparse.treeify import (NodeSequence, SeqNode, TreeError, graph_to_tree,
-                             natural_key, tree_to_graph)
+                             natural_key, tree_to_graph, visit_order)
 
 
 def build(nodes, edges, tops, framework="amr"):
@@ -172,6 +174,16 @@ def test_negative_position_is_error(idx, parent):
         tree_to_graph(seq)
 
 
+def test_parentless_non_root_position_is_error():
+    # tree_to_graph would make "b" a second, unconnected node, which
+    # graph_to_tree then rejects as unreachable
+    seq = NodeSequence(nodes=[SeqNode("a", 0), SeqNode("b", 1)])
+    with pytest.raises(TreeError, match="position 1"):
+        seq.validate()
+    with pytest.raises(TreeError, match="position 1"):
+        tree_to_graph(seq)
+
+
 def random_rooted_dag(rng, max_nodes=12):
     n = int(rng.integers(1, max_nodes + 1))
     labels = [rng.choice(["p", "q", "r", "s"]) + str(int(rng.integers(0, 3))) for _ in range(n)]
@@ -221,3 +233,74 @@ def test_dfs_order_deterministic_under_edge_permutation():
         assert [n.label for n in seq1.nodes] == [n.label for n in seq2.nodes]
         assert [n.idx for n in seq1.nodes] == [n.idx for n in seq2.nodes]
         assert [n.node_id for n in seq1.nodes] == [n.node_id for n in seq2.nodes]
+
+
+@st.composite
+def rooted_graphs(draw, unreachable=False):
+    """Graphs with reentrancy, cycles, self-loops, parallel edges, one to
+    three tops and node ids out of order. Every node is reachable from the
+    tops, or with `unreachable`, at least one node is not."""
+    n = draw(st.integers(1, 8))
+    ids = draw(st.permutations(range(2 * n)))[:n]
+    labels = st.sampled_from(["x2", "x10", "a", "b", None])
+    nodes = [MrpNode(i, draw(labels)) for i in ids]
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(["A", "B", None]))
+    edges = draw(st.lists(pairs, max_size=2 * n))
+    tops = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
+    if unreachable:
+        cut = draw(st.sampled_from([i for i in ids if i not in tops] or [max(ids) + 1]))
+        if cut not in ids:
+            nodes.append(MrpNode(cut, draw(labels)))
+        edges = [(s, t, lab) for s, t, lab in edges if t != cut]
+    else:
+        # a spanning edge into every node that is not a top
+        for k, i in enumerate(ids):
+            if i not in tops:
+                edges.append((draw(st.sampled_from(tops + ids[:k])), i, draw(st.sampled_from(["A", "B"]))))
+    edges = draw(st.permutations(edges))
+    return MrpGraph(id="h", framework="ucca", tops=tops, nodes=nodes,
+                    edges=[MrpEdge(s, t, lab) for s, t, lab in edges])
+
+
+def recursive_order(g):
+    """Independent reference: recursive pre-order over children in natural
+    label order (ties by node id, then edge label), tops likewise when
+    there are several, each node walked at its first visit only."""
+    by_id = {n.id: n for n in g.nodes}
+
+    def key(n):
+        return natural_key(n.label), n.id
+
+    order = []
+
+    def walk(nid):
+        if nid in order:
+            return
+        order.append(nid)
+        out = [e for e in g.edges if e.source == nid]
+        for e in sorted(out, key=lambda e: (*key(by_id[e.target]), e.label or "")):
+            walk(e.target)
+
+    tops = g.tops if len(g.tops) == 1 else [n.id for n in sorted((by_id[t] for t in g.tops), key=key)]
+    for t in tops:
+        walk(t)
+    return order
+
+
+@given(rooted_graphs())
+def test_visit_order_matches_tree_order(g):
+    tree_order = dict.fromkeys(sn.node_id for sn in graph_to_tree(g).nodes if sn.node_id is not None)
+    first, steps = visit_order(g)
+    assert list(first) == list(tree_order) == recursive_order(g)
+    assert [steps[pos][0].id for pos in first.values()] == list(first)
+
+
+@given(rooted_graphs(unreachable=True))
+def test_visit_order_raises_what_graph_to_tree_raises(g):
+    reached = set(recursive_order(g))
+    want = f"graph h: nodes unreachable from top: {sorted(n.id for n in g.nodes if n.id not in reached)}"
+    with pytest.raises(TreeError) as tree_error:
+        graph_to_tree(g)
+    with pytest.raises(TreeError) as order_error:
+        visit_order(g)
+    assert str(order_error.value) == str(tree_error.value) == want
