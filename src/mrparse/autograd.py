@@ -73,9 +73,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
 
@@ -163,15 +160,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    a = _lift(a)
-    if not isinstance(b, Tensor):
-        c = float(b)
-
-        def bw_scalar(g):
-            if a.requires_grad:
-                _accum(a, g * c, fresh=True)
-
-        return _make(a.data * c, (a,), bw_scalar)
+    a, b = _lift(a), _lift(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shapes {a.data.shape} vs {b.data.shape}")
 

@@ -4,12 +4,12 @@ One JSON object per line. Known keys are mapped onto the dataclasses
 below; everything else is kept verbatim in an `extras` dict so a
 parse/serialize cycle is structurally lossless.
 
-Parse contract: node ids, edge endpoints and tops are integers (not
-booleans), `input` is a string, and the keyed lists are lists; a record
-that breaks any of these raises `MrpParseError` naming the graph, and an
-edge to a missing node raises `MrpValidationError`. Unknown keys at every
-level land in `extras` as they were read, and `serialize_mrp` writes them
-back unchanged.
+Parse contract: node ids, edge endpoints, tops and anchor offsets are
+integers (not booleans), labels are strings or null, `input` is a string,
+and the keyed lists are lists; a record that breaks any of these raises
+`MrpParseError` naming the graph, and an edge to a missing node raises
+`MrpValidationError`. Unknown keys at every level land in `extras` as
+they were read, and `serialize_mrp` writes them back unchanged.
 """
 
 from __future__ import annotations
@@ -106,6 +106,14 @@ def _pairs(raw, names_key, gid):
     return list(zip(names, values))
 
 
+def _anchor(a, gid, nid):
+    """An anchor object's (from, to); both must be integers."""
+    f, t = a["from"], a["to"]
+    if type(f) is not int or type(t) is not int:
+        raise MrpParseError(f"graph {gid}: node {nid}: anchor ({f!r}, {t!r}) is not a pair of integers")
+    return f, t
+
+
 def parse_mrp(line: str) -> MrpGraph:
     """Parse one MRP record. Raises MrpParseError on malformed JSON (with
     the byte offset) or a mistyped record, and MrpValidationError on
@@ -131,12 +139,15 @@ def parse_mrp(line: str) -> MrpGraph:
         anchors = raw.get("anchors")
         if anchors is not None:
             try:
-                anchors = [(a["from"], a["to"]) for a in anchors]
+                anchors = [_anchor(a, gid, nid) for a in anchors]
             except (KeyError, TypeError):
                 raise MrpParseError(f"graph {gid}: node {nid}: anchor without 'from'/'to'") from None
+        label = raw.get("label")
+        if label is not None and type(label) is not str:
+            raise MrpParseError(f"graph {gid}: node {nid}: label {label!r} is not a string")
         properties = _pairs(raw, "properties", gid) if "properties" in raw or "values" in raw else []
         extras = {} if raw.keys() <= _NODE_KEYS else {k: v for k, v in raw.items() if k not in _NODE_KEYS}
-        nodes.append(MrpNode(nid, raw.get("label"), properties, anchors, extras))
+        nodes.append(MrpNode(nid, label, properties, anchors, extras))
         ids.add(nid)
     edges = []
     for raw in _list(obj, "edges", gid):
@@ -147,9 +158,12 @@ def parse_mrp(line: str) -> MrpGraph:
         source, target = raw["source"], raw["target"]
         if type(source) is not int or type(target) is not int:
             raise MrpParseError(f"graph {gid}: edge {source!r}->{target!r}: endpoints are not integers")
+        label = raw.get("label")
+        if label is not None and type(label) is not str:
+            raise MrpParseError(f"graph {gid}: edge {source}->{target}: label {label!r} is not a string")
         attributes = _pairs(raw, "attributes", gid) if "attributes" in raw or "values" in raw else []
         extras = {} if raw.keys() <= _EDGE_KEYS else {k: v for k, v in raw.items() if k not in _EDGE_KEYS}
-        edges.append(MrpEdge(source, target, raw.get("label"), attributes, extras))
+        edges.append(MrpEdge(source, target, label, attributes, extras))
     tops = _list(obj, "tops", gid)
     for t in tops:
         if type(t) is not int:

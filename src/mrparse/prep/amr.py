@@ -11,6 +11,7 @@ statistics — drive the inverse at parse time.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
@@ -136,49 +137,43 @@ def amr_preprocess(g: MrpGraph, sent: CompanionSentence, tables: AmrTables | Non
         n.label = stem
         n.properties = [(p, v) for p, v in n.properties if p not in ("wiki", "polarity")]
 
-    g, sent, entry = _anonymize(g, sent, tables, update)
-    return g, sent, entry
+    return _anonymize(g, sent, tables, update)
 
 
 def _entity_subgraphs(g):
-    """(entity node, name node, [(op index, leaf node)]) triples plus
-    date-entity patterns (entity node, None, [(field, leaf)])."""
+    """(kind, entity node, [(key, leaf)], collapsed nodes) per pattern: a
+    `name` node with op leaves under an entity node ("named", keyed by op
+    index), or a date-entity with field leaves ("date"). A leaf, and so each
+    collapsed node, has one in-edge; no two patterns collapse one node."""
     by_id = g.node_by_id()
     out_edges = {n.id: [] for n in g.nodes}
     in_deg = {n.id: 0 for n in g.nodes}
     for e in g.edges:
         out_edges[e.source].append(e)
         in_deg[e.target] += 1
+
+    def leaves(v, key):
+        """v's children as (key, leaf) in key order; None unless each is a keyed leaf."""
+        parts = []
+        for e in out_edges[v.id]:
+            k, leaf = key(e.label), by_id[e.target]
+            if k is None or out_edges[leaf.id] or in_deg[leaf.id] != 1:
+                return None
+            parts.append((k, leaf))
+        return sorted(parts, key=lambda p: p[0])
+
     found = []
     for v in sorted(g.nodes, key=lambda n: n.id):
         for e in out_edges[v.id]:
             m = by_id[e.target]
-            if e.label == "name" and m.label == "name":
-                ops = []
-                ok = in_deg[m.id] == 1
-                for oe in out_edges[m.id]:
-                    om = OP_RE.match(oe.label or "")
-                    leaf = by_id[oe.target]
-                    if not om or out_edges[leaf.id] or in_deg[leaf.id] != 1:
-                        ok = False
-                        break
-                    ops.append((int(om.group(1)), leaf, oe))
-                if ok and ops:
-                    found.append(("named", v, m, e, sorted(ops, key=lambda p: p[0])))
+            if e.label == "name" and m.label == "name" and in_deg[m.id] == 1:
+                ops = leaves(m, lambda label: int(label[2:]) if OP_RE.match(label or "") else None)
+                if ops:
+                    found.append(("named", v, ops, [m] + [leaf for _, leaf in ops]))
         if v.label == "date-entity":
-            fields = []
-            ok = True
-            for oe in out_edges[v.id]:
-                if oe.label not in DATE_FIELDS:
-                    ok = False
-                    break
-                leaf = by_id[oe.target]
-                if out_edges[leaf.id] or in_deg[leaf.id] != 1:
-                    ok = False
-                    break
-                fields.append((oe.label, leaf, oe))
-            if ok and fields:
-                found.append(("date", v, None, None, sorted(fields, key=lambda p: p[0])))
+            fields = leaves(v, lambda label: label if label in DATE_FIELDS else None)
+            if fields:
+                found.append(("date", v, fields, [leaf for _, leaf in fields]))
     return found
 
 
@@ -195,14 +190,11 @@ def _anonymize(g, sent, tables, update):
     counters = {}
     used_tokens = set()
     removed_nodes = set()
-    removed_edges = []
     replacements = []  # replace_spans runs
 
-    for kind, v, m, name_edge, parts in _entity_subgraphs(g):
-        if v.id in removed_nodes or (m is not None and m.id in removed_nodes):
-            continue
-        words = [leaf.label for _, leaf, _ in parts]
-        if any(w is None for w in words):
+    for kind, v, parts, collapsed in _entity_subgraphs(g):
+        words = [leaf.label for _, leaf in parts]
+        if None in words:
             continue
         pos = _find_phrase(sent, words, used_tokens)
         if pos is None:
@@ -210,31 +202,22 @@ def _anonymize(g, sent, tables, update):
         tag = sent.ner_tags[pos]
         if tag == "O":
             continue
-        template = tables.templates.get(tag, "ENTITY")
-        k = counters.get(template, 0)
-        counters[template] = k + 1
-        placeholder = f"{template}_{k}"
+        placeholder = _mint(tables, counters, tag)
         if update:
             tables.entity_types.setdefault(tag, {})
             tables.entity_types[tag][v.label] = tables.entity_types[tag].get(v.label, 0) + 1
         if kind == "named":
-            entry[placeholder] = {"kind": "named", "type": v.label,
-                                  "phrase": words}
-            removed_nodes.update([m.id] + [leaf.id for _, leaf, _ in parts])
-            removed_edges.extend([name_edge] + [oe for _, _, oe in parts])
+            entry[placeholder] = {"kind": "named", "type": v.label, "phrase": words}
         else:
             entry[placeholder] = {"kind": "date", "type": v.label,
-                                  "parts": [[lab, leaf.label] for lab, leaf, _ in parts]}
-            removed_nodes.update(leaf.id for _, leaf, _ in parts)
-            removed_edges.extend(oe for _, _, oe in parts)
+                                  "parts": [[key, leaf.label] for key, leaf in parts]}
+        removed_nodes.update(n.id for n in collapsed)
         v.label = placeholder
-        for i in range(pos, pos + len(words)):
-            used_tokens.add(i)
+        used_tokens.update(range(pos, pos + len(words)))
         replacements.append((pos, pos + len(words) - 1, placeholder, placeholder, "NNP", tag))
 
-    dead = {id(e) for e in removed_edges}
     g.nodes = [n for n in g.nodes if n.id not in removed_nodes]
-    g.edges = [e for e in g.edges if id(e) not in dead]
+    g.edges = [e for e in g.edges if e.target not in removed_nodes]  # each one's only in-edge
     return g, replace_spans(sent, sorted(replacements)), entry
 
 
@@ -254,10 +237,7 @@ def sentence_entry(sent: CompanionSentence, tables: AmrTables):
         while j + 1 < len(sent.tokens) and sent.ner_tags[j + 1] == tag:
             j += 1
         words = [t.form for t in sent.tokens[i:j + 1]]
-        template = tables.templates.get(tag, "ENTITY")
-        k = counters.get(template, 0)
-        counters[template] = k + 1
-        placeholder = f"{template}_{k}"
+        placeholder = _mint(tables, counters, tag)
         if tag == "DATE":
             entry[placeholder] = {"kind": "date",
                                   "type": tables.best_entity_type(tag, "date-entity"),
@@ -271,16 +251,24 @@ def sentence_entry(sent: CompanionSentence, tables: AmrTables):
     return replace_spans(sent, runs), entry
 
 
+def _mint(tables, counters, tag):
+    """The next placeholder for an entity tagged `tag`, as in PERSON_0."""
+    template = tables.templates.get(tag, "ENTITY")
+    k = counters.get(template, 0)
+    counters[template] = k + 1
+    return f"{template}_{k}"
+
+
 def amr_postprocess(g: MrpGraph, entry: dict, tables: AmrTables) -> MrpGraph:
     """Assign senses and polarity, then expand placeholder nodes back into
     entity sub-graphs."""
     g = g.copy()
-    templates = {*tables.templates.values(), "ENTITY"}  # what _anonymize and sentence_entry use
+    templates = {*tables.templates.values(), "ENTITY"}  # every template _mint uses
     placeholders = []
     for n in g.nodes:
         if n.label is None:
             continue
-        template, _, k = n.label.rpartition("_")
+        template, _, k = n.label.rpartition("_")  # the inverse of _mint
         if template in templates and k.isdecimal():
             placeholders.append(n)
             continue
@@ -289,7 +277,14 @@ def amr_postprocess(g: MrpGraph, entry: dict, tables: AmrTables) -> MrpGraph:
         if tables.wants_polarity(stem) and "polarity" not in dict(n.properties):
             n.properties.append(("polarity", "-"))
 
-    next_id = max((n.id for n in g.nodes), default=-1) + 1
+    new_ids = itertools.count(max((n.id for n in g.nodes), default=-1) + 1)
+
+    def add(label, parent, edge_label):
+        node = MrpNode(next(new_ids), label=label)
+        g.nodes.append(node)
+        g.edges.append(MrpEdge(parent.id, node.id, edge_label))
+        return node
+
     for v in placeholders:
         info = entry.get(v.label)
         if info is None:
@@ -297,19 +292,10 @@ def amr_postprocess(g: MrpGraph, entry: dict, tables: AmrTables) -> MrpGraph:
             continue
         v.label = info["type"]
         if info["kind"] == "named":
-            m = MrpNode(next_id, label="name")
-            next_id += 1
-            g.nodes.append(m)
-            g.edges.append(MrpEdge(v.id, m.id, "name"))
+            m = add("name", v, "name")
             for i, word in enumerate(info["phrase"], start=1):
-                leaf = MrpNode(next_id, label=word)
-                next_id += 1
-                g.nodes.append(leaf)
-                g.edges.append(MrpEdge(m.id, leaf.id, f"op{i}"))
+                add(word, m, f"op{i}")
         else:
             for lab, value in info["parts"]:
-                leaf = MrpNode(next_id, label=value)
-                next_id += 1
-                g.nodes.append(leaf)
-                g.edges.append(MrpEdge(v.id, leaf.id, lab))
+                add(value, v, lab)
     return g

@@ -53,7 +53,7 @@ def anchors_to_spans(g: MrpGraph, sent) -> tuple:
         lo, hi = _range(n.anchors)
         s, e, exact = covering_run(starts, ends, lo, hi)
         if s > e:
-            raise AnchorError(f"character range ({lo},{hi}) covers no token")
+            raise AnchorError(f"graph {g.id}: node {n.id}: character range ({lo},{hi}) covers no token")
         if not exact:
             flagged.append(n.id)
         n.anchors = [(s, e)]
@@ -69,6 +69,7 @@ def spans_to_anchors(g: MrpGraph, sent) -> MrpGraph:
             continue
         for s, e in n.anchors:
             if not (0 <= s <= e < n_tok):
-                raise AnchorError(f"node {n.id}: token span ({s},{e}) outside sentence of {n_tok} tokens")
+                raise AnchorError(
+                    f"graph {g.id}: node {n.id}: token span ({s},{e}) outside sentence of {n_tok} tokens")
         n.anchors = [(sent.tokens[s].start, sent.tokens[e].end) for s, e in n.anchors]
     return g

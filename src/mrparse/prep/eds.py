@@ -1,17 +1,19 @@
 """EDS-specific transforms.
 
 Nodes without a direct surface-token mapping (type 1) get reduced into
-their surface-mapped neighbours (type 2), either as a reserved `reduced:i`
-node property (single neighbour, same anchor) or as a reserved edge label
-(exactly two neighbours whose anchors tile the node's range). One pass
-reaches the fixpoint, since no reduction changes whether another node is
-reducible. Both moves are reversed exactly by eds_restore. Separately,
+their surface-mapped neighbours (type 2), either as a node property
+`reduced:k` (single neighbour, same anchor) or as an edge label `reduced:`
+plus a JSON payload (exactly two neighbours whose anchors tile the node's
+range). Both moves write the one reserved prefix `reduced:` (REDUCED), and
+eds_restore reverses both exactly. One pass reaches the fixpoint, since no
+reduction changes whether another node is reducible. Separately,
 multi-token phrases that usually surface as one node get merged into one
 companion token.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -19,8 +21,7 @@ from ..companion import replace_spans
 from ..mrp import MrpEdge, MrpGraph, MrpNode
 from .anchors import _range, covering_run
 
-REDUCED_PROP = "reduced:"
-REDUCED_EDGE = "reduced:"
+REDUCED = "reduced:"
 
 
 class EdsError(Exception):
@@ -73,9 +74,8 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
             [(b, e)] = ends
             if _norm_anchors(a.anchors) != _norm_anchors(b.anchors):
                 continue
-            direction = "out" if e.source == a.id else "in"
-            k = sum(1 for p, _ in b.properties if p.startswith(REDUCED_PROP))
-            b.properties.append((f"{REDUCED_PROP}{k}", json.dumps([a.label, e.label, direction])))
+            k = sum(1 for p, _ in b.properties if p.startswith(REDUCED))
+            b.properties.append((f"{REDUCED}{k}", json.dumps([a.label, e.label, _side(e, a)])))
         else:
             (b, eb), (c, ec) = ends
             if b.id == c.id or b.anchors is None or c.anchors is None:
@@ -84,10 +84,8 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
             if not pieces or _norm_anchors(a.anchors) != (_range(pieces),):
                 continue
             src, esrc, tgt, etgt = _pick_direction(b, eb, c, ec)
-            payload = json.dumps([a.label,
-                                  esrc.label, "out" if esrc.source == a.id else "in",
-                                  etgt.label, "out" if etgt.source == a.id else "in"])
-            reduced_edges.append(MrpEdge(src.id, tgt.id, REDUCED_EDGE + payload))
+            payload = json.dumps([a.label, esrc.label, _side(esrc, a), etgt.label, _side(etgt, a)])
+            reduced_edges.append(MrpEdge(src.id, tgt.id, REDUCED + payload))
         dead.add(id(a))
         dead.update(id(e) for e in links)
     g.nodes = [n for n in g.nodes if id(n) not in dead]
@@ -95,10 +93,20 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
     return g
 
 
+def _side(e, a):
+    """How edge e meets the reduced node a: "out" when a is its source."""
+    return "out" if e.source == a.id else "in"
+
+
+def _attach(a, b, label, side):
+    """The edge between restored node a and neighbour b that _side read."""
+    return MrpEdge(a.id, b.id, label) if side == "out" else MrpEdge(b.id, a.id, label)
+
+
 def _adjacency(g):
     adj = {n.id: [] for n in g.nodes}
     for e in g.edges:
-        if e.label and e.label.startswith(REDUCED_EDGE):
+        if e.label and e.label.startswith(REDUCED):
             continue  # already-reduced edges don't count as connections
         adj[e.source].append(e)
         adj[e.target].append(e)
@@ -122,17 +130,16 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
     """Reverse eds_reduce: reserved edge labels become nodes spanning both
     endpoints, reserved properties unfold into single-link nodes."""
     g = g.copy()
-    next_id = max((n.id for n in g.nodes), default=-1) + 1
+    new_ids = itertools.count(max((n.id for n in g.nodes), default=-1) + 1)
     by_id = g.node_by_id()
 
     kept_edges, new_edges = [], []
     for e in g.edges:
-        if not (e.label and e.label.startswith(REDUCED_EDGE)):
+        if not (e.label and e.label.startswith(REDUCED)):
             kept_edges.append(e)
             continue
-        payload = e.label[len(REDUCED_EDGE):]
         try:
-            label, lab_src, dir_src, lab_tgt, dir_tgt = json.loads(payload)
+            label, lab_src, side_src, lab_tgt, side_tgt = json.loads(e.label[len(REDUCED):])
         except (ValueError, TypeError):
             raise EdsError(f"graph {g.id}: unrecognized reduced edge label {e.label!r}") from None
         b, c = by_id.get(e.source), by_id.get(e.target)
@@ -141,38 +148,24 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
         pieces = list(b.anchors or []) + list(c.anchors or [])
         if not pieces:
             raise EdsError(f"graph {g.id}: reduced edge {e.source} -> {e.target} joins unanchored nodes")
-        anchors = [_range(pieces)]
-        a = MrpNode(next_id, label=label, anchors=anchors)
-        next_id += 1
+        a = MrpNode(next(new_ids), label=label, anchors=[_range(pieces)])
         g.nodes.append(a)
-        by_id[a.id] = a
-        new_edges.append(MrpEdge(*(a.id, b.id) if dir_src == "out" else (b.id, a.id), lab_src))
-        new_edges.append(MrpEdge(*(a.id, c.id) if dir_tgt == "out" else (c.id, a.id), lab_tgt))
+        new_edges += [_attach(a, b, lab_src, side_src), _attach(a, c, lab_tgt, side_tgt)]
     g.edges = kept_edges + new_edges
 
     for b in list(g.nodes):
-        kept = []
-        folded = []
-        for name, value in b.properties:
-            if name.startswith(REDUCED_PROP):
-                folded.append((name, value))
-            else:
-                kept.append((name, value))
-        b.properties = kept
+        folded = [(name, value) for name, value in b.properties if name.startswith(REDUCED)]
+        b.properties = [(name, value) for name, value in b.properties if not name.startswith(REDUCED)]
         for name, value in folded:
             try:
-                label, edge_label, direction = json.loads(value)
+                label, edge_label, side = json.loads(value)
             except (ValueError, TypeError):
                 raise EdsError(
                     f"graph {g.id}: unrecognized reduced property {name}={value!r} on node {b.id}") from None
-            a = MrpNode(next_id, label=label,
+            a = MrpNode(next(new_ids), label=label,
                         anchors=sorted(b.anchors) if b.anchors is not None else None)
-            next_id += 1
             g.nodes.append(a)
-            if direction == "out":
-                g.edges.append(MrpEdge(a.id, b.id, edge_label))
-            else:
-                g.edges.append(MrpEdge(b.id, a.id, edge_label))
+            g.edges.append(_attach(a, b, edge_label, side))
     return g
 
 

@@ -9,10 +9,13 @@ import re
 from ..mrp import MrpGraph
 from ..treeify import visit_order
 
-IMPLICIT_RE = re.compile(r"^n_(\d+)$")
-_ESCAPED_RE = re.compile(r"^n(__+)(\d+)$")
+RESERVED_RE = re.compile(r"^n(_+)\d+$")  # n_3 names an unlabeled node; n__3 escapes a genuine n_3
 
 SEP = "⊕"  # ⊕
+
+
+class UccaError(ValueError):
+    pass
 
 
 def ucca_mark_implicit(g: MrpGraph) -> MrpGraph:
@@ -29,8 +32,8 @@ def ucca_mark_implicit(g: MrpGraph) -> MrpGraph:
     for n in g.nodes:
         if n.label is None:
             n.label = f"n_{number[n.id]}"
-        elif IMPLICIT_RE.match(n.label) or _ESCAPED_RE.match(n.label):
-            n.label = "n_" + n.label[1:]  # one more underscore
+        elif RESERVED_RE.match(n.label):
+            n.label = "n_" + n.label[1:]
     return g
 
 
@@ -39,14 +42,9 @@ def ucca_strip_implicit(g: MrpGraph) -> MrpGraph:
     escaped genuine labels lose one underscore."""
     g = g.copy()
     for n in g.nodes:
-        if n.label is None:
-            continue
-        if IMPLICIT_RE.match(n.label):
-            n.label = None
-        else:
-            m = _ESCAPED_RE.match(n.label)
-            if m:
-                n.label = "n" + m.group(1)[1:] + m.group(2)
+        m = RESERVED_RE.match(n.label) if n.label is not None else None
+        if m:
+            n.label = None if m.group(1) == "_" else "n" + n.label[2:]
     return g
 
 
@@ -79,14 +77,15 @@ def _split_composite(s):
 
 def encode_edge_label(label, attributes) -> str:
     """("A", [("remote", True)]) -> "A⊕remote". Boolean-true attributes
-    encode as bare names, anything else as name=JSON value."""
+    encode as bare names, anything else (and an unnamed one, whose empty
+    segment would read as an escaped separator) as name=JSON value."""
     out = [_escape(label or "")]
     for name, value in sorted(attributes, key=lambda p: p[0]):
         if "=" in name:
-            raise ValueError(f"attribute name {name!r} may not contain '='")
+            raise UccaError(f"attribute name {name!r} may not contain '='")
         if name.startswith(SEP):
-            raise ValueError(f"attribute name {name!r} may not start with {SEP!r}")
-        if value is True:
+            raise UccaError(f"attribute name {name!r} may not start with {SEP!r}")
+        if value is True and name:
             out.append(_escape(name))
         else:
             out.append(_escape(name) + "=" + _escape(json.dumps(value, ensure_ascii=False)))
@@ -99,7 +98,10 @@ def decode_edge_label(s: str) -> tuple:
     for part in parts[1:]:
         if "=" in part:
             name, value = part.split("=", 1)
-            attrs.append((name, json.loads(value)))
+            try:
+                attrs.append((name, json.loads(value)))
+            except json.JSONDecodeError:
+                raise UccaError(f"attribute {name!r}: value {value!r} is not JSON") from None
         else:
             attrs.append((part, True))
     return parts[0], attrs
@@ -116,6 +118,9 @@ def encode_graph_attrs(g: MrpGraph) -> MrpGraph:
 def decode_graph_attrs(g: MrpGraph) -> MrpGraph:
     g = g.copy()
     for e in g.edges:
-        label, e.attributes = decode_edge_label(e.label or "")
+        try:
+            label, e.attributes = decode_edge_label(e.label or "")
+        except UccaError as err:
+            raise UccaError(f"graph {g.id}: edge {e.source} -> {e.target}: {err}") from None
         e.label = label or None
     return g

@@ -154,44 +154,34 @@ def _copy_anchors(node):
 
 def tree_to_graph(seq: NodeSequence, framework="amr", graph_id="", input_text="") -> MrpGraph:
     """Merge positions sharing an idx into nodes and turn parent links into
-    edges. Exact inverse of graph_to_tree up to node ids."""
+    edges. Exact inverse of graph_to_tree up to node ids. A synthetic root
+    makes no node: its children are the tops, and a copy of it is an error."""
     if not seq.nodes:
         raise TreeError("empty sequence has no root")
     seq.validate()
+    nodes = seq.nodes
+    # position 0 makes a node unless it is the synthetic root
+    first = 1 if nodes[0].label == ROOT_LABEL and nodes[0].node_id is None else 0
 
-    originals = [t for t, n in enumerate(seq.nodes) if n.idx == t]
-    has_virtual_root = seq.nodes[0].label == ROOT_LABEL and seq.nodes[0].node_id is None
-    reusable = [t for t in originals if not (has_virtual_root and t == 0)]
-    reuse_ids = [seq.nodes[t].node_id for t in reusable]
-    if all(i is not None for i in reuse_ids) and len(set(reuse_ids)) == len(reuse_ids):
-        new_id = {t: seq.nodes[t].node_id for t in reusable}
-        if has_virtual_root:
-            new_id[0] = max(reuse_ids, default=-1) + 1
-    else:
-        new_id = {t: k for k, t in enumerate(originals)}
-
-    nodes = []
-    for t in originals:
-        n = seq.nodes[t]
-        nodes.append(MrpNode(id=new_id[t], label=n.label,
-                             properties=list(n.properties),
-                             anchors=list(n.anchors) if n.anchors is not None else None))
-    edges = []
-    for t, n in enumerate(seq.nodes):
-        if n.parent is None:
-            continue
-        src = new_id[seq.nodes[n.parent].idx]
-        tgt = new_id[n.idx]
-        edges.append(MrpEdge(source=src, target=tgt, label=n.edge_label))
-
-    if has_virtual_root:
-        root_id = new_id[0]
-        tops = [e.target for e in edges if e.source == root_id]
-        nodes = [n for n in nodes if n.id != root_id]
-        edges = [e for e in edges if e.source != root_id]
-        seen = set()
-        tops = [t for t in tops if not (t in seen or seen.add(t))]
-    else:
-        tops = [new_id[0]]
+    originals = [t for t in range(first, len(nodes)) if nodes[t].idx == t]
+    ids = [nodes[t].node_id for t in originals]
+    if None in ids or len(set(ids)) < len(ids):
+        ids = range(first, first + len(originals))  # numbered in position order
+    new_id = dict(zip(originals, ids))
+    graph_nodes = [MrpNode(id=new_id[t], label=nodes[t].label,
+                           properties=list(nodes[t].properties),
+                           anchors=list(nodes[t].anchors) if nodes[t].anchors is not None else None)
+                   for t in originals]
+    edges, tops = [], []
+    for t in range(1, len(nodes)):
+        n = nodes[t]
+        if first and n.idx == 0:
+            raise TreeError(f"graph {graph_id}: position {t} is a copy of the synthetic root")
+        if first and n.parent == 0:
+            tops.append(new_id[n.idx])
+        else:
+            edges.append(MrpEdge(source=new_id[nodes[n.parent].idx], target=new_id[n.idx],
+                                 label=n.edge_label))
+    tops = list(dict.fromkeys(tops)) if first else [new_id[0]]
     return MrpGraph(id=graph_id, framework=framework, input=input_text,
-                    tops=tops, nodes=nodes, edges=edges)
+                    tops=tops, nodes=graph_nodes, edges=edges)

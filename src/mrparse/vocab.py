@@ -15,19 +15,15 @@ class Vocab:
         self._index = {e: i for i, e in enumerate(self.entries)}
 
     @classmethod
-    def build(cls, items, reserved=(PAD, UNK), min_count=1):
+    def build(cls, items, reserved=(PAD, UNK)):
         counts = {}
         for item in items:
             counts[item] = counts.get(item, 0) + 1
-        ordered = sorted((e for e, c in counts.items() if c >= min_count),
-                         key=lambda e: (-counts[e], e))
+        ordered = sorted(counts, key=lambda e: (-counts[e], e))
         return cls(ordered, counts=counts, reserved=reserved)
 
     def __len__(self):
         return len(self.entries)
-
-    def __contains__(self, item):
-        return item in self._index
 
     def index(self, item):
         idx = self._index.get(item)

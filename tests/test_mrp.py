@@ -66,10 +66,16 @@ def test_parse_missing_field_is_parse_error(nodes, edges):
     '{"id": "7", "tops": [true], "nodes": [{"id": 0}]}',
     '{"id": "7", "input": 5, "nodes": [{"id": 0, "anchors": [{"from": 0, "to": 1}]}]}',
     '{"id": "7", "input": ["ab"]}',
+    '{"id": "7", "input": "ab", "nodes": [{"id": 0, "anchors": [{"from": "0", "to": 1}]}]}',
+    '{"id": "7", "input": "ab", "nodes": [{"id": 0, "anchors": [{"from": 0, "to": true}]}]}',
+    '{"id": "7", "input": "ab", "nodes": [{"id": 0, "anchors": [{"from": 0, "to": 1.0}]}]}',
+    '{"id": "7", "nodes": [{"id": 0, "label": 5}]}',
+    '{"id": "7", "nodes": [{"id": 0}], "edges": [{"source": 0, "target": 0, "label": ["A"]}]}',
 ], ids=["node not an object", "tops not a list", "node values not a list", "edge attributes not a list",
         "node id a list", "node id a string", "node id a bool", "edge target a string",
         "edge source a list", "edge source a bool", "top a float", "top a bool",
-        "input a number", "input a list"])
+        "input a number", "input a list", "anchor from a string", "anchor to a bool",
+        "anchor to a float", "node label a number", "edge label a list"])
 def test_mistyped_record_is_parse_error(record):
     with pytest.raises(mrp.MrpParseError, match="graph 7"):
         mrp.parse_mrp(record)

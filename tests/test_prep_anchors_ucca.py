@@ -10,6 +10,7 @@ from mrparse.prep import (AnchorError, anchors_to_spans, decode_edge_label,
                           decode_graph_attrs, encode_edge_label, encode_graph_attrs,
                           spans_to_anchors, ucca_mark_implicit, ucca_strip_implicit)
 from mrparse.prep.anchors import _range, covering_run
+from mrparse.prep.ucca import UccaError
 
 
 def sent(*forms):
@@ -62,6 +63,15 @@ class TestAnchors:
         g = MrpGraph(id="1", framework="eds", input="ab",
                      nodes=[MrpNode(0, "x", anchors=[(0, 5)])])
         with pytest.raises(AnchorError):
+            spans_to_anchors(g, sent("ab"))
+
+    def test_anchor_errors_name_graph_and_node(self):
+        g = MrpGraph(id="9", framework="eds", input="ab  ",
+                     nodes=[MrpNode(0, "x", anchors=[(0, 2)]), MrpNode(4, "y", anchors=[(3, 4)])])
+        with pytest.raises(AnchorError, match=r"^graph 9: node 4: character range \(3,4\) covers no token$"):
+            anchors_to_spans(g, sent("ab"))
+        g.nodes[0].anchors, g.nodes[1].anchors = [(0, 0)], [(0, 1)]
+        with pytest.raises(AnchorError, match=r"^graph 9: node 4: token span \(0,1\) outside sentence of 1 tokens$"):
             spans_to_anchors(g, sent("ab"))
 
     def test_empty_anchor_list_passes_through(self):
@@ -227,6 +237,39 @@ class TestImplicitLabels:
         assert ucca_strip_implicit(marked) == g
 
 
+@st.composite
+def ucca_trees(draw, labels):
+    """Trees rooted at node 0 with node labels drawn from `labels`."""
+    n = draw(st.integers(1, 8))
+    edges = [(draw(st.integers(0, t - 1)), t, "A") for t in range(1, n)]
+    return ucca_graph([draw(labels) for _ in range(n)], edges)
+
+
+RESERVED_SHAPED = st.none() | st.builds(lambda u, k: f"n{u}{k}", st.sampled_from(["_", "__", "___"]),
+                                        st.integers(0, 12)) | st.sampled_from(["n", "n3", "n_x", "m_1", "word"])
+
+
+@given(ucca_trees(RESERVED_SHAPED))
+def test_strip_implicit_inverts_mark_implicit(g):
+    assert ucca_strip_implicit(ucca_mark_implicit(g)) == g
+
+
+ATTR_NAMES = st.text(max_size=4).filter(lambda name: "=" not in name and not name.startswith("⊕"))
+ATTR_VALUES = st.booleans() | st.none() | st.integers() | st.text(max_size=4)
+
+
+@given(ucca_trees(st.just("x")), st.data())
+def test_decode_graph_attrs_inverts_encode_graph_attrs(g, data):
+    for e in g.edges:
+        e.label = data.draw(st.none() | st.text(max_size=4))
+        attrs = data.draw(st.lists(st.tuples(ATTR_NAMES, ATTR_VALUES), max_size=3))
+        e.attributes = sorted(attrs, key=lambda p: p[0])  # the order encode_edge_label writes
+    want = g.copy()
+    for e in want.edges:
+        e.label = e.label or None  # "" and None share the empty encoded label, which decodes as None
+    assert decode_graph_attrs(encode_graph_attrs(g)) == want
+
+
 class TestEdgeAttrCodec:
     def test_remote_roundtrip(self):
         s = encode_edge_label("A", [("remote", True)])
@@ -250,7 +293,7 @@ class TestEdgeAttrCodec:
         labels = ["A", "P", "A⊕", "⊕⊕", "E=F", ""]
         attr_sets = [[], [("remote", True)], [("remote", True), ("kind", "q")],
                      [("remote", False)], [("kind", "True")], [("n", 2), ("x", None)],
-                     [("kind", "⊕=q⊕")], [("x⊕", True)], [("", True)]]
+                     [("kind", "⊕=q⊕")], [("x⊕", True)], [("", True)], [("", True), ("b", 1)]]
         seen = {}
         for lab in labels:
             for attrs in attr_sets:
@@ -263,6 +306,11 @@ class TestEdgeAttrCodec:
             for name in ("⊕x", "a=b"):
                 with pytest.raises(ValueError):
                     encode_edge_label(lab, [(name, True)])
+
+    def test_undecodable_value_names_graph_and_edge(self):
+        g = ucca_graph(["a", "b"], edges=[(0, 1, "A⊕x=notjson")])
+        with pytest.raises(UccaError, match="^graph u: edge 0 -> 1: attribute 'x': value 'notjson' is not JSON$"):
+            decode_graph_attrs(g)
 
     def test_graph_level_roundtrip(self):
         g = ucca_graph(["a", "b", "c"],

@@ -11,7 +11,7 @@ from mrparse.prep import (MultiwordTable, anchors_to_spans, apply_multiword,
                           build_multiword_table, eds_exchange_properties, eds_reduce,
                           eds_restore, spans_to_anchors)
 from mrparse.prep.anchors import _range
-from mrparse.prep.eds import (REDUCED_EDGE, REDUCED_PROP, EdsError, _adjacency,
+from mrparse.prep.eds import (REDUCED, EdsError, _adjacency,
                               _is_surface_mapped, _norm_anchors, _pick_direction)
 
 
@@ -159,12 +159,12 @@ class TestRestore:
         assert _canonical(restored) == _canonical(g)
 
     @pytest.mark.parametrize("edge, prop, message", [
-        ((0, 7, REDUCED_EDGE + '["compound", "ARG1", "out", "ARG2", "out"]'), None,
+        ((0, 7, REDUCED + '["compound", "ARG1", "out", "ARG2", "out"]'), None,
          "reduced edge 0 -> 7 names a missing node"),
-        ((1, 0, REDUCED_EDGE + '["compound", "ARG1", "out", "ARG2", "out"]'), None,
+        ((1, 0, REDUCED + '["compound", "ARG1", "out", "ARG2", "out"]'), None,
          "reduced edge 1 -> 0 joins unanchored nodes"),
-        ((0, 1, REDUCED_EDGE + "not json"), None, "unrecognized reduced edge label"),
-        (None, (REDUCED_PROP + "0", "not json"), "unrecognized reduced property"),
+        ((0, 1, REDUCED + "not json"), None, "unrecognized reduced edge label"),
+        (None, (REDUCED + "0", "not json"), "unrecognized reduced property"),
     ], ids=["missing-node", "unanchored", "bad-edge-label", "bad-property"])
     def test_malformed_reduction_names_graph(self, edge, prop, message):
         g = graph("aa bb", nodes=[(0, "_aa_x", [], [prop] if prop else []), (1, "_bb_x", None, [])],
@@ -292,8 +292,8 @@ def _fold_once(g):
         if _norm_anchors(a.anchors) != _norm_anchors(b.anchors):
             continue
         direction = "out" if e.source == a.id else "in"
-        k = sum(1 for p, _ in b.properties if p.startswith(REDUCED_PROP))
-        b.properties.append((f"{REDUCED_PROP}{k}", json.dumps([a.label, e.label, direction])))
+        k = sum(1 for p, _ in b.properties if p.startswith(REDUCED))
+        b.properties.append((f"{REDUCED}{k}", json.dumps([a.label, e.label, direction])))
         g.nodes.remove(a)
         g.edges.remove(e)
         return True
@@ -329,7 +329,7 @@ def _edge_once(g):
                               etgt.label, "out" if etgt.source == a.id else "in"])
         g.edges.remove(eb)
         g.edges.remove(ec)
-        g.edges.append(MrpEdge(src.id, tgt.id, REDUCED_EDGE + payload))
+        g.edges.append(MrpEdge(src.id, tgt.id, REDUCED + payload))
         g.nodes.remove(a)
         return True
     return False
@@ -337,6 +337,15 @@ def _edge_once(g):
 
 WORDS = ("aa", "bb", "cc", "dog", "dogs")
 QUANTIFIERS = ("udef_q", "proper_q", "def_q")
+@given(st.lists(st.tuples(st.none() | st.sampled_from(["named", "card", "_x_n_1"]),
+                          st.lists(st.tuples(st.sampled_from(["carg", "pers", "num"]),
+                                             st.text(max_size=3)), max_size=3)), max_size=5))
+def test_exchange_properties_twice_is_identity(nodes):
+    g = MrpGraph(id="x", framework="eds", input="",
+                 nodes=[MrpNode(i, label, props) for i, (label, props) in enumerate(nodes)])
+    assert eds_exchange_properties(eds_exchange_properties(g)) == g
+
+
 EDGE_LABELS = ("ARG1", "ARG2", "BV", "L-INDEX", "R-INDEX")
 
 

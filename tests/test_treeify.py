@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
+from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, validate_graph
 from mrparse.treeify import (NodeSequence, SeqNode, TreeError, graph_to_tree,
                              natural_key, tree_to_graph, visit_order)
 
@@ -304,3 +304,37 @@ def test_visit_order_raises_what_graph_to_tree_raises(g):
     with pytest.raises(TreeError) as order_error:
         visit_order(g)
     assert str(order_error.value) == str(tree_error.value) == want
+
+
+def test_copy_of_synthetic_root_is_error():
+    seq = NodeSequence([SeqNode("<ROOT>", 0), SeqNode("a", 1, 0, "x"), SeqNode("<ROOT>", 0, 1, "y")])
+    with pytest.raises(TreeError, match="graph g: position 2 is a copy of the synthetic root"):
+        tree_to_graph(seq, graph_id="g")
+
+
+@st.composite
+def node_sequences(draw):
+    """Sequences that pass NodeSequence.validate: position 0 is the root (a
+    synthetic one or not), and every later position has an earlier parent
+    and is an original or a copy of an earlier original. Node ids are
+    unset, repeated or distinct."""
+    labels = st.sampled_from(["<ROOT>", "a", "b", None])
+    node_ids = st.none() | st.integers(0, 5)
+    nodes = [SeqNode(draw(labels), 0, node_id=draw(node_ids))]
+    for t in range(1, draw(st.integers(1, 8))):
+        originals = [k for k, n in enumerate(nodes) if n.idx == k]
+        idx = draw(st.sampled_from(originals + [t]))
+        nodes.append(SeqNode(draw(labels), idx, draw(st.integers(0, t - 1)), draw(st.sampled_from(["A", None])),
+                             node_id=draw(node_ids)))
+    return NodeSequence(nodes)
+
+
+@given(node_sequences())
+def test_tree_to_graph_leaves_no_dangling_edge_top_or_duplicate_id(seq):
+    seq.validate()
+    try:
+        g = tree_to_graph(seq, graph_id="h")
+    except TreeError:
+        return
+    codes = {v.code for v in validate_graph(g)}
+    assert not codes & {"DanglingEdge", "DanglingTop", "DuplicateNodeId"}
