@@ -65,8 +65,6 @@ class CompanionSentence:
 
     def text(self):
         """Reconstruct the sentence string implied by the token offsets."""
-        if not self.tokens:
-            return ""
         out = []
         pos = 0
         for t in self.tokens:
@@ -82,7 +80,6 @@ def read_companion(doc: str) -> list:
     block = []
     block_id = None
     for lineno, line in enumerate(doc.splitlines(), start=1):
-        line = line.rstrip("\n")
         if not line.strip():
             if block:
                 sentences.append(_finish_block(block, block_id))

@@ -65,42 +65,40 @@ class AmrTables:
         return fallback
 
     def to_lines(self):
-        out = []
-        for stem in sorted(self.senses):
-            out.append(json.dumps({"kind": "sense", "stem": stem, "counts": self.senses[stem]},
-                                  sort_keys=True))
-        for label in sorted(self.bare):
-            out.append(json.dumps({"kind": "bare", "label": label, "count": self.bare[label]},
-                                  sort_keys=True))
-        for stem in sorted(self.polarity):
-            w, t = self.polarity[stem]
-            out.append(json.dumps({"kind": "polarity", "stem": stem, "with": w, "total": t},
-                                  sort_keys=True))
-        for tag in sorted(self.entity_types):
-            out.append(json.dumps({"kind": "entity", "tag": tag, "counts": self.entity_types[tag]},
-                                  sort_keys=True))
-        for tag in sorted(self.templates):
-            out.append(json.dumps({"kind": "template", "tag": tag, "template": self.templates[tag]},
-                                  sort_keys=True))
-        return out
+        """One JSON record per line, tables in field order, keys sorted."""
+        records = [{"kind": "sense", "stem": k, "counts": v} for k, v in sorted(self.senses.items())]
+        records += [{"kind": "bare", "label": k, "count": v} for k, v in sorted(self.bare.items())]
+        records += [{"kind": "polarity", "stem": k, "with": w, "total": t}
+                    for k, (w, t) in sorted(self.polarity.items())]
+        records += [{"kind": "entity", "tag": k, "counts": v} for k, v in sorted(self.entity_types.items())]
+        records += [{"kind": "template", "tag": k, "template": v} for k, v in sorted(self.templates.items())]
+        return [json.dumps(r, sort_keys=True) for r in records]
 
     @classmethod
     def from_lines(cls, lines):
+        """Inverse of to_lines, skipping blank lines. A malformed line raises
+        ValueError naming it, counted from 1."""
         t = cls(templates={})
-        for line in lines:
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            if obj["kind"] == "sense":
-                t.senses[obj["stem"]] = {k: int(v) for k, v in obj["counts"].items()}
-            elif obj["kind"] == "bare":
-                t.bare[obj["label"]] = int(obj["count"])
-            elif obj["kind"] == "polarity":
-                t.polarity[obj["stem"]] = [int(obj["with"]), int(obj["total"])]
-            elif obj["kind"] == "entity":
-                t.entity_types[obj["tag"]] = {k: int(v) for k, v in obj["counts"].items()}
-            elif obj["kind"] == "template":
-                t.templates[obj["tag"]] = obj["template"]
+            try:
+                obj = json.loads(line)
+                kind = obj["kind"]
+                if kind == "sense":
+                    t.senses[obj["stem"]] = {k: int(v) for k, v in obj["counts"].items()}
+                elif kind == "bare":
+                    t.bare[obj["label"]] = int(obj["count"])
+                elif kind == "polarity":
+                    t.polarity[obj["stem"]] = [int(obj["with"]), int(obj["total"])]
+                elif kind == "entity":
+                    t.entity_types[obj["tag"]] = {k: int(v) for k, v in obj["counts"].items()}
+                elif kind == "template":
+                    t.templates[obj["tag"]] = obj["template"]
+                else:
+                    raise ValueError(f"unknown kind {kind!r}")
+            except (ValueError, KeyError, TypeError, AttributeError) as err:
+                raise ValueError(f"AmrTables: line {lineno}: {type(err).__name__}: {err}") from None
         return t
 
 
@@ -143,8 +141,9 @@ def amr_preprocess(g: MrpGraph, sent: CompanionSentence, tables: AmrTables | Non
 def _entity_subgraphs(g):
     """(kind, entity node, [(key, leaf)], collapsed nodes) per pattern: a
     `name` node with op leaves under an entity node ("named", keyed by op
-    index), or a date-entity with field leaves ("date"). A leaf, and so each
-    collapsed node, has one in-edge; no two patterns collapse one node."""
+    index; none for an entity node with two such names), or a date-entity
+    with field leaves ("date"). A leaf, and so each collapsed node, has one
+    in-edge; no two patterns collapse one node or rename one entity node."""
     by_id = g.node_by_id()
     out_edges = {n.id: [] for n in g.nodes}
     in_deg = {n.id: 0 for n in g.nodes}
@@ -164,12 +163,15 @@ def _entity_subgraphs(g):
 
     found = []
     for v in sorted(g.nodes, key=lambda n: n.id):
+        named = []
         for e in out_edges[v.id]:
             m = by_id[e.target]
             if e.label == "name" and m.label == "name" and in_deg[m.id] == 1:
                 ops = leaves(m, lambda label: int(label[2:]) if OP_RE.match(label or "") else None)
                 if ops:
-                    found.append(("named", v, ops, [m] + [leaf for _, leaf in ops]))
+                    named.append(("named", v, ops, [m] + [leaf for _, leaf in ops]))
+        if len(named) == 1:  # a placeholder stands for one name
+            found += named
         if v.label == "date-entity":
             fields = leaves(v, lambda label: label if label in DATE_FIELDS else None)
             if fields:

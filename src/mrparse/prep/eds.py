@@ -200,12 +200,17 @@ class MultiwordTable:
 
     @classmethod
     def from_lines(cls, lines):
+        """Inverse of to_lines, skipping blank lines. A malformed line raises
+        ValueError naming it, counted from 1."""
         entries = {}
-        for line in lines:
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            entries[obj["phrase"]] = (obj["prob"], obj["count"])
+            try:
+                obj = json.loads(line)
+                entries[obj["phrase"]] = (float(obj["prob"]), int(obj["count"]))
+            except (ValueError, KeyError, TypeError) as err:
+                raise ValueError(f"MultiwordTable: line {lineno}: {type(err).__name__}: {err}") from None
         return cls(entries)
 
 

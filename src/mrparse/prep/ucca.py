@@ -12,6 +12,7 @@ from ..treeify import visit_order
 RESERVED_RE = re.compile(r"^n(_+)\d+$")  # n_3 names an unlabeled node; n__3 escapes a genuine n_3
 
 SEP = "⊕"  # ⊕
+_SEP_RE = re.compile(f"({SEP}{SEP}|{SEP})")  # an escaped separator, else a separator
 
 
 class UccaError(ValueError):
@@ -58,28 +59,26 @@ def _escape(s):
 def _split_composite(s):
     parts = []
     buf = []
-    i = 0
-    while i < len(s):
-        if s[i] == SEP:
-            if i + 1 < len(s) and s[i + 1] == SEP:
-                buf.append(SEP)
-                i += 2
-            else:
-                parts.append("".join(buf))
-                buf = []
-                i += 1
+    for piece in _SEP_RE.split(s):
+        if piece == SEP:
+            parts.append("".join(buf))
+            buf = []
         else:
-            buf.append(s[i])
-            i += 1
+            buf.append(SEP if piece == SEP + SEP else piece)
     parts.append("".join(buf))
     return parts
 
 
-def encode_edge_label(label, attributes) -> str:
+def encode_edge_label(label, attributes) -> str | None:
     """("A", [("remote", True)]) -> "A⊕remote". Boolean-true attributes
     encode as bare names, anything else (and an unnamed one, whose empty
-    segment would read as an escaped separator) as name=JSON value."""
-    out = [_escape(label or "")]
+    segment would read as an escaped separator) as name=JSON value. An edge
+    without a label stays None and may carry no attributes."""
+    if label is None:
+        if attributes:
+            raise UccaError("attributes on an edge without a label")
+        return None
+    out = [_escape(label)]
     for name, value in sorted(attributes, key=lambda p: p[0]):
         if "=" in name:
             raise UccaError(f"attribute name {name!r} may not contain '='")
@@ -92,7 +91,9 @@ def encode_edge_label(label, attributes) -> str:
     return SEP.join(out)
 
 
-def decode_edge_label(s: str) -> tuple:
+def decode_edge_label(s: str | None) -> tuple:
+    if s is None:
+        return None, []
     parts = _split_composite(s)
     attrs = []
     for part in parts[1:]:
@@ -110,7 +111,10 @@ def decode_edge_label(s: str) -> tuple:
 def encode_graph_attrs(g: MrpGraph) -> MrpGraph:
     g = g.copy()
     for e in g.edges:
-        e.label = encode_edge_label(e.label, e.attributes)
+        try:
+            e.label = encode_edge_label(e.label, e.attributes)
+        except UccaError as err:
+            raise UccaError(f"graph {g.id}: edge {e.source} -> {e.target}: {err}") from None
         e.attributes = []
     return g
 
@@ -119,8 +123,7 @@ def decode_graph_attrs(g: MrpGraph) -> MrpGraph:
     g = g.copy()
     for e in g.edges:
         try:
-            label, e.attributes = decode_edge_label(e.label or "")
+            e.label, e.attributes = decode_edge_label(e.label)
         except UccaError as err:
             raise UccaError(f"graph {g.id}: edge {e.source} -> {e.target}: {err}") from None
-        e.label = label or None
     return g

@@ -1,10 +1,12 @@
 """Reentrant-graph/tree conversion.
 
 A node with k incoming edges appears k times in the linearized tree; every
-occurrence after the first is a copy carrying the idx of the first. Node
-order is depth-first from the root with children sorted alphanumerically
-by label ("x2" before "x10"), ties broken by node id. The inverse merges
-positions sharing an idx back into single nodes.
+occurrence after the first is a copy carrying the idx of the first. A
+position with no parent is a top: the tops start the walk in natural label
+order, and a top also reached through an edge appears once more as a
+parent-less copy. Node order is depth-first with children sorted
+alphanumerically by label ("x2" before "x10"), ties broken by node id. The
+inverse merges positions sharing an idx back into single nodes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import re
 from dataclasses import dataclass, field
 
 from .mrp import MrpEdge, MrpGraph, MrpNode
-
-ROOT_LABEL = "<ROOT>"
 
 _SEGMENTS = re.compile(r"\d+|\D+")
 _NATURAL_KEYS_KEPT = 4096  # labels repeat across graphs; this bounds the memo
@@ -28,15 +28,8 @@ class TreeError(Exception):
 @functools.lru_cache(maxsize=_NATURAL_KEYS_KEPT)
 def natural_key(label):
     """Lexicographic key with numeric-aware segments; memoised, as keys are tuples."""
-    if label is None:
-        label = ""
-    key = []
-    for seg in _SEGMENTS.findall(label):
-        if seg.isdigit():
-            key.append((0, int(seg), ""))
-        else:
-            key.append((1, 0, seg))
-    return tuple(key)
+    return tuple((0, int(seg), "") if seg.isdecimal() else (1, 0, seg)
+                 for seg in _SEGMENTS.findall(label or ""))
 
 
 @dataclass(slots=True)
@@ -63,10 +56,7 @@ class NodeSequence:
                 raise TreeError(f"position {t}: idx {n.idx} is not a position up to {t}")
             if n.idx != t and self.nodes[n.idx].idx != n.idx:
                 raise TreeError(f"position {t}: idx {n.idx} does not point at an original node")
-            if n.parent is None:
-                if t > 0:
-                    raise TreeError(f"position {t}: no parent, but only position 0 may be the root")
-            elif not 0 <= n.parent < t:
+            if n.parent is not None and not 0 <= n.parent < t:
                 raise TreeError(f"position {t}: parent {n.parent} is not an earlier position")
 
 
@@ -76,13 +66,14 @@ def visit_order(g: MrpGraph):
 
     Children are taken in natural label order, ties broken by node id and
     then edge label; an edge into an already-visited node (reentrancy or
-    cycle) is emitted as a copy and not walked again. With several tops a
-    synthetic root takes position 0 and the tops, in natural label order,
-    hang off it. Returns (first, steps): `first` maps each node id to the
-    position of its first emission and is keyed in first-emission order;
-    `steps` lists every emission as (node, parent position, edge label),
-    copies included, with (None, None, None) for the synthetic root. A
-    graph without tops, with a top that is not a node, or with a node
+    cycle) is emitted as a copy and not walked again. The walk starts from
+    each top in turn, tops too in natural label order and then by node id,
+    with no parent; a top already reached through an edge is emitted as a
+    parent-less copy. Returns (first, steps): `first` maps each node id to
+    the position of its first emission and is keyed in first-emission
+    order; `steps` lists every emission as (node, parent position, edge
+    label), copies included, with parent None for each top. A graph
+    without tops, with a top that is not a node, or with a node
     unreachable from the tops raises TreeError.
     """
     by_id = g.node_by_id()
@@ -100,12 +91,8 @@ def visit_order(g: MrpGraph):
 
     steps = []
     first = {}
-    if len(g.tops) == 1:
-        stack = [(by_id[g.tops[0]], None, None)]
-    else:
-        steps.append((None, None, None))
-        tops = sorted((by_id[t] for t in g.tops), key=lambda n: (natural_key(n.label), n.id))
-        stack = [(n, 0, None) for n in reversed(tops)]
+    tops = sorted((by_id[t] for t in g.tops), key=lambda n: (natural_key(n.label), n.id))
+    stack = [(n, None, None) for n in reversed(tops)]
 
     while stack:
         step = stack.pop()
@@ -128,23 +115,17 @@ def graph_to_tree(g: MrpGraph) -> NodeSequence:
     """Linearize a rooted graph, duplicating every extra edge entrance.
 
     Edges into already-visited nodes (reentrancies and cycles alike)
-    become copies. Disconnected nodes are an error; with several tops a
-    synthetic root is prepended and linked to each of them. Positions
-    follow visit_order.
+    become copies. Each top is a position without a parent, so a top also
+    reached through an edge appears once more, as a copy. Disconnected
+    nodes are an error. Positions follow visit_order.
     """
     first, steps = visit_order(g)
     seq = []
     for pos, (node, parent, edge_label) in enumerate(steps):
-        if node is None:
-            seq.append(SeqNode(ROOT_LABEL, 0))
-            continue
         idx = first[node.id]
-        if idx == pos:
-            seq.append(SeqNode(node.label, pos, parent, edge_label, _copy_anchors(node),
-                               list(node.properties), node.id))
-        else:
-            seq.append(SeqNode(node.label, idx, parent, edge_label, _copy_anchors(node),
-                               [], node.id))
+        properties = list(node.properties) if idx == pos else []  # a copy carries none
+        seq.append(SeqNode(node.label, idx, parent, edge_label, _copy_anchors(node),
+                           properties, node.id))
     return NodeSequence(seq)
 
 
@@ -154,34 +135,31 @@ def _copy_anchors(node):
 
 def tree_to_graph(seq: NodeSequence, framework="amr", graph_id="", input_text="") -> MrpGraph:
     """Merge positions sharing an idx into nodes and turn parent links into
-    edges. Exact inverse of graph_to_tree up to node ids. A synthetic root
-    makes no node: its children are the tops, and a copy of it is an error."""
+    edges; the node of each parent-less position is a top, in position
+    order. Exact inverse of graph_to_tree up to node ids."""
     if not seq.nodes:
-        raise TreeError("empty sequence has no root")
-    seq.validate()
+        raise TreeError(f"graph {graph_id}: empty sequence has no top")
+    try:
+        seq.validate()
+    except TreeError as err:
+        raise TreeError(f"graph {graph_id}: {err}") from None
     nodes = seq.nodes
-    # position 0 makes a node unless it is the synthetic root
-    first = 1 if nodes[0].label == ROOT_LABEL and nodes[0].node_id is None else 0
 
-    originals = [t for t in range(first, len(nodes)) if nodes[t].idx == t]
+    originals = [t for t, n in enumerate(nodes) if n.idx == t]
     ids = [nodes[t].node_id for t in originals]
     if None in ids or len(set(ids)) < len(ids):
-        ids = range(first, first + len(originals))  # numbered in position order
+        ids = range(len(originals))  # numbered in position order
     new_id = dict(zip(originals, ids))
     graph_nodes = [MrpNode(id=new_id[t], label=nodes[t].label,
                            properties=list(nodes[t].properties),
                            anchors=list(nodes[t].anchors) if nodes[t].anchors is not None else None)
                    for t in originals]
     edges, tops = [], []
-    for t in range(1, len(nodes)):
-        n = nodes[t]
-        if first and n.idx == 0:
-            raise TreeError(f"graph {graph_id}: position {t} is a copy of the synthetic root")
-        if first and n.parent == 0:
+    for n in nodes:
+        if n.parent is None:
             tops.append(new_id[n.idx])
         else:
             edges.append(MrpEdge(source=new_id[nodes[n.parent].idx], target=new_id[n.idx],
                                  label=n.edge_label))
-    tops = list(dict.fromkeys(tops)) if first else [new_id[0]]
     return MrpGraph(id=graph_id, framework=framework, input=input_text,
                     tops=tops, nodes=graph_nodes, edges=edges)

@@ -39,13 +39,23 @@ class Vocab:
 
     @classmethod
     def from_lines(cls, lines):
-        lines = [line.rstrip("\n") for line in lines]
-        lines = [line for line in lines if line]
-        n_res = int(lines[0])
+        """Inverse of to_lines, skipping empty lines. A malformed line raises
+        ValueError naming it, counted from 1."""
+        numbered = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(lines, 1)]
+        numbered = [(lineno, line) for lineno, line in numbered if line]
+        if not numbered:
+            raise ValueError("Vocab: line 1: no number of reserved entries")
+        (lineno, head), *rest = numbered
         entries = []
         counts = {}
-        for line in lines[1:]:
-            e, c = line.rsplit("\t", 1)
-            entries.append(e)
-            counts[e] = int(c)
+        try:
+            n_res = int(head)
+            for lineno, line in rest:
+                e, c = line.rsplit("\t", 1)
+                entries.append(e)
+                counts[e] = int(c)
+        except ValueError as err:
+            raise ValueError(f"Vocab: line {lineno}: {err}") from None
+        if not 0 <= n_res <= len(entries):
+            raise ValueError(f"Vocab: line {numbered[0][0]}: {n_res} reserved of {len(entries)} entries")
         return cls(entries[n_res:], counts=counts, reserved=entries[:n_res])

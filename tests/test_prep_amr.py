@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
@@ -171,6 +173,15 @@ def test_preprocess_postprocess_roundtrip_on_mini_corpus():
         assert _sig(post) == _sig(g)
 
 
+def test_entity_with_two_names_roundtrips_unanonymized():
+    g = amr([(0, "city", []), (1, "name", []), (2, "Paris", []), (3, "name", []), (4, "France", [])],
+            [(0, 1, "name"), (1, 2, "op1"), (0, 3, "name"), (3, 4, "op1")], [0], text="Paris France")
+    tables = AmrTables()
+    pre, s, entry = amr_preprocess(g, sent("Paris France", "LOC ORG"), tables)
+    assert entry == {} and s.forms == ["Paris", "France"]
+    assert _sig(amr_postprocess(pre, entry, tables)) == _sig(g)
+
+
 def _sig(g):
     lab = {n.id: n.label for n in g.nodes}
     return (sorted((n.label, tuple(sorted(n.properties))) for n in g.nodes),
@@ -200,3 +211,30 @@ def test_tables_serialization_roundtrip():
     assert back.polarity == {k: list(v) for k, v in tables.polarity.items()}
     assert back.entity_types == tables.entity_types
     assert back.templates == tables.templates
+
+
+NAMES = st.text(max_size=4)
+COUNTS = st.integers(0, 50)
+
+
+@given(st.builds(AmrTables,
+                 senses=st.dictionaries(NAMES, st.dictionaries(NAMES, COUNTS, max_size=2), max_size=2),
+                 bare=st.dictionaries(NAMES, COUNTS, max_size=2),
+                 polarity=st.dictionaries(NAMES, st.lists(COUNTS, min_size=2, max_size=2), max_size=2),
+                 entity_types=st.dictionaries(NAMES, st.dictionaries(NAMES, COUNTS, max_size=2), max_size=2),
+                 templates=st.dictionaries(NAMES, NAMES, max_size=2)))
+def test_tables_lines_roundtrip_property(tables):
+    assert AmrTables.from_lines(tables.to_lines()) == tables
+
+
+@pytest.mark.parametrize("lines, want", [
+    (['{"kind":"sense"}'], "^AmrTables: line 1: KeyError: 'counts'"),
+    (["", "{"], "^AmrTables: line 2: JSONDecodeError"),
+    (['{"kind":"bare","label":"a","count":1}', '{"kind":"nope"}'], "^AmrTables: line 2: ValueError: unknown kind 'nope'"),
+    (['{"kind":"bare","label":"a","count":"x"}'], "^AmrTables: line 1: ValueError"),
+    (['{"kind":"entity","tag":"PER","counts":[1]}'], "^AmrTables: line 1: AttributeError"),
+    (["[1]"], "^AmrTables: line 1: TypeError"),
+])
+def test_tables_malformed_line_names_class_and_line(lines, want):
+    with pytest.raises(ValueError, match=want):
+        AmrTables.from_lines(lines)

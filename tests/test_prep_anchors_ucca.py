@@ -262,12 +262,10 @@ ATTR_VALUES = st.booleans() | st.none() | st.integers() | st.text(max_size=4)
 def test_decode_graph_attrs_inverts_encode_graph_attrs(g, data):
     for e in g.edges:
         e.label = data.draw(st.none() | st.text(max_size=4))
-        attrs = data.draw(st.lists(st.tuples(ATTR_NAMES, ATTR_VALUES), max_size=3))
-        e.attributes = sorted(attrs, key=lambda p: p[0])  # the order encode_edge_label writes
-    want = g.copy()
-    for e in want.edges:
-        e.label = e.label or None  # "" and None share the empty encoded label, which decodes as None
-    assert decode_graph_attrs(encode_graph_attrs(g)) == want
+        if e.label is not None:  # attributes need a label to carry them
+            attrs = data.draw(st.lists(st.tuples(ATTR_NAMES, ATTR_VALUES), max_size=3))
+            e.attributes = sorted(attrs, key=lambda p: p[0])  # the order encode_edge_label writes
+    assert decode_graph_attrs(encode_graph_attrs(g)) == g
 
 
 class TestEdgeAttrCodec:
@@ -306,6 +304,18 @@ class TestEdgeAttrCodec:
             for name in ("⊕x", "a=b"):
                 with pytest.raises(ValueError):
                     encode_edge_label(lab, [(name, True)])
+
+    def test_empty_and_missing_label_roundtrip_apart(self):
+        g = ucca_graph(["a", "b", "c"], edges=[(0, 1, ""), (0, 2, None)])
+        enc = encode_graph_attrs(g)
+        assert [e.label for e in enc.edges] == ["", None]
+        assert decode_graph_attrs(enc) == g
+
+    def test_attributes_without_label_name_graph_and_edge(self):
+        g = ucca_graph(["a", "b"], edges=[(0, 1, None)])
+        g.edges[0].attributes = [("remote", True)]
+        with pytest.raises(UccaError, match="^graph u: edge 0 -> 1: attributes on an edge without a label$"):
+            encode_graph_attrs(g)
 
     def test_undecodable_value_names_graph_and_edge(self):
         g = ucca_graph(["a", "b"], edges=[(0, 1, "A⊕x=notjson")])

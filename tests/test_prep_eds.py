@@ -259,6 +259,23 @@ class TestMultiword:
         assert MultiwordTable.from_lines(table.to_lines()).entries == table.entries
 
 
+@given(st.dictionaries(st.text(max_size=6), st.tuples(st.floats(0, 1), st.integers(0, 50)), max_size=4))
+def test_multiword_lines_roundtrip_property(entries):
+    table = MultiwordTable(entries)
+    assert MultiwordTable.from_lines(table.to_lines()).entries == entries
+
+
+@pytest.mark.parametrize("lines, want", [
+    (["{}"], "^MultiwordTable: line 1: KeyError: 'prob'"),
+    (['{"phrase":"a b","prob":0.5,"count":2}', "", "nope"], "^MultiwordTable: line 3: JSONDecodeError"),
+    (['{"phrase":"a b","prob":"x","count":2}'], "^MultiwordTable: line 1: ValueError"),
+    (['{"phrase":"a b","prob":null,"count":2}'], "^MultiwordTable: line 1: TypeError"),
+])
+def test_multiword_malformed_line_names_class_and_line(lines, want):
+    with pytest.raises(ValueError, match=want):
+        MultiwordTable.from_lines(lines)
+
+
 # -- property tests ---------------------------------------------------------
 
 # The fixpoint algorithm eds_reduce replaced, kept verbatim as the reference:

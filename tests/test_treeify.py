@@ -24,14 +24,14 @@ def build(nodes, edges, tops, framework="amr"):
 def to_nx(g):
     G = nx.MultiDiGraph()
     for n in g.nodes:
-        G.add_node(n.id, label=n.label)
+        G.add_node(n.id, label=n.label, top=g.tops.count(n.id))
     for e in g.edges:
         G.add_edge(e.source, e.target, label=e.label)
     return G
 
 
 def isomorphic(g1, g2):
-    nm = nx.algorithms.isomorphism.categorical_node_match("label", None)
+    nm = nx.algorithms.isomorphism.categorical_node_match(["label", "top"], [None, 0])
     em = nx.algorithms.isomorphism.categorical_multiedge_match("label", None)
     return nx.is_isomorphic(to_nx(g1), to_nx(g2), node_match=nm, edge_match=em)
 
@@ -41,6 +41,14 @@ def test_natural_key_ordering():
     assert natural_key("a") < natural_key("b")
     assert natural_key(None) < natural_key("a")
     assert natural_key("n_2") < natural_key("n_11")
+
+
+def test_natural_key_reads_only_decimal_digits_as_a_number():
+    # "²" is a digit to str.isdigit but not to int(), so it sorts as text
+    assert natural_key("x2²") == ((1, 0, "x"), (0, 2, ""), (1, 0, "²"))
+    assert natural_key("٣") == ((0, 3, ""),)
+    g = build([(0, "r"), (1, "²"), (2, "1")], [(0, 1, "e"), (0, 2, "e")], tops=[0])
+    assert [n.label for n in graph_to_tree(g).nodes] == ["r", "1", "²"]
 
 
 def test_plain_tree_is_identity():
@@ -94,23 +102,42 @@ def test_disconnected_graph_lists_unreachable():
     assert "[1, 2]" in str(ei.value)
 
 
-def test_multiple_tops_virtual_root():
-    g = build([(0, "a"), (1, "b")], [], tops=[0, 1])
+def clear_node_ids(seq):
+    """A decoder's output: positions that name no graph node."""
+    for n in seq.nodes:
+        n.node_id = None
+    return seq
+
+
+def test_multiple_tops_are_parentless_positions():
+    g = build([(0, "b"), (1, "a"), (2, "c")], [(0, 2, "L")], tops=[0, 1])
     seq = graph_to_tree(g)
-    assert seq.nodes[0].label == "<ROOT>"
+    assert [(n.label, n.parent) for n in seq.nodes] == [("a", None), ("b", None), ("c", 1)]
+    assert "<ROOT>" not in [n.label for n in seq.nodes]
     restored = tree_to_graph(seq)
     assert sorted(restored.tops) == [0, 1]
     assert isomorphic(restored, g)
 
 
-@pytest.mark.parametrize("nodes, edges, tops", [
+ROOT_LABELLED = [
     ([(0, "<ROOT>"), (1, "a")], [(0, 1, "L")], [0]),
     ([(0, "<ROOT>"), (1, "a"), (2, "b")], [(0, 1, "L"), (2, 1, "R")], [0, 2]),
-])
+]
+
+
+@pytest.mark.parametrize("nodes, edges, tops", ROOT_LABELLED)
 def test_real_node_labelled_root_survives_roundtrip(nodes, edges, tops):
     g = build(nodes, edges, tops)
     restored = tree_to_graph(graph_to_tree(g))
     assert sorted(restored.tops) == tops
+    assert isomorphic(restored, g)
+
+
+@pytest.mark.parametrize("nodes, edges, tops", ROOT_LABELLED)
+def test_real_node_labelled_root_survives_id_less_roundtrip(nodes, edges, tops):
+    g = build(nodes, edges, tops)
+    restored = tree_to_graph(clear_node_ids(graph_to_tree(g)))
+    assert len(restored.tops) == len(tops)
     assert isomorphic(restored, g)
 
 
@@ -154,14 +181,14 @@ def test_tree_to_graph_diamond_inverse():
 
 
 def test_empty_sequence_is_error():
-    with pytest.raises(TreeError):
-        tree_to_graph(NodeSequence(nodes=[]))
+    with pytest.raises(TreeError, match="^graph g: empty sequence"):
+        tree_to_graph(NodeSequence(nodes=[]), graph_id="g")
 
 
 def test_idx_forward_reference_is_error():
     seq = NodeSequence(nodes=[SeqNode("a", 0), SeqNode("b", 2, parent=0)])
-    with pytest.raises(TreeError):
-        tree_to_graph(seq)
+    with pytest.raises(TreeError, match="^graph g: position 1: idx 2"):
+        tree_to_graph(seq, graph_id="g")
 
 
 @pytest.mark.parametrize("idx, parent", [(1, -1), (1, -2), (-1, 0)],
@@ -170,18 +197,16 @@ def test_negative_position_is_error(idx, parent):
     # read as Python indices from the end, parent -1 would be the node
     # itself (a self-loop) and parent -2 position 0 (a plausible edge)
     seq = NodeSequence(nodes=[SeqNode("a", 0), SeqNode("b", idx, parent=parent)])
-    with pytest.raises(TreeError, match="position 1"):
-        tree_to_graph(seq)
+    with pytest.raises(TreeError, match="^graph g: position 1"):
+        tree_to_graph(seq, graph_id="g")
 
 
-def test_parentless_non_root_position_is_error():
-    # tree_to_graph would make "b" a second, unconnected node, which
-    # graph_to_tree then rejects as unreachable
-    seq = NodeSequence(nodes=[SeqNode("a", 0), SeqNode("b", 1)])
-    with pytest.raises(TreeError, match="position 1"):
-        seq.validate()
-    with pytest.raises(TreeError, match="position 1"):
-        tree_to_graph(seq)
+def test_parentless_positions_are_tops():
+    seq = NodeSequence([SeqNode("a", 0), SeqNode("b", 1)])
+    g = tree_to_graph(seq)
+    assert g.tops == [0, 1] and g.edges == []
+    back = graph_to_tree(g)
+    assert [(n.label, n.idx, n.parent) for n in back.nodes] == [("a", 0, None), ("b", 1, None)]
 
 
 def random_rooted_dag(rng, max_nodes=12):
@@ -238,11 +263,12 @@ def test_dfs_order_deterministic_under_edge_permutation():
 @st.composite
 def rooted_graphs(draw, unreachable=False):
     """Graphs with reentrancy, cycles, self-loops, parallel edges, one to
-    three tops and node ids out of order. Every node is reachable from the
+    three tops (each may also be reached through an edge), nodes labelled
+    "<ROOT>" and node ids out of order. Every node is reachable from the
     tops, or with `unreachable`, at least one node is not."""
     n = draw(st.integers(1, 8))
     ids = draw(st.permutations(range(2 * n)))[:n]
-    labels = st.sampled_from(["x2", "x10", "a", "b", None])
+    labels = st.sampled_from(["x2", "x10", "a", "b", "<ROOT>", None])
     nodes = [MrpNode(i, draw(labels)) for i in ids]
     pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(["A", "B", None]))
     edges = draw(st.lists(pairs, max_size=2 * n))
@@ -264,8 +290,8 @@ def rooted_graphs(draw, unreachable=False):
 
 def recursive_order(g):
     """Independent reference: recursive pre-order over children in natural
-    label order (ties by node id, then edge label), tops likewise when
-    there are several, each node walked at its first visit only."""
+    label order (ties by node id, then edge label), tops likewise, each
+    node walked at its first visit only."""
     by_id = {n.id: n for n in g.nodes}
 
     def key(n):
@@ -281,9 +307,8 @@ def recursive_order(g):
         for e in sorted(out, key=lambda e: (*key(by_id[e.target]), e.label or "")):
             walk(e.target)
 
-    tops = g.tops if len(g.tops) == 1 else [n.id for n in sorted((by_id[t] for t in g.tops), key=key)]
-    for t in tops:
-        walk(t)
+    for top in sorted((by_id[t] for t in g.tops), key=key):
+        walk(top.id)
     return order
 
 
@@ -293,6 +318,13 @@ def test_visit_order_matches_tree_order(g):
     first, steps = visit_order(g)
     assert list(first) == list(tree_order) == recursive_order(g)
     assert [steps[pos][0].id for pos in first.values()] == list(first)
+
+
+@given(rooted_graphs())
+def test_id_less_roundtrip_is_isomorphic_with_the_same_tops(g):
+    restored = tree_to_graph(clear_node_ids(graph_to_tree(g)))
+    assert len(restored.tops) == len(g.tops)
+    assert isomorphic(restored, g)
 
 
 @given(rooted_graphs(unreachable=True))
@@ -306,25 +338,20 @@ def test_visit_order_raises_what_graph_to_tree_raises(g):
     assert str(order_error.value) == str(tree_error.value) == want
 
 
-def test_copy_of_synthetic_root_is_error():
-    seq = NodeSequence([SeqNode("<ROOT>", 0), SeqNode("a", 1, 0, "x"), SeqNode("<ROOT>", 0, 1, "y")])
-    with pytest.raises(TreeError, match="graph g: position 2 is a copy of the synthetic root"):
-        tree_to_graph(seq, graph_id="g")
-
-
 @st.composite
 def node_sequences(draw):
-    """Sequences that pass NodeSequence.validate: position 0 is the root (a
-    synthetic one or not), and every later position has an earlier parent
-    and is an original or a copy of an earlier original. Node ids are
-    unset, repeated or distinct."""
+    """Sequences that pass NodeSequence.validate: position 0 has no parent,
+    and every later position has an earlier parent or none (a top) and is
+    an original or a copy of an earlier original. Node ids are unset,
+    repeated or distinct."""
     labels = st.sampled_from(["<ROOT>", "a", "b", None])
     node_ids = st.none() | st.integers(0, 5)
     nodes = [SeqNode(draw(labels), 0, node_id=draw(node_ids))]
     for t in range(1, draw(st.integers(1, 8))):
         originals = [k for k, n in enumerate(nodes) if n.idx == k]
         idx = draw(st.sampled_from(originals + [t]))
-        nodes.append(SeqNode(draw(labels), idx, draw(st.integers(0, t - 1)), draw(st.sampled_from(["A", None])),
+        parent = draw(st.none() | st.integers(0, t - 1))
+        nodes.append(SeqNode(draw(labels), idx, parent, draw(st.sampled_from(["A", None])),
                              node_id=draw(node_ids)))
     return NodeSequence(nodes)
 
