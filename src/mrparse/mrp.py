@@ -10,6 +10,12 @@ and the keyed lists are lists; a record that breaks any of these raises
 `MrpParseError` naming the graph, and an edge to a missing node raises
 `MrpValidationError`. Unknown keys at every level land in `extras` as
 they were read, and `serialize_mrp` writes them back unchanged.
+
+Record rule: a node or edge record is never edited after the function
+that built it returns. A transform builds its output with
+`MrpGraph.derive`, which shares every record it leaves unchanged with its
+input, and builds new records only for what it changes. `MrpGraph.copy`
+is the one way to get a graph whose records may be edited in place.
 """
 
 from __future__ import annotations
@@ -73,9 +79,21 @@ class MrpGraph:
     def node_by_id(self):
         return {n.id: n for n in self.nodes}
 
+    def derive(self, nodes=None, edges=None):
+        """A graph with this graph's id, framework and input, its own `tops`
+        and `extras` containers, and the given node and edge lists (new
+        lists of this graph's records by default). The records are shared,
+        so neither graph may edit them in place."""
+        return MrpGraph(self.id, self.framework, self.input, list(self.tops),
+                        list(self.nodes) if nodes is None else nodes,
+                        list(self.edges) if edges is None else edges, dict(self.extras))
+
     def copy(self):
         """Structural copy: new node, edge, list and dict objects; labels
-        and property, attribute and extras values are shared."""
+        and property, attribute and extras values are shared. The one way
+        to get a graph that may be edited in place: transforms share
+        records with their input (see `derive`), so editing a transform's
+        output in place edits its input too."""
         nodes = [MrpNode(n.id, n.label, list(n.properties),
                          list(n.anchors) if n.anchors is not None else None, dict(n.extras))
                  for n in self.nodes]

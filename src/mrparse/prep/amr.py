@@ -76,7 +76,8 @@ class AmrTables:
 
     @classmethod
     def from_lines(cls, lines):
-        """Inverse of to_lines, skipping blank lines. A malformed line raises
+        """Inverse of to_lines, skipping blank lines. A malformed line, or
+        one whose stem, label, tag or template is not a string, raises
         ValueError naming it, counted from 1."""
         t = cls(templates={})
         for lineno, line in enumerate(lines, 1):
@@ -86,20 +87,28 @@ class AmrTables:
                 obj = json.loads(line)
                 kind = obj["kind"]
                 if kind == "sense":
-                    t.senses[obj["stem"]] = {k: int(v) for k, v in obj["counts"].items()}
+                    t.senses[_string(obj, "stem")] = {k: int(v) for k, v in obj["counts"].items()}
                 elif kind == "bare":
-                    t.bare[obj["label"]] = int(obj["count"])
+                    t.bare[_string(obj, "label")] = int(obj["count"])
                 elif kind == "polarity":
-                    t.polarity[obj["stem"]] = [int(obj["with"]), int(obj["total"])]
+                    t.polarity[_string(obj, "stem")] = [int(obj["with"]), int(obj["total"])]
                 elif kind == "entity":
-                    t.entity_types[obj["tag"]] = {k: int(v) for k, v in obj["counts"].items()}
+                    t.entity_types[_string(obj, "tag")] = {k: int(v) for k, v in obj["counts"].items()}
                 elif kind == "template":
-                    t.templates[obj["tag"]] = obj["template"]
+                    t.templates[_string(obj, "tag")] = _string(obj, "template")
                 else:
                     raise ValueError(f"unknown kind {kind!r}")
             except (ValueError, KeyError, TypeError, AttributeError) as err:
                 raise ValueError(f"AmrTables: line {lineno}: {type(err).__name__}: {err}") from None
         return t
+
+
+def _string(obj, key):
+    """obj[key], which must be a string."""
+    value = obj[key]
+    if type(value) is not str:
+        raise TypeError(f"{key} {value!r} is not a string")
+    return value
 
 
 def _strip_sense(label):
@@ -119,7 +128,7 @@ def amr_preprocess(g: MrpGraph, sent: CompanionSentence, tables: AmrTables | Non
     """
     if tables is None:
         tables = AmrTables()
-    g = g.copy()
+    nodes = []
     for n in g.nodes:
         stem, full = _strip_sense(n.label)
         if update:
@@ -132,10 +141,12 @@ def amr_preprocess(g: MrpGraph, sent: CompanionSentence, tables: AmrTables | Non
         if update and n.label is not None:
             w, t = tables.polarity.get(stem, (0, 0))
             tables.polarity[stem] = [w + (1 if has_polarity else 0), t + 1]
-        n.label = stem
-        n.properties = [(p, v) for p, v in n.properties if p not in ("wiki", "polarity")]
+        properties = [(p, v) for p, v in n.properties if p not in ("wiki", "polarity")]
+        if full is not None or len(properties) != len(n.properties):
+            n = MrpNode(n.id, stem, properties, n.anchors, n.extras)
+        nodes.append(n)
 
-    return _anonymize(g, sent, tables, update)
+    return _anonymize(g.derive(nodes), sent, tables, update)
 
 
 def _entity_subgraphs(g):
@@ -192,6 +203,7 @@ def _anonymize(g, sent, tables, update):
     counters = {}
     used_tokens = set()
     removed_nodes = set()
+    renamed = {}  # entity node id -> its placeholder
     replacements = []  # replace_spans runs
 
     for kind, v, parts, collapsed in _entity_subgraphs(g):
@@ -214,13 +226,15 @@ def _anonymize(g, sent, tables, update):
             entry[placeholder] = {"kind": "date", "type": v.label,
                                   "parts": [[key, leaf.label] for key, leaf in parts]}
         removed_nodes.update(n.id for n in collapsed)
-        v.label = placeholder
+        renamed[v.id] = placeholder
         used_tokens.update(range(pos, pos + len(words)))
         replacements.append((pos, pos + len(words) - 1, placeholder, placeholder, "NNP", tag))
 
-    g.nodes = [n for n in g.nodes if n.id not in removed_nodes]
-    g.edges = [e for e in g.edges if e.target not in removed_nodes]  # each one's only in-edge
-    return g, replace_spans(sent, sorted(replacements)), entry
+    # entity nodes are renamed only here, which is safe as no pattern reads a renamed label
+    nodes = [n if n.id not in renamed else MrpNode(n.id, renamed[n.id], n.properties, n.anchors, n.extras)
+             for n in g.nodes if n.id not in removed_nodes]
+    edges = [e for e in g.edges if e.target not in removed_nodes]  # each one's only in-edge
+    return g.derive(nodes, edges), replace_spans(sent, sorted(replacements)), entry
 
 
 def sentence_entry(sent: CompanionSentence, tables: AmrTables):
@@ -264,35 +278,38 @@ def _mint(tables, counters, tag):
 def amr_postprocess(g: MrpGraph, entry: dict, tables: AmrTables) -> MrpGraph:
     """Assign senses and polarity, then expand placeholder nodes back into
     entity sub-graphs."""
-    g = g.copy()
     templates = {*tables.templates.values(), "ENTITY"}  # every template _mint uses
-    placeholders = []
-    for n in g.nodes:
+    nodes, edges = list(g.nodes), list(g.edges)
+    placeholders = []  # positions in nodes
+    for i, n in enumerate(g.nodes):
         if n.label is None:
             continue
         template, _, k = n.label.rpartition("_")  # the inverse of _mint
         if template in templates and k.isdecimal():
-            placeholders.append(n)
+            placeholders.append(i)
             continue
         stem = n.label
-        n.label = tables.best_sense(stem)
-        if tables.wants_polarity(stem) and "polarity" not in dict(n.properties):
-            n.properties.append(("polarity", "-"))
+        label = tables.best_sense(stem)
+        polarity = tables.wants_polarity(stem) and "polarity" not in dict(n.properties)
+        if label != stem or polarity:
+            properties = [*n.properties, ("polarity", "-")] if polarity else n.properties
+            nodes[i] = MrpNode(n.id, label, properties, n.anchors, n.extras)
 
-    new_ids = itertools.count(max((n.id for n in g.nodes), default=-1) + 1)
+    new_ids = itertools.count(max((n.id for n in nodes), default=-1) + 1)
 
     def add(label, parent, edge_label):
         node = MrpNode(next(new_ids), label=label)
-        g.nodes.append(node)
-        g.edges.append(MrpEdge(parent.id, node.id, edge_label))
+        nodes.append(node)
+        edges.append(MrpEdge(parent.id, node.id, edge_label))
         return node
 
-    for v in placeholders:
+    for pos in placeholders:
+        v = nodes[pos]
         info = entry.get(v.label)
         if info is None:
             log.warning("no anonymization entry for %s; leaving placeholder", v.label)
             continue
-        v.label = info["type"]
+        nodes[pos] = v = MrpNode(v.id, info["type"], v.properties, v.anchors, v.extras)
         if info["kind"] == "named":
             m = add("name", v, "name")
             for i, word in enumerate(info["phrase"], start=1):
@@ -300,4 +317,4 @@ def amr_postprocess(g: MrpGraph, entry: dict, tables: AmrTables) -> MrpGraph:
         else:
             for lab, value in info["parts"]:
                 add(value, v, lab)
-    return g
+    return g.derive(nodes, edges)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from ..mrp import MrpGraph
+from ..mrp import MrpGraph, MrpNode
 
 
 class AnchorError(Exception):
@@ -43,33 +43,34 @@ def anchors_to_spans(g: MrpGraph, sent) -> tuple:
     does not start and end on its span's token boundaries is flagged as
     snapped. A node without anchors, or with an empty anchor list, keeps
     them as they are. Returns (graph, flagged node ids)."""
-    g = g.copy()
     starts = [t.start for t in sent.tokens]
     ends = [t.end for t in sent.tokens]
     flagged = []
+    nodes = []
     for n in g.nodes:
-        if not n.anchors:
-            continue
-        lo, hi = _range(n.anchors)
-        s, e, exact = covering_run(starts, ends, lo, hi)
-        if s > e:
-            raise AnchorError(f"graph {g.id}: node {n.id}: character range ({lo},{hi}) covers no token")
-        if not exact:
-            flagged.append(n.id)
-        n.anchors = [(s, e)]
-    return g, flagged
+        if n.anchors:
+            lo, hi = _range(n.anchors)
+            s, e, exact = covering_run(starts, ends, lo, hi)
+            if s > e:
+                raise AnchorError(f"graph {g.id}: node {n.id}: character range ({lo},{hi}) covers no token")
+            if not exact:
+                flagged.append(n.id)
+            n = MrpNode(n.id, n.label, n.properties, [(s, e)], n.extras)
+        nodes.append(n)
+    return g.derive(nodes), flagged
 
 
 def spans_to_anchors(g: MrpGraph, sent) -> MrpGraph:
     """Inverse of anchors_to_spans using the sentence's token offsets."""
-    g = g.copy()
     n_tok = len(sent.tokens)
+    nodes = []
     for n in g.nodes:
-        if n.anchors is None:
-            continue
-        for s, e in n.anchors:
-            if not (0 <= s <= e < n_tok):
-                raise AnchorError(
-                    f"graph {g.id}: node {n.id}: token span ({s},{e}) outside sentence of {n_tok} tokens")
-        n.anchors = [(sent.tokens[s].start, sent.tokens[e].end) for s, e in n.anchors]
-    return g
+        if n.anchors:
+            for s, e in n.anchors:
+                if not (0 <= s <= e < n_tok):
+                    raise AnchorError(
+                        f"graph {g.id}: node {n.id}: token span ({s},{e}) outside sentence of {n_tok} tokens")
+            anchors = [(sent.tokens[s].start, sent.tokens[e].end) for s, e in n.anchors]
+            n = MrpNode(n.id, n.label, n.properties, anchors, n.extras)
+        nodes.append(n)
+    return g.derive(nodes)

@@ -56,16 +56,16 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
     label and anchors alone, so no reduction makes or unmakes another.
     Type-1 nodes that do not match, or whose properties or link attributes
     neither encoding carries, are left alone; node count never increases."""
-    g = g.copy()
     by_id = g.node_by_id()
     surface = {n.id: _is_surface_mapped(n, g.input) for n in g.nodes}
     adj = _adjacency(g)
     dead = set()  # identities of the removed nodes and edges
+    folded = {}  # node id -> its new property list, with the folds it received
     reduced_edges = []
     for a in sorted(g.nodes, key=lambda n: n.id):
         links = adj[a.id]
         if (len(links) not in (1, 2) or surface[a.id] or a.anchors is None
-                or a.id in g.tops or a.properties or any(e.attributes for e in links)):
+                or a.id in g.tops or folded.get(a.id, a.properties) or any(e.attributes for e in links)):
             continue
         ends = [(by_id[e.target if e.source == a.id else e.source], e) for e in links]
         if not all(surface[b.id] for b, _ in ends):
@@ -74,8 +74,9 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
             [(b, e)] = ends
             if _norm_anchors(a.anchors) != _norm_anchors(b.anchors):
                 continue
-            k = sum(1 for p, _ in b.properties if p.startswith(REDUCED))
-            b.properties.append((f"{REDUCED}{k}", json.dumps([a.label, e.label, _side(e, a)])))
+            properties = folded.setdefault(b.id, list(b.properties))
+            k = sum(1 for p, _ in properties if p.startswith(REDUCED))
+            properties.append((f"{REDUCED}{k}", json.dumps([a.label, e.label, _side(e, a)])))
         else:
             (b, eb), (c, ec) = ends
             if b.id == c.id or b.anchors is None or c.anchors is None:
@@ -88,9 +89,9 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
             reduced_edges.append(MrpEdge(src.id, tgt.id, REDUCED + payload))
         dead.add(id(a))
         dead.update(id(e) for e in links)
-    g.nodes = [n for n in g.nodes if id(n) not in dead]
-    g.edges = [e for e in g.edges if id(e) not in dead] + reduced_edges
-    return g
+    nodes = [n if n.id not in folded else MrpNode(n.id, n.label, folded[n.id], n.anchors, n.extras)
+             for n in g.nodes if id(n) not in dead]
+    return g.derive(nodes, [e for e in g.edges if id(e) not in dead] + reduced_edges)
 
 
 def _side(e, a):
@@ -129,11 +130,10 @@ def _pick_direction(b, eb, c, ec):
 def eds_restore(g: MrpGraph) -> MrpGraph:
     """Reverse eds_reduce: reserved edge labels become nodes spanning both
     endpoints, reserved properties unfold into single-link nodes."""
-    g = g.copy()
     new_ids = itertools.count(max((n.id for n in g.nodes), default=-1) + 1)
     by_id = g.node_by_id()
 
-    kept_edges, new_edges = [], []
+    nodes, kept_edges, new_edges = list(g.nodes), [], []
     for e in g.edges:
         if not (e.label and e.label.startswith(REDUCED)):
             kept_edges.append(e)
@@ -149,13 +149,17 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
         if not pieces:
             raise EdsError(f"graph {g.id}: reduced edge {e.source} -> {e.target} joins unanchored nodes")
         a = MrpNode(next(new_ids), label=label, anchors=[_range(pieces)])
-        g.nodes.append(a)
+        nodes.append(a)
         new_edges += [_attach(a, b, lab_src, side_src), _attach(a, c, lab_tgt, side_tgt)]
-    g.edges = kept_edges + new_edges
+    edges = kept_edges + new_edges
 
-    for b in list(g.nodes):
+    for i in range(len(nodes)):
+        b = nodes[i]
         folded = [(name, value) for name, value in b.properties if name.startswith(REDUCED)]
-        b.properties = [(name, value) for name, value in b.properties if not name.startswith(REDUCED)]
+        if not folded:
+            continue
+        kept = [(name, value) for name, value in b.properties if not name.startswith(REDUCED)]
+        nodes[i] = MrpNode(b.id, b.label, kept, b.anchors, b.extras)
         for name, value in folded:
             try:
                 label, edge_label, side = json.loads(value)
@@ -164,9 +168,9 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
                     f"graph {g.id}: unrecognized reduced property {name}={value!r} on node {b.id}") from None
             a = MrpNode(next(new_ids), label=label,
                         anchors=sorted(b.anchors) if b.anchors is not None else None)
-            g.nodes.append(a)
-            g.edges.append(_attach(a, b, edge_label, side))
-    return g
+            nodes.append(a)
+            edges.append(_attach(a, b, edge_label, side))
+    return g.derive(nodes, edges)
 
 
 def eds_exchange_properties(g: MrpGraph) -> MrpGraph:
@@ -174,14 +178,16 @@ def eds_exchange_properties(g: MrpGraph) -> MrpGraph:
     application undoes the first. The swap makes the surface string the
     generated label (copyable from the sentence) and the original label a
     categorical target."""
-    g = g.copy()
+    nodes = []
     for n in g.nodes:
         for i, (name, value) in enumerate(n.properties):
             if name == "carg":
-                n.properties[i] = (name, n.label)
-                n.label = value
+                properties = list(n.properties)
+                properties[i] = (name, n.label)
+                n = MrpNode(n.id, value, properties, n.anchors, n.extras)
                 break
-    return g
+        nodes.append(n)
+    return g.derive(nodes)
 
 
 @dataclass
@@ -200,15 +206,20 @@ class MultiwordTable:
 
     @classmethod
     def from_lines(cls, lines):
-        """Inverse of to_lines, skipping blank lines. A malformed line raises
-        ValueError naming it, counted from 1."""
+        """Inverse of to_lines, skipping blank lines. A malformed line, or
+        one whose phrase is not a string, raises ValueError naming it,
+        counted from 1."""
         entries = {}
         for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                entries[obj["phrase"]] = (float(obj["prob"]), int(obj["count"]))
+                prob, count = float(obj["prob"]), int(obj["count"])
+                phrase = obj["phrase"]
+                if type(phrase) is not str:
+                    raise TypeError(f"phrase {phrase!r} is not a string")
+                entries[phrase] = (prob, count)
             except (ValueError, KeyError, TypeError) as err:
                 raise ValueError(f"MultiwordTable: line {lineno}: {type(err).__name__}: {err}") from None
         return cls(entries)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import re
 
-from ..mrp import MrpGraph
+from ..mrp import MrpEdge, MrpGraph, MrpNode
 from ..treeify import visit_order
 
 RESERVED_RE = re.compile(r"^n(_+)\d+$")  # n_3 names an unlabeled node; n__3 escapes a genuine n_3
@@ -29,24 +29,26 @@ def ucca_mark_implicit(g: MrpGraph) -> MrpGraph:
         node = steps[pos][0]
         if node.label is None:
             number[node.id] = len(number)
-    g = g.copy()
+    nodes = []
     for n in g.nodes:
         if n.label is None:
-            n.label = f"n_{number[n.id]}"
+            n = MrpNode(n.id, f"n_{number[n.id]}", n.properties, n.anchors, n.extras)
         elif RESERVED_RE.match(n.label):
-            n.label = "n_" + n.label[1:]
-    return g
+            n = MrpNode(n.id, "n_" + n.label[1:], n.properties, n.anchors, n.extras)
+        nodes.append(n)
+    return g.derive(nodes)
 
 
 def ucca_strip_implicit(g: MrpGraph) -> MrpGraph:
     """Inverse of ucca_mark_implicit: positional names drop to None,
     escaped genuine labels lose one underscore."""
-    g = g.copy()
+    nodes = []
     for n in g.nodes:
         m = RESERVED_RE.match(n.label) if n.label is not None else None
         if m:
-            n.label = None if m.group(1) == "_" else "n" + n.label[2:]
-    return g
+            n = MrpNode(n.id, None if m.group(1) == "_" else "n" + n.label[2:], n.properties, n.anchors, n.extras)
+        nodes.append(n)
+    return g.derive(nodes)
 
 
 # -- composite edge labels --------------------------------------------------
@@ -109,21 +111,26 @@ def decode_edge_label(s: str | None) -> tuple:
 
 
 def encode_graph_attrs(g: MrpGraph) -> MrpGraph:
-    g = g.copy()
+    edges = []
     for e in g.edges:
         try:
-            e.label = encode_edge_label(e.label, e.attributes)
+            label = encode_edge_label(e.label, e.attributes)
         except UccaError as err:
             raise UccaError(f"graph {g.id}: edge {e.source} -> {e.target}: {err}") from None
-        e.attributes = []
-    return g
+        if label != e.label or e.attributes:
+            e = MrpEdge(e.source, e.target, label, [], e.extras)
+        edges.append(e)
+    return g.derive(edges=edges)
 
 
 def decode_graph_attrs(g: MrpGraph) -> MrpGraph:
-    g = g.copy()
+    edges = []
     for e in g.edges:
         try:
-            e.label, e.attributes = decode_edge_label(e.label)
+            label, attributes = decode_edge_label(e.label)
         except UccaError as err:
             raise UccaError(f"graph {g.id}: edge {e.source} -> {e.target}: {err}") from None
-    return g
+        if label != e.label or attributes != e.attributes:
+            e = MrpEdge(e.source, e.target, label, attributes, e.extras)
+        edges.append(e)
+    return g.derive(edges=edges)

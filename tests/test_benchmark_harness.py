@@ -23,9 +23,10 @@ def test_traced_encode_train_reports_every_per_layer_metric():
 
 def test_graph_spans_trace_one_sentence_per_framework(monkeypatch):
     """The graph spans of `benchmarks/tracing.py`, installed in this process,
-    each record a call over one generated sentence per framework, the
-    slotted `MrpGraph.copy` included, and uninstalling restores every
-    wrapped original."""
+    each record a call over one generated sentence per framework, and
+    uninstalling restores every wrapped original. The chain itself makes no
+    `MrpGraph.copy` call, since transforms share records with their input;
+    one direct `copy()` shows that the slotted method is wrapped."""
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     import run
     import tracing
@@ -42,6 +43,9 @@ def test_graph_spans_trace_one_sentence_per_framework(monkeypatch):
     try:
         assert MrpGraph.copy is not copy
         results = [w.roundtrip(it, *state) for it in w.items]
+        assert tracer.calls["mrp.MrpGraph.copy"] == 0
+        MrpGraph("g", "amr").copy()
+        assert tracer.calls["mrp.MrpGraph.copy"] == 1
     finally:
         tracer.uninstall()
     assert sorted(it.framework for it in w.items) == ["amr", "eds", "ucca"]

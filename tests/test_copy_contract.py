@@ -1,7 +1,17 @@
 """The copy contract: `MrpGraph.copy()` shares no mutable part with its
-source, and every transform leaves the graph it is given unchanged."""
+source, and every transform leaves the graph it is given unchanged.
+
+The record rule behind it: a node or edge record is never edited after the
+function that built it returns. A transform shares every record it leaves
+unchanged with its input and builds new records only for what it changes,
+so `copy()` is the one way to get a graph that may be edited in place."""
+
+import copy
+import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
@@ -110,4 +120,144 @@ def test_transform_leaves_its_input_unchanged(name):
     out = transform(g)
     out = out[0] if isinstance(out, tuple) else out
     assert serialize_mrp(out) != before  # the transform did change something
+    assert serialize_mrp(g) == before
+
+
+def snapshot(g):
+    """g's own fields, its node and edge lists by identity, and every record
+    it holds, by identity, with a copy of each of the record's fields."""
+    def fields(obj, skip=()):
+        return {f.name: copy.deepcopy(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name not in skip}
+    return (fields(g, skip=("nodes", "edges")), id(g.nodes), id(g.edges), [id(n) for n in g.nodes],
+            [id(e) for e in g.edges], [(r, fields(r)) for r in (*g.nodes, *g.edges)])
+
+
+WORDS = ["Pierre", "naps", "dog", "barks", "the"]
+NODE_LABELS = st.sampled_from([None, "_nap_v_1", "_the_q", "compound", "proper_q", "visit-01", "person",
+                               "n_1", "n__2", "Pierre", "dog", "name"])
+PROPERTIES = st.lists(st.sampled_from([("carg", "Pierre"), ("polarity", "-"), ("wiki", "-"), ("p", "v")]),
+                      max_size=2, unique_by=lambda p: p[0])
+EDGE_LABELS = st.sampled_from([None, "ARG1", "ARG2", "BV", "A", "n⊕x"])
+ATTRIBUTES = st.lists(st.sampled_from([("remote", True), ("implicit", 2)]), max_size=2, unique_by=lambda a: a[0])
+
+
+@st.composite
+def full_graphs(draw):
+    """(graph, sentence): a sentence of two to five words whose first is
+    tagged PER, and a graph whose nodes are all reachable from top 0, with up
+    to two extra edges (reentrancies, cycles or self-loops). Every record carries extras and every node token-aligned
+    anchors; properties and attributes are drawn, possibly empty. Some graphs
+    hold an entity, `person -name-> name -op1->` the first word, which
+    amr_preprocess anonymizes, and some a quantifier that eds_reduce folds
+    and a compound that it turns into an edge."""
+    words = draw(st.lists(st.sampled_from(WORDS), min_size=2, max_size=5))
+    s = sent(" ".join(words), ["PER"] + ["O"] * (len(words) - 1))
+    token = st.integers(0, len(words) - 1)
+
+    def node(i, label, properties, lo=None, hi=None):
+        if lo is None:
+            lo, hi = sorted((draw(token), draw(token)))
+        return MrpNode(i, label, properties, [(s.tokens[lo].start, s.tokens[hi].end)], {"x": i})
+
+    def edge(source, target, label, attributes):
+        return MrpEdge(source, target, label, attributes if label is not None else [], {"y": target})
+
+    n = draw(st.integers(1, 6))
+    nodes = [node(i, draw(NODE_LABELS), draw(PROPERTIES)) for i in range(n)]
+    edges = [edge(draw(st.integers(0, t - 1)), t, draw(EDGE_LABELS), draw(ATTRIBUTES)) for t in range(1, n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), EDGE_LABELS, ATTRIBUTES)
+    edges += [edge(*drawn) for drawn in draw(st.lists(extra, max_size=2))]
+    if draw(st.booleans()):
+        nodes += [node(n, "person", draw(PROPERTIES)), node(n + 1, "name", []), node(n + 2, words[0], [])]
+        edges += [edge(0, n, "ARG0", []), edge(n, n + 1, "name", []), edge(n + 1, n + 2, "op1", [])]
+    if draw(st.booleans()):
+        k = len(nodes)
+        nodes += [node(k, "_a_n_1", [], 0, 0), node(k + 1, "udef_q", [], 0, 0),
+                  node(k + 2, "_b_n_1", [], 1, 1), node(k + 3, "compound", [], 0, 1)]
+        edges += [edge(0, k, "ARG1", []), edge(k, k + 1, "BV", []),
+                  edge(k, k + 3, "ARG1", []), edge(k + 3, k + 2, "ARG2", [])]
+    return MrpGraph("p", "ucca", " ".join(words), [0], nodes, edges, {"flavor": 1}), s
+
+
+@given(full_graphs())
+def test_no_transform_edits_its_input(drawn):
+    g, s = drawn
+
+    def fresh():  # each input from its own records, so no transform sees another's edits
+        return copy.deepcopy(g)
+
+    tables = AmrTables()
+    anonymized, _, entry = amr_preprocess(fresh(), s, tables, update=True)
+    # name -> (transform, its input); an inverse's input is its forward transform's output
+    cases = {
+        "eds_reduce": (eds_reduce, fresh()),
+        "eds_restore": (eds_restore, eds_reduce(fresh())),
+        "eds_exchange_properties": (eds_exchange_properties, fresh()),
+        "ucca_mark_implicit": (ucca_mark_implicit, fresh()),
+        "ucca_strip_implicit": (ucca_strip_implicit, ucca_mark_implicit(fresh())),
+        "encode_graph_attrs": (encode_graph_attrs, fresh()),
+        "decode_graph_attrs": (decode_graph_attrs, encode_graph_attrs(fresh())),
+        "anchors_to_spans": (lambda h: anchors_to_spans(h, s), fresh()),
+        "spans_to_anchors": (lambda h: spans_to_anchors(h, s), anchors_to_spans(fresh(), s)[0]),
+        "amr_preprocess": (lambda h: amr_preprocess(h, s, AmrTables(), update=True), fresh()),
+        "amr_postprocess": (lambda h: amr_postprocess(h, entry, tables), anonymized),
+    }
+    assert sorted(cases) == sorted(TRANSFORMS)
+    for name, (transform, h) in cases.items():
+        before = snapshot(h)
+        transform(h)
+        assert snapshot(h) == before, name
+
+
+def shares_every_record(out, g):
+    return (out is not g and out.nodes is not g.nodes and out.edges is not g.edges
+            and out.tops is not g.tops and out.extras is not g.extras
+            and len(out.nodes) == len(g.nodes) and all(a is b for a, b in zip(out.nodes, g.nodes))
+            and len(out.edges) == len(g.edges) and all(a is b for a, b in zip(out.edges, g.edges)))
+
+
+UNCHANGING = {  # name -> (transform, a graph it finds nothing to change in)
+    "eds_reduce": (eds_reduce, full_graph),  # its one candidate has an attributed link
+    "eds_restore": (eds_restore, eds_graph),
+    "eds_exchange_properties": (eds_exchange_properties, full_graph),  # no carg
+    "ucca_mark_implicit": (ucca_mark_implicit, amr_graph),  # every label set, none n_k
+    "ucca_strip_implicit": (ucca_strip_implicit, eds_graph),  # no n_k label
+    "encode_graph_attrs": (encode_graph_attrs, eds_graph),  # no attributes, no ⊕
+    "decode_graph_attrs": (decode_graph_attrs, eds_graph),  # no ⊕
+    "anchors_to_spans": (lambda g: anchors_to_spans(g, AMR_SENT)[0], amr_graph),  # no anchors
+    "spans_to_anchors": (lambda g: spans_to_anchors(g, AMR_SENT), amr_graph),
+    "amr_preprocess": (lambda g: amr_preprocess(g, UCCA_SENT, AmrTables())[0], full_graph),  # no sense, no name
+    "amr_postprocess": (lambda g: amr_postprocess(g, {}, AmrTables()), full_graph),  # no table entry
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCHANGING))
+def test_a_transform_that_changes_nothing_returns_the_input_records(name):
+    transform, make_input = UNCHANGING[name]
+    g = make_input()
+    before = serialize_mrp(g)
+    out = transform(g)
+    assert shares_every_record(out, g)
+    assert serialize_mrp(out) == before
+
+
+def test_a_transform_rebuilds_only_the_records_it_changes():
+    g = ucca_graph()
+    out, _ = anchors_to_spans(g, UCCA_SENT)
+    assert [a is b for a, b in zip(out.nodes, g.nodes)] == [True, False, False]  # node 0 has no anchors
+    assert all(a is b for a, b in zip(out.edges, g.edges))
+    g = eds_graph()
+    out = eds_exchange_properties(g)
+    assert [a is b for a, b in zip(out.nodes, g.nodes)] == [True, False, False, True, True]  # carg on 1 and 2
+
+
+@pytest.mark.parametrize("part", sorted(MUTATIONS))
+def test_a_copy_of_a_transform_output_may_be_edited(part):
+    g = full_graph()
+    before = serialize_mrp(g)
+    out = eds_exchange_properties(g)
+    assert shares_every_record(out, g)
+    c = out.copy()
+    MUTATIONS[part](c)
+    assert serialize_mrp(out) == before
     assert serialize_mrp(g) == before

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -238,3 +240,17 @@ def test_tables_lines_roundtrip_property(tables):
 def test_tables_malformed_line_names_class_and_line(lines, want):
     with pytest.raises(ValueError, match=want):
         AmrTables.from_lines(lines)
+
+
+@pytest.mark.parametrize("line, key, value", [
+    ('{"kind":"template","tag":"PER","template":5}', "template", 5),
+    ('{"kind":"template","tag":1,"template":"PERSON"}', "tag", 1),
+    ('{"kind":"sense","stem":2,"counts":{"a-01":1}}', "stem", 2),
+    ('{"kind":"bare","label":null,"count":1}', "label", None),
+    ('{"kind":"polarity","stem":1.5,"with":1,"total":2}', "stem", 1.5),
+    ('{"kind":"entity","tag":4,"counts":{"person":1}}', "tag", 4),
+])
+def test_tables_line_with_a_non_string_name_is_rejected(line, key, value):
+    want = f"^AmrTables: line 1: TypeError: {key} {re.escape(repr(value))} is not a string$"
+    with pytest.raises(ValueError, match=want):
+        AmrTables.from_lines([line])

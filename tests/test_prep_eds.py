@@ -469,3 +469,8 @@ class TestReduceProperties:
         assert nx.is_isomorphic(_nx_up_to_ids(back), _nx_up_to_ids(g),
                                 node_match=match.categorical_node_match("key", None),
                                 edge_match=match.categorical_multiedge_match("key", None))
+
+
+def test_multiword_line_with_a_non_string_phrase_is_rejected():
+    with pytest.raises(ValueError, match=r"^MultiwordTable: line 1: TypeError: phrase 3 is not a string$"):
+        MultiwordTable.from_lines(['{"phrase":3,"prob":0.9,"count":3}'])
