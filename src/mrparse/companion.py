@@ -142,7 +142,8 @@ def align_companion(graph, sent: CompanionSentence) -> CompanionSentence:
     forms. Each input character belongs to the token whose character it
     matches; an unmatched one belongs to the token of the nearest matched
     character before it (after it, at the start). A token whose input text
-    equals its form keeps it with fresh offsets; any other token's input
+    equals its form keeps it with fresh offsets, or is returned itself when
+    its offsets match too (tokens are frozen); any other token's input
     text is split at whitespace and every piece inherits the token's
     lemma/xpos/NER. Raises AlignmentError when more than half of the
     input's non-space characters are unmatched — that signals a wrong
@@ -176,7 +177,8 @@ def align_companion(graph, sent: CompanionSentence) -> CompanionSentence:
         t = sent.tokens[k]
         spans = [(lo, hi)] if s[lo:hi] == t.form else [m.span() for m in _WORD.finditer(s, lo, hi)]
         for b, e in spans:
-            out.append(Token(s[b:e], t.lemma, t.xpos, b, e))
+            same = b == t.start and e == t.end and s[b:e] == t.form
+            out.append(t if same else Token(s[b:e], t.lemma, t.xpos, b, e))
             out_tags.append(sent.ner_tags[k])
     for prev, cur in zip(out, out[1:]):
         if s[prev.end:cur.start].strip():

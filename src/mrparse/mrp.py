@@ -7,23 +7,34 @@ parse/serialize cycle is structurally lossless.
 Parse contract: node ids, edge endpoints, tops and anchor offsets are
 integers (not booleans), labels are strings or null, `input` is a string,
 and the keyed lists are lists; a record that breaks any of these raises
-`MrpParseError` naming the graph, and an edge to a missing node raises
-`MrpValidationError`. Unknown keys at every level land in `extras` as
-they were read, and `serialize_mrp` writes them back unchanged.
+`MrpParseError` naming the graph. A repeated node id, or an edge to a
+missing node, raises `MrpValidationError` naming the graph and the id.
+Unknown keys at every level land in `extras` as they were read, and
+`serialize_mrp` writes them back unchanged.
+
+Serialize contract: `serialize_mrp` writes the text itself, as
+`json.dumps(ensure_ascii=False)` with no spaces would. Keys come in the
+order id, the graph's extras, framework, input, tops, nodes, edges; node
+keys id, label, properties, values, anchors, extras; edge keys source,
+target, label, attributes, values, extras. It leaves out a null label,
+empty properties or attributes and None anchors. It refuses, with
+`MrpError` naming the graph, what parse_mrp would reject: an id,
+endpoint, top or anchor offset that is not an int, extras that name a
+field of their record, and a value that JSON cannot hold.
 
 Record rule: a node or edge record is never edited after the function
 that built it returns. A transform builds its output with
 `MrpGraph.derive`, which shares every record it leaves unchanged with its
-input, and builds new records only for what it changes. `MrpGraph.copy`
-is the one way to get a graph whose records may be edited in place.
-"""
+input, and builds new records only for what it changes. Lists are shared
+the same way: a record's properties, attributes and anchors, and the
+`treeify.SeqNode` lists built from them, are never edited either.
+`MrpGraph.copy` is the one way to get a graph whose records may be edited
+in place."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-FRAMEWORKS = ("dm", "psd", "eds", "ucca", "amr")
 
 _GRAPH_KEYS = frozenset(("id", "framework", "input", "tops", "nodes", "edges"))
 _NODE_KEYS = frozenset(("id", "label", "properties", "values", "anchors"))
@@ -109,6 +120,13 @@ class Violation:
     message: str
 
 
+def _node_ids(nodes):
+    """The node ids, as a set-like view, and the id of every node that a
+    later node repeats."""
+    last = {n.id: n for n in nodes}
+    return last.keys(), [] if len(last) == len(nodes) else [n.id for n in nodes if last[n.id] is not n]
+
+
 def _list(raw, key, gid):
     """raw[key] as a list; [] when it is absent, null or empty."""
     value = raw.get(key) or []
@@ -134,8 +152,8 @@ def _anchor(a, gid, nid):
 
 def parse_mrp(line: str) -> MrpGraph:
     """Parse one MRP record. Raises MrpParseError on malformed JSON (with
-    the byte offset) or a mistyped record, and MrpValidationError on
-    dangling edge endpoints."""
+    the byte offset) or a mistyped record, and MrpValidationError on a
+    repeated node id or a dangling edge endpoint."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
@@ -145,7 +163,6 @@ def parse_mrp(line: str) -> MrpGraph:
 
     gid = str(obj.get("id", ""))
     nodes = []
-    ids = set()
     for raw in _list(obj, "nodes", gid):
         if not isinstance(raw, dict):
             raise MrpParseError(f"graph {gid}: node {raw!r} is not an object")
@@ -166,7 +183,6 @@ def parse_mrp(line: str) -> MrpGraph:
         properties = _pairs(raw, "properties", gid) if "properties" in raw or "values" in raw else []
         extras = {} if raw.keys() <= _NODE_KEYS else {k: v for k, v in raw.items() if k not in _NODE_KEYS}
         nodes.append(MrpNode(nid, label, properties, anchors, extras))
-        ids.add(nid)
     edges = []
     for raw in _list(obj, "edges", gid):
         if not isinstance(raw, dict):
@@ -189,6 +205,9 @@ def parse_mrp(line: str) -> MrpGraph:
     text = obj.get("input", "")
     if type(text) is not str:
         raise MrpParseError(f"graph {gid}: 'input' is {type(text).__name__}, not a string")
+    ids, repeated = _node_ids(nodes)
+    if repeated:
+        raise MrpValidationError(f"graph {gid}: node id {repeated[0]} repeated")
     for e in edges:
         if e.source not in ids or e.target not in ids:
             raise MrpValidationError(
@@ -197,43 +216,69 @@ def parse_mrp(line: str) -> MrpGraph:
     return MrpGraph(gid, str(obj.get("framework", "")), text, tops, nodes, edges, extras)
 
 
+_string = json.encoder.encode_basestring  # a str as json.dumps(ensure_ascii=False) writes it
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def serialize_mrp(g: MrpGraph) -> str:
-    """One-line JSON record; parse_mrp(serialize_mrp(g)) == g."""
-    obj = {"id": g.id}
-    if g.extras:
-        obj.update(g.extras)
-    obj["framework"] = g.framework
-    obj["input"] = g.input
-    obj["tops"] = list(g.tops)
-    obj["nodes"] = [_node_obj(n) for n in g.nodes]
-    obj["edges"] = [_edge_obj(e) for e in g.edges]
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    """One-line JSON record, written directly in the order of the module
+    docstring; parse_mrp(serialize_mrp(g)) == g. Raises MrpError naming the
+    graph for a record that parse_mrp would reject."""
+    gid = g.id
+    try:
+        for t in g.tops:
+            if type(t) is not int:
+                raise MrpError(f"graph {gid}: top {t!r} is not an integer")
+        nodes = []
+        for n in g.nodes:
+            nid = n.id
+            if type(nid) is not int:
+                raise MrpError(f"graph {gid}: node id {nid!r} is not an integer")
+            text = f'{{"id":{nid}'
+            if n.label is not None:
+                text += ',"label":' + _string(n.label)
+            if n.properties:
+                text += _columns("properties", n.properties)
+            if n.anchors is not None:
+                text += ',"anchors":[' + ",".join([_piece(a, gid, nid) for a in n.anchors]) + "]"
+            nodes.append(text + _extras(n.extras, _NODE_KEYS, gid) + "}" if n.extras else text + "}")
+        edges = []
+        for e in g.edges:
+            s, t = e.source, e.target
+            if type(s) is not int or type(t) is not int:
+                raise MrpError(f"graph {gid}: edge {s!r}->{t!r}: endpoints are not integers")
+            text = f'{{"source":{s},"target":{t}'
+            if e.label is not None:
+                text += ',"label":' + _string(e.label)
+            if e.attributes:
+                text += _columns("attributes", e.attributes)
+            edges.append(text + _extras(e.extras, _EDGE_KEYS, gid) + "}" if e.extras else text + "}")
+        extras = _extras(g.extras, _GRAPH_KEYS, gid) if g.extras else ""
+        return (f'{{"id":{_string(gid)}{extras},"framework":{_string(g.framework)},"input":{_string(g.input)},'
+                f'"tops":[{",".join(map(str, g.tops))}],'
+                f'"nodes":[{",".join(nodes)}],"edges":[{",".join(edges)}]}}')
+    except (TypeError, ValueError) as err:  # a value JSON cannot hold, or an anchor that is not a pair
+        raise MrpError(f"graph {gid}: cannot be written: {err}") from None
 
 
-def _node_obj(n: MrpNode):
-    obj = {"id": n.id}
-    if n.label is not None:
-        obj["label"] = n.label
-    if n.properties:
-        obj["properties"] = [p for p, _ in n.properties]
-        obj["values"] = [v for _, v in n.properties]
-    if n.anchors is not None:
-        obj["anchors"] = [{"from": f, "to": t} for f, t in n.anchors]
-    if n.extras:
-        obj.update(n.extras)
-    return obj
+def _piece(anchor, gid, nid):
+    f, t = anchor
+    if type(f) is not int or type(t) is not int:
+        raise MrpError(f"graph {gid}: node {nid}: anchor ({f!r}, {t!r}) is not a pair of integers")
+    return f'{{"from":{f},"to":{t}}}'
 
 
-def _edge_obj(e: MrpEdge):
-    obj = {"source": e.source, "target": e.target}
-    if e.label is not None:
-        obj["label"] = e.label
-    if e.attributes:
-        obj["attributes"] = [a for a, _ in e.attributes]
-        obj["values"] = [v for _, v in e.attributes]
-    if e.extras:
-        obj.update(e.extras)
-    return obj
+def _columns(names_key, pairs):
+    """(name, value) pairs as the list of names and the list of values."""
+    return f',"{names_key}":{_encode([p for p, _ in pairs])},"values":{_encode([v for _, v in pairs])}'
+
+
+def _extras(extras, fields, gid):
+    """extras as members to splice into a record; none may name one of its fields."""
+    clash = fields.intersection(extras)
+    if clash:
+        raise MrpError(f"graph {gid}: extras {sorted(clash)} name record fields")
+    return "," + _encode(extras)[1:-1]
 
 
 def read_mrp_file(path) -> list:
@@ -259,12 +304,8 @@ def write_mrp_file(path, graphs):
 
 def validate_graph(g: MrpGraph) -> list:
     """Pure structural check; violations are data, not exceptions."""
-    out = []
-    seen = set()
-    for n in g.nodes:
-        if n.id in seen:
-            out.append(Violation("DuplicateNodeId", f"node id {n.id} repeated"))
-        seen.add(n.id)
+    seen, repeated = _node_ids(g.nodes)
+    out = [Violation("DuplicateNodeId", f"node id {nid} repeated") for nid in repeated]
     for n in g.nodes:
         if n.anchors is not None:
             for f, t in n.anchors:

@@ -7,6 +7,10 @@ order, and a top also reached through an edge appears once more as a
 parent-less copy. Node order is depth-first with children sorted
 alphanumerically by label ("x2" before "x10"), ties broken by node id. The
 inverse merges positions sharing an idx back into single nodes.
+
+Both directions follow the record rule of `mrp`: a node's properties and
+anchors lists are handed on as they are, to its `SeqNode` and back to the
+`MrpNode` built from it, so neither side may edit them in place.
 """
 
 from __future__ import annotations
@@ -72,11 +76,14 @@ def visit_order(g: MrpGraph):
     parent-less copy. Returns (first, steps): `first` maps each node id to
     the position of its first emission and is keyed in first-emission
     order; `steps` lists every emission as (node, parent position, edge
-    label), copies included, with parent None for each top. A graph
-    without tops, with a top that is not a node, or with a node
-    unreachable from the tops raises TreeError.
+    label), copies included, with parent None for each top. A graph with
+    a repeated node id, without tops, with a top that is not a node, or
+    with a node unreachable from the tops raises TreeError.
     """
     by_id = g.node_by_id()
+    if len(by_id) != len(g.nodes):
+        repeated = sorted({n.id for n in g.nodes if by_id[n.id] is not n})
+        raise TreeError(f"graph {g.id}: node ids {repeated} repeated")
     if not g.tops:
         raise TreeError(f"graph {g.id}: no top node")
     missing = [t for t in g.tops if t not in by_id]
@@ -123,14 +130,9 @@ def graph_to_tree(g: MrpGraph) -> NodeSequence:
     seq = []
     for pos, (node, parent, edge_label) in enumerate(steps):
         idx = first[node.id]
-        properties = list(node.properties) if idx == pos else []  # a copy carries none
-        seq.append(SeqNode(node.label, idx, parent, edge_label, _copy_anchors(node),
-                           properties, node.id))
+        properties = node.properties if idx == pos else []  # a copy carries none
+        seq.append(SeqNode(node.label, idx, parent, edge_label, node.anchors, properties, node.id))
     return NodeSequence(seq)
-
-
-def _copy_anchors(node):
-    return [tuple(a) for a in node.anchors] if node.anchors is not None else None
 
 
 def tree_to_graph(seq: NodeSequence, framework="amr", graph_id="", input_text="") -> MrpGraph:
@@ -150,9 +152,7 @@ def tree_to_graph(seq: NodeSequence, framework="amr", graph_id="", input_text=""
     if None in ids or len(set(ids)) < len(ids):
         ids = range(len(originals))  # numbered in position order
     new_id = dict(zip(originals, ids))
-    graph_nodes = [MrpNode(id=new_id[t], label=nodes[t].label,
-                           properties=list(nodes[t].properties),
-                           anchors=list(nodes[t].anchors) if nodes[t].anchors is not None else None)
+    graph_nodes = [MrpNode(new_id[t], nodes[t].label, nodes[t].properties, nodes[t].anchors)
                    for t in originals]
     edges, tops = [], []
     for n in nodes:

@@ -87,6 +87,19 @@ class TestAlignCompanion:
         assert out.forms == ["Dogs", "bark"]
         assert [(t.start, t.end) for t in out.tokens] == [(0, 4), (5, 9)]
 
+    def test_matching_tokens_are_returned_themselves(self):
+        s = _sent([("Dogs", "dog"), ("bark", "bark")])
+        out = comp.align_companion(MrpGraph(id="1", framework="dm", input="Dogs bark"), s)
+        assert len(out.tokens) == 2 and all(a is b for a, b in zip(out.tokens, s.tokens))
+
+    def test_drifted_and_moved_tokens_are_new(self):
+        s = _sent([("we", "we"), ("gonna", "go"), ("leave", "leave")])
+        g = MrpGraph(id="1", framework="dm", input="we gon na leave")
+        out = comp.align_companion(g, s)
+        assert out.forms == ["we", "gon", "na", "leave"]
+        assert [t is s.tokens[0] for t in out.tokens] == [True, False, False, False]
+        assert out.tokens[3] == replace(s.tokens[2], start=10, end=15)  # the same form, moved
+
     def test_contraction_tokens_kept_offsets_mapped(self):
         # companion splits "don't" while the input spells it solid
         s = _sent([("do", "do"), ("n't", "not"), ("go", "go")])

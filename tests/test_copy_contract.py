@@ -1,10 +1,13 @@
 """The copy contract: `MrpGraph.copy()` shares no mutable part with its
-source, and every transform leaves the graph it is given unchanged.
+source, and every transform leaves the graph it is given unchanged, as do
+`graph_to_tree` and `tree_to_graph` with what they are given.
 
 The record rule behind it: a node or edge record is never edited after the
 function that built it returns. A transform shares every record it leaves
 unchanged with its input and builds new records only for what it changes,
-so `copy()` is the one way to get a graph that may be edited in place."""
+so `copy()` is the one way to get a graph that may be edited in place.
+Treeify hands each node's property and anchor lists on as they are, so
+those lists, in a record or in a `SeqNode`, are never edited either."""
 
 import copy
 import dataclasses
@@ -19,6 +22,7 @@ from mrparse.prep import (AmrTables, amr_postprocess, amr_preprocess, anchors_to
                           decode_graph_attrs, eds_exchange_properties, eds_reduce,
                           eds_restore, encode_graph_attrs, spans_to_anchors,
                           ucca_mark_implicit, ucca_strip_implicit)
+from mrparse.treeify import NodeSequence, graph_to_tree, tree_to_graph
 
 
 def sent(text, tags=None):
@@ -125,9 +129,12 @@ def test_transform_leaves_its_input_unchanged(name):
 
 def snapshot(g):
     """g's own fields, its node and edge lists by identity, and every record
-    it holds, by identity, with a copy of each of the record's fields."""
+    it holds, by identity, with a copy of each of the record's fields; for
+    a NodeSequence, its node list and each SeqNode the same way."""
     def fields(obj, skip=()):
         return {f.name: copy.deepcopy(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name not in skip}
+    if isinstance(g, NodeSequence):
+        return id(g.nodes), [id(n) for n in g.nodes], [(n, fields(n)) for n in g.nodes]
     return (fields(g, skip=("nodes", "edges")), id(g.nodes), id(g.edges), [id(n) for n in g.nodes],
             [id(e) for e in g.edges], [(r, fields(r)) for r in (*g.nodes, *g.edges)])
 
@@ -201,8 +208,10 @@ def test_no_transform_edits_its_input(drawn):
         "spans_to_anchors": (lambda h: spans_to_anchors(h, s), anchors_to_spans(fresh(), s)[0]),
         "amr_preprocess": (lambda h: amr_preprocess(h, s, AmrTables(), update=True), fresh()),
         "amr_postprocess": (lambda h: amr_postprocess(h, entry, tables), anonymized),
+        "graph_to_tree": (graph_to_tree, fresh()),
+        "tree_to_graph": (lambda seq: tree_to_graph(seq, "ucca", g.id, g.input), graph_to_tree(fresh())),
     }
-    assert sorted(cases) == sorted(TRANSFORMS)
+    assert sorted(cases) == sorted([*TRANSFORMS, "graph_to_tree", "tree_to_graph"])
     for name, (transform, h) in cases.items():
         before = snapshot(h)
         transform(h)

@@ -1,5 +1,9 @@
 """Record IO and validation tests, including the parse/serialize fuzz
-round-trip harness."""
+round-trip harness and the check of `serialize_mrp` against the
+dict-based serializer it replaced."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,49 @@ from hypothesis import strategies as st
 
 from mrparse import mrp
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
+
+ROOT = Path(__file__).resolve().parents[1]
+FRAMEWORKS = ("dm", "psd", "eds", "ucca", "amr")
+
+
+def reference_serialize(g: MrpGraph) -> str:
+    """The dict-based serializer that `serialize_mrp` replaced, kept as the
+    reference for its bytes."""
+    obj = {"id": g.id}
+    if g.extras:
+        obj.update(g.extras)
+    obj["framework"] = g.framework
+    obj["input"] = g.input
+    obj["tops"] = list(g.tops)
+    obj["nodes"] = [_node_obj(n) for n in g.nodes]
+    obj["edges"] = [_edge_obj(e) for e in g.edges]
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+def _node_obj(n: MrpNode):
+    obj = {"id": n.id}
+    if n.label is not None:
+        obj["label"] = n.label
+    if n.properties:
+        obj["properties"] = [p for p, _ in n.properties]
+        obj["values"] = [v for _, v in n.properties]
+    if n.anchors is not None:
+        obj["anchors"] = [{"from": f, "to": t} for f, t in n.anchors]
+    if n.extras:
+        obj.update(n.extras)
+    return obj
+
+
+def _edge_obj(e: MrpEdge):
+    obj = {"source": e.source, "target": e.target}
+    if e.label is not None:
+        obj["label"] = e.label
+    if e.attributes:
+        obj["attributes"] = [a for a, _ in e.attributes]
+        obj["values"] = [v for _, v in e.attributes]
+    if e.extras:
+        obj.update(e.extras)
+    return obj
 
 
 def test_parse_empty_graph():
@@ -104,6 +151,13 @@ def test_unknown_keys_survive_at_every_level_byte_for_byte():
     assert mrp.serialize_mrp(g) == line
 
 
+def test_parse_rejects_a_repeated_node_id():
+    line = ('{"id": "d", "framework": "amr", "input": "a b", "tops": [0],'
+            ' "nodes": [{"id": 0, "label": "a"}, {"id": 0, "label": "b"}], "edges": []}')
+    with pytest.raises(mrp.MrpValidationError, match="graph d: node id 0 repeated"):
+        mrp.parse_mrp(line)
+
+
 def test_parse_rejects_dangling_edge():
     with pytest.raises(mrp.MrpValidationError):
         mrp.parse_mrp('{"id": "1", "framework": "dm", "input": "", "tops": [],'
@@ -158,9 +212,63 @@ def test_roundtrip_100_random_graphs():
     for i in range(100):
         g = random_graph(rng, i)
         line = mrp.serialize_mrp(g)
+        assert line == reference_serialize(g)
         g2 = mrp.parse_mrp(line)
         assert g2 == g, f"round trip failed for graph {i}"
         assert mrp.serialize_mrp(g2) == line
+
+
+def test_serialize_matches_the_reference_on_the_benchmark_chain(monkeypatch):
+    """Every graph that the benchmark's prep_roundtrip chain writes on seed
+    1 is written byte for byte as the reference writes it."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import run
+    serialize, written = mrp.serialize_mrp, []
+    monkeypatch.setattr(mrp, "serialize_mrp", lambda g: written.append(g) or serialize(g))
+    w = run.PrepRoundtrip(1)
+    state = w.setup()
+    lines = [w.roundtrip(it, *state)[0] for it in w.items]
+    assert len(written) == len(w.items) == 360
+    assert lines == [reference_serialize(g) for g in written]
+
+
+def refused(**changes):
+    """A graph that serializes, with its one node, edge, top or anchor
+    changed as `changes` name: `node_id`, `source`, `target`, `top`,
+    `anchor_from`, `anchor_to`, or `graph_extras`, `node_extras`,
+    `edge_extras`."""
+    f = {"node_id": 0, "source": 0, "target": 0, "top": 0, "anchor_from": 0, "anchor_to": 1,
+         "graph_extras": {}, "node_extras": {}, "edge_extras": {}} | changes
+    node = MrpNode(f["node_id"], "a", [], [(f["anchor_from"], f["anchor_to"])], f["node_extras"])
+    edge = MrpEdge(f["source"], f["target"], "L", [], f["edge_extras"])
+    return MrpGraph("g7", "amr", "ab", [f["top"]], [node], [edge], f["graph_extras"])
+
+
+def test_the_refusal_cases_serialize_when_unchanged():
+    assert mrp.serialize_mrp(refused()) == reference_serialize(refused())
+
+
+@pytest.mark.parametrize("level, key", [
+    ("graph_extras", "framework"), ("graph_extras", "id"), ("graph_extras", "nodes"),
+    ("node_extras", "label"), ("node_extras", "values"), ("node_extras", "anchors"),
+    ("edge_extras", "target"), ("edge_extras", "label"), ("edge_extras", "attributes"),
+])
+def test_serialize_refuses_extras_that_name_a_record_field(level, key):
+    with pytest.raises(mrp.MrpError, match=f"graph g7: .*extras \\['{key}'\\] name record fields"):
+        mrp.serialize_mrp(refused(**{level: {"rank": 1, key: 5}}))
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("field", ["node_id", "source", "target", "top", "anchor_from", "anchor_to"])
+def test_serialize_refuses_an_integer_field_that_is_not_an_int(field, value):
+    with pytest.raises(mrp.MrpError, match="graph g7: .*not .*integer"):
+        mrp.serialize_mrp(refused(**{field: value}))
+
+
+def test_serialize_refuses_a_value_json_cannot_hold():
+    g = MrpGraph("g7", "amr", nodes=[MrpNode(0, "a", [("p", {1, 2})])])
+    with pytest.raises(mrp.MrpError, match="graph g7: cannot be written"):
+        mrp.serialize_mrp(g)
 
 
 def test_validate_clean_graph():
@@ -223,7 +331,7 @@ def mrp_graphs(draw):
     ends = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
     edges = [MrpEdge(s, t, draw(LABELS), draw(PAIRS), draw(EXTRAS))
              for s, t in draw(st.lists(ends, max_size=4 if n else 0))]
-    return MrpGraph(id=draw(TEXT), framework=draw(st.sampled_from(mrp.FRAMEWORKS)), input=draw(TEXT),
+    return MrpGraph(id=draw(TEXT), framework=draw(st.sampled_from(FRAMEWORKS)), input=draw(TEXT),
                     tops=draw(st.lists(st.integers(0, 4), max_size=2)), nodes=nodes, edges=edges,
                     extras=draw(EXTRAS))
 
@@ -231,6 +339,7 @@ def mrp_graphs(draw):
 @given(mrp_graphs())
 def test_parse_inverts_serialize(g):
     line = mrp.serialize_mrp(g)
+    assert line == reference_serialize(g)
     back = mrp.parse_mrp(line)
     assert back == g
     assert mrp.serialize_mrp(back) == line

@@ -153,6 +153,30 @@ def test_top_that_is_not_a_node_errors():
         graph_to_tree(g)
 
 
+def test_repeated_node_id_errors_instead_of_dropping_a_node():
+    g = build([(0, "a"), (0, "b")], [], [0])
+    with pytest.raises(TreeError, match=r"graph t: node ids \[0\] repeated"):
+        graph_to_tree(g)
+    with pytest.raises(TreeError, match=r"graph t: node ids \[0\] repeated"):
+        visit_order(g)
+
+
+def test_roundtrip_hands_on_the_lists_it_was_given():
+    """Anchor pieces given as lists come back as lists, in the very lists
+    that were given; a copy position carries no properties."""
+    g = MrpGraph("t", "eds", "ab cd", [0],
+                 [MrpNode(0, "a", [("p", "v")], [[0, 2], [3, 5]]), MrpNode(1, "b", [], None),
+                  MrpNode(2, "c", [("q", 1)], [[3, 5]])],
+                 [MrpEdge(0, 1, "L"), MrpEdge(1, 2, "S"), MrpEdge(0, 2, "R")])  # in tree order
+    seq = graph_to_tree(g)
+    assert [(n.node_id, n.idx) for n in seq.nodes] == [(0, 0), (1, 1), (2, 2), (2, 2)]
+    assert [n.properties for n in seq.nodes[2:]] == [[("q", 1)], []]
+    back = tree_to_graph(seq, "eds", "t", "ab cd")
+    assert back == MrpGraph("t", "eds", "ab cd", [0], g.nodes, g.edges)
+    assert back.nodes[0].anchors == [[0, 2], [3, 5]]
+    assert all(b.anchors is n.anchors and b.properties is n.properties for b, n in zip(back.nodes, g.nodes))
+
+
 def test_tree_to_graph_identity_sequence():
     seq = NodeSequence(nodes=[
         SeqNode("a", 0),
