@@ -4,23 +4,33 @@ One JSON object per line. Known keys are mapped onto the dataclasses
 below; everything else is kept verbatim in an `extras` dict so a
 parse/serialize cycle is structurally lossless.
 
-Parse contract: node ids, edge endpoints, tops and anchor offsets are
-integers (not booleans), labels are strings or null, `input` is a string,
-and the keyed lists are lists; a record that breaks any of these raises
-`MrpParseError` naming the graph. A repeated node id, or an edge to a
-missing node, raises `MrpValidationError` naming the graph and the id.
-Unknown keys at every level land in `extras` as they were read, and
-`serialize_mrp` writes them back unchanged.
+Record contract: one function, `_violations`, holds every rule a record
+keeps, and `parse_mrp`, `serialize_mrp` and `validate_graph` all read it.
+Node ids, edge endpoints, tops and anchor offsets are integers, not
+booleans (`NotAnInteger`); labels are strings or null (`NotAString`); no
+node id repeats (`DuplicateNodeId`); every edge endpoint and every top is
+a node (`DanglingEdge`, `DanglingTop`); and every anchor (from, to) has
+from <= to (`InvertedAnchor`) and lies within `input`
+(`AnchorOutOfBounds`). `parse_mrp` and `serialize_mrp` both refuse a graph
+that breaks one of these seven, with the first broken rule's message
+naming the graph: `MrpParseError` for the two type rules,
+`MrpValidationError` for the five structural ones. A repeated property
+name (`DuplicateProperty`) and a self-loop (`SelfLoop`) round-trip, so
+they are data: `validate_graph` reports them, and no reader or writer
+refuses them. Besides, `parse_mrp` refuses with `MrpParseError` a record
+of the wrong JSON shape: not an object, a node without id, an edge
+without endpoints, an anchor without from/to, a keyed list that is not a
+list, an `input` that is not a string, and names and values of different
+lengths. `serialize_mrp` refuses with `MrpError` extras that name a field
+of their record and a value that JSON cannot hold.
 
-Serialize contract: `serialize_mrp` writes the text itself, as
+Unknown keys at every level land in `extras` as they were read, and
+`serialize_mrp` writes them back unchanged. It writes the text itself, as
 `json.dumps(ensure_ascii=False)` with no spaces would. Keys come in the
 order id, the graph's extras, framework, input, tops, nodes, edges; node
 keys id, label, properties, values, anchors, extras; edge keys source,
 target, label, attributes, values, extras. It leaves out a null label,
-empty properties or attributes and None anchors. It refuses, with
-`MrpError` naming the graph, what parse_mrp would reject: an id,
-endpoint, top or anchor offset that is not an int, extras that name a
-field of their record, and a value that JSON cannot hold.
+empty properties or attributes and None anchors.
 
 Record rule: a node or edge record is never edited after the function
 that built it returns. A transform builds its output with
@@ -120,11 +130,59 @@ class Violation:
     message: str
 
 
-def _node_ids(nodes):
-    """The node ids, as a set-like view, and the id of every node that a
-    later node repeats."""
-    last = {n.id: n for n in nodes}
-    return last.keys(), [] if len(last) == len(nodes) else [n.id for n in nodes if last[n.id] is not n]
+def _violations(g):
+    """(code, message) for every rule of the record contract that g breaks,
+    in one pass over its nodes, edges and tops."""
+    out, ids, size = [], set(), len(g.input)
+    for n in g.nodes:
+        nid = n.id
+        if type(nid) is not int:
+            out.append(("NotAnInteger", f"node id {nid!r} is not an integer"))
+        elif nid in ids:
+            out.append(("DuplicateNodeId", f"node id {nid} repeated"))
+        else:
+            ids.add(nid)
+        if n.label is not None and type(n.label) is not str:
+            out.append(("NotAString", f"node {nid!r}: label {n.label!r} is not a string"))
+        for f, t in n.anchors or ():
+            if type(f) is not int or type(t) is not int:
+                out.append(("NotAnInteger", f"node {nid!r}: anchor ({f!r}, {t!r}) is not a pair of integers"))
+            elif f > t:
+                out.append(("InvertedAnchor", f"node {nid!r}: anchor ({f}, {t}) is inverted"))
+            elif f < 0 or t > size:
+                out.append(("AnchorOutOfBounds", f"node {nid!r}: anchor ({f}, {t}) is outside input of length {size}"))
+        if len(n.properties) > 1:
+            names = [p for p, _ in n.properties]
+            if any(p in names[:i] for i, p in enumerate(names)):
+                out.append(("DuplicateProperty", f"node {nid!r} repeats a property name"))
+    for e in g.edges:
+        s, t = e.source, e.target
+        if type(s) is not int or type(t) is not int:
+            out.append(("NotAnInteger", f"edge {s!r}->{t!r}: endpoints are not integers"))
+        elif s not in ids or t not in ids:
+            out.append(("DanglingEdge", f"edge {s}->{t} references a missing node"))
+        elif s == t:
+            out.append(("SelfLoop", f"edge {s}->{t} is a self-loop"))
+        if e.label is not None and type(e.label) is not str:
+            out.append(("NotAString", f"edge {s!r}->{t!r}: label {e.label!r} is not a string"))
+    for t in g.tops:
+        if type(t) is not int:
+            out.append(("NotAnInteger", f"top {t!r} is not an integer"))
+        elif t not in ids:
+            out.append(("DanglingTop", f"top {t} is not a node"))
+    return out
+
+
+_REFUSED = {"NotAnInteger": MrpParseError, "NotAString": MrpParseError, "DuplicateNodeId": MrpValidationError,
+            "DanglingEdge": MrpValidationError, "DanglingTop": MrpValidationError,
+            "InvertedAnchor": MrpValidationError, "AnchorOutOfBounds": MrpValidationError}
+
+
+def _refuse(g):
+    """Raise the error of the first violation that the record contract refuses."""
+    for code, message in _violations(g):
+        if code in _REFUSED:
+            raise _REFUSED[code](f"graph {g.id}: {message}")
 
 
 def _list(raw, key, gid):
@@ -142,18 +200,10 @@ def _pairs(raw, names_key, gid):
     return list(zip(names, values))
 
 
-def _anchor(a, gid, nid):
-    """An anchor object's (from, to); both must be integers."""
-    f, t = a["from"], a["to"]
-    if type(f) is not int or type(t) is not int:
-        raise MrpParseError(f"graph {gid}: node {nid}: anchor ({f!r}, {t!r}) is not a pair of integers")
-    return f, t
-
-
 def parse_mrp(line: str) -> MrpGraph:
     """Parse one MRP record. Raises MrpParseError on malformed JSON (with
-    the byte offset) or a mistyped record, and MrpValidationError on a
-    repeated node id or a dangling edge endpoint."""
+    the byte offset) or a record of the wrong shape, and otherwise the
+    error of the first rule of the record contract that it breaks."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
@@ -168,52 +218,31 @@ def parse_mrp(line: str) -> MrpGraph:
             raise MrpParseError(f"graph {gid}: node {raw!r} is not an object")
         if "id" not in raw:
             raise MrpParseError(f"graph {gid}: node without 'id'")
-        nid = raw["id"]
-        if type(nid) is not int:
-            raise MrpParseError(f"graph {gid}: node id {nid!r} is not an integer")
         anchors = raw.get("anchors")
         if anchors is not None:
             try:
-                anchors = [_anchor(a, gid, nid) for a in anchors]
+                anchors = [(a["from"], a["to"]) for a in anchors]
             except (KeyError, TypeError):
-                raise MrpParseError(f"graph {gid}: node {nid}: anchor without 'from'/'to'") from None
-        label = raw.get("label")
-        if label is not None and type(label) is not str:
-            raise MrpParseError(f"graph {gid}: node {nid}: label {label!r} is not a string")
+                raise MrpParseError(f"graph {gid}: node {raw['id']!r}: anchor without 'from'/'to'") from None
         properties = _pairs(raw, "properties", gid) if "properties" in raw or "values" in raw else []
         extras = {} if raw.keys() <= _NODE_KEYS else {k: v for k, v in raw.items() if k not in _NODE_KEYS}
-        nodes.append(MrpNode(nid, label, properties, anchors, extras))
+        nodes.append(MrpNode(raw["id"], raw.get("label"), properties, anchors, extras))
     edges = []
     for raw in _list(obj, "edges", gid):
         if not isinstance(raw, dict):
             raise MrpParseError(f"graph {gid}: edge {raw!r} is not an object")
         if "source" not in raw or "target" not in raw:
             raise MrpParseError(f"graph {gid}: edge without 'source'/'target'")
-        source, target = raw["source"], raw["target"]
-        if type(source) is not int or type(target) is not int:
-            raise MrpParseError(f"graph {gid}: edge {source!r}->{target!r}: endpoints are not integers")
-        label = raw.get("label")
-        if label is not None and type(label) is not str:
-            raise MrpParseError(f"graph {gid}: edge {source}->{target}: label {label!r} is not a string")
         attributes = _pairs(raw, "attributes", gid) if "attributes" in raw or "values" in raw else []
         extras = {} if raw.keys() <= _EDGE_KEYS else {k: v for k, v in raw.items() if k not in _EDGE_KEYS}
-        edges.append(MrpEdge(source, target, label, attributes, extras))
-    tops = _list(obj, "tops", gid)
-    for t in tops:
-        if type(t) is not int:
-            raise MrpParseError(f"graph {gid}: top {t!r} is not an integer")
+        edges.append(MrpEdge(raw["source"], raw["target"], raw.get("label"), attributes, extras))
     text = obj.get("input", "")
     if type(text) is not str:
         raise MrpParseError(f"graph {gid}: 'input' is {type(text).__name__}, not a string")
-    ids, repeated = _node_ids(nodes)
-    if repeated:
-        raise MrpValidationError(f"graph {gid}: node id {repeated[0]} repeated")
-    for e in edges:
-        if e.source not in ids or e.target not in ids:
-            raise MrpValidationError(
-                f"graph {gid}: edge {e.source}->{e.target} references a missing node")
     extras = {} if obj.keys() <= _GRAPH_KEYS else {k: v for k, v in obj.items() if k not in _GRAPH_KEYS}
-    return MrpGraph(gid, str(obj.get("framework", "")), text, tops, nodes, edges, extras)
+    g = MrpGraph(gid, str(obj.get("framework", "")), text, _list(obj, "tops", gid), nodes, edges, extras)
+    _refuse(g)
+    return g
 
 
 _string = json.encoder.encode_basestring  # a str as json.dumps(ensure_ascii=False) writes it
@@ -222,32 +251,25 @@ _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 def serialize_mrp(g: MrpGraph) -> str:
     """One-line JSON record, written directly in the order of the module
-    docstring; parse_mrp(serialize_mrp(g)) == g. Raises MrpError naming the
-    graph for a record that parse_mrp would reject."""
+    docstring; parse_mrp(serialize_mrp(g)) == g. Raises what parse_mrp of
+    the line would raise for a graph that breaks the record contract, and
+    MrpError naming the graph for one that cannot be written."""
     gid = g.id
     try:
-        for t in g.tops:
-            if type(t) is not int:
-                raise MrpError(f"graph {gid}: top {t!r} is not an integer")
+        _refuse(g)
         nodes = []
         for n in g.nodes:
-            nid = n.id
-            if type(nid) is not int:
-                raise MrpError(f"graph {gid}: node id {nid!r} is not an integer")
-            text = f'{{"id":{nid}'
+            text = f'{{"id":{n.id}'
             if n.label is not None:
                 text += ',"label":' + _string(n.label)
             if n.properties:
                 text += _columns("properties", n.properties)
             if n.anchors is not None:
-                text += ',"anchors":[' + ",".join([_piece(a, gid, nid) for a in n.anchors]) + "]"
+                text += ',"anchors":[' + ",".join([f'{{"from":{f},"to":{t}}}' for f, t in n.anchors]) + "]"
             nodes.append(text + _extras(n.extras, _NODE_KEYS, gid) + "}" if n.extras else text + "}")
         edges = []
         for e in g.edges:
-            s, t = e.source, e.target
-            if type(s) is not int or type(t) is not int:
-                raise MrpError(f"graph {gid}: edge {s!r}->{t!r}: endpoints are not integers")
-            text = f'{{"source":{s},"target":{t}'
+            text = f'{{"source":{e.source},"target":{e.target}'
             if e.label is not None:
                 text += ',"label":' + _string(e.label)
             if e.attributes:
@@ -259,13 +281,6 @@ def serialize_mrp(g: MrpGraph) -> str:
                 f'"nodes":[{",".join(nodes)}],"edges":[{",".join(edges)}]}}')
     except (TypeError, ValueError) as err:  # a value JSON cannot hold, or an anchor that is not a pair
         raise MrpError(f"graph {gid}: cannot be written: {err}") from None
-
-
-def _piece(anchor, gid, nid):
-    f, t = anchor
-    if type(f) is not int or type(t) is not int:
-        raise MrpError(f"graph {gid}: node {nid}: anchor ({f!r}, {t!r}) is not a pair of integers")
-    return f'{{"from":{f},"to":{t}}}'
 
 
 def _columns(names_key, pairs):
@@ -291,7 +306,8 @@ def read_mrp_file(path) -> list:
             try:
                 graphs.append(parse_mrp(line))
             except MrpError as e:
-                raise type(e)(f"line {lineno}: {e}") from None
+                e.args = (f"line {lineno}: {e}",)  # keeps the class and a parse error's offset
+                raise
     return graphs
 
 
@@ -303,28 +319,6 @@ def write_mrp_file(path, graphs):
 
 
 def validate_graph(g: MrpGraph) -> list:
-    """Pure structural check; violations are data, not exceptions."""
-    seen, repeated = _node_ids(g.nodes)
-    out = [Violation("DuplicateNodeId", f"node id {nid} repeated") for nid in repeated]
-    for n in g.nodes:
-        if n.anchors is not None:
-            for f, t in n.anchors:
-                if f > t:
-                    out.append(Violation("InvertedAnchor", f"node {n.id} anchor ({f},{t})"))
-                elif f < 0 or t > len(g.input):
-                    out.append(Violation("AnchorOutOfBounds",
-                                         f"node {n.id} anchor ({f},{t}) outside input of length {len(g.input)}"))
-        names = [p for p, _ in n.properties]
-        if len(names) != len(set(names)):
-            out.append(Violation("DuplicateProperty", f"node {n.id} repeats a property name"))
-    for e in g.edges:
-        if e.source not in seen:
-            out.append(Violation("DanglingEdge", f"edge source {e.source} missing"))
-        if e.target not in seen:
-            out.append(Violation("DanglingEdge", f"edge target {e.target} missing"))
-        if e.source == e.target:
-            out.append(Violation("SelfLoop", f"edge {e.source}->{e.target}"))
-    for t in g.tops:
-        if t not in seen:
-            out.append(Violation("DanglingTop", f"top {t} missing"))
-    return out
+    """Every rule of the record contract that g breaks, as data: the refused
+    ones and the two that round-trip."""
+    return [Violation(c, m) for c, m in _violations(g)]

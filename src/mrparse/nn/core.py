@@ -34,14 +34,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def load_state(self, arrays):
-        for name, p in self.named_parameters():
-            if name not in arrays:
-                raise KeyError(f"checkpoint missing parameter {name}")
-            if arrays[name].shape != p.data.shape:
-                raise ValueError(f"{name}: checkpoint shape {arrays[name].shape} vs model {p.data.shape}")
-            p.data = arrays[name].copy()
-
     def state_arrays(self):
         return {name: p.data for name, p in self.named_parameters()}
 

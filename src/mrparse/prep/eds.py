@@ -29,7 +29,8 @@ class EdsError(Exception):
 
 
 def _norm_anchors(anchors):
-    return tuple(sorted(anchors or []))
+    """The pieces as sorted tuples, so list and tuple pieces compare equal."""
+    return tuple(sorted(tuple(p) for p in anchors or ()))
 
 
 def _is_surface_mapped(node, text):

@@ -1,6 +1,7 @@
 """The benchmark's traced encoder run still finds every name it wraps:
 a short `--trace 1` run of `encode_train` passes its checks and reports
-every per-layer metric that BENCHMARK.json declares."""
+every per-layer metric that BENCHMARK.json declares. And the benchmark's
+self-test still finds that each output check behaves."""
 
 import json
 import subprocess
@@ -19,6 +20,15 @@ def test_traced_encode_train_reports_every_per_layer_metric():
     assert result["correct"] and result["failed"] == 0, out.stderr
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     assert [name for name in declared if name not in result["metrics"]] == []
+
+
+def test_selftest_finds_every_check_behaving():
+    """`benchmarks/selftest.py` feeds each output check a good and a spoiled
+    output, and exits 0 only when every check accepts and rejects them."""
+    out = subprocess.run([sys.executable, "benchmarks/selftest.py"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "every check behaves" in out.stdout
 
 
 def test_graph_spans_trace_one_sentence_per_framework(monkeypatch):

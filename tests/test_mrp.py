@@ -1,6 +1,6 @@
 """Record IO and validation tests, including the parse/serialize fuzz
-round-trip harness and the check of `serialize_mrp` against the
-dict-based serializer it replaced."""
+round-trip harness, the check that both refuse a graph alike, and the
+check of `serialize_mrp` against the dict-based serializer it replaced."""
 
 import json
 from pathlib import Path
@@ -234,12 +234,12 @@ def test_serialize_matches_the_reference_on_the_benchmark_chain(monkeypatch):
 
 def refused(**changes):
     """A graph that serializes, with its one node, edge, top or anchor
-    changed as `changes` name: `node_id`, `source`, `target`, `top`,
-    `anchor_from`, `anchor_to`, or `graph_extras`, `node_extras`,
+    changed as `changes` name: `node_id`, `label`, `source`, `target`,
+    `top`, `anchor_from`, `anchor_to`, or `graph_extras`, `node_extras`,
     `edge_extras`."""
-    f = {"node_id": 0, "source": 0, "target": 0, "top": 0, "anchor_from": 0, "anchor_to": 1,
+    f = {"node_id": 0, "label": "a", "source": 0, "target": 0, "top": 0, "anchor_from": 0, "anchor_to": 1,
          "graph_extras": {}, "node_extras": {}, "edge_extras": {}} | changes
-    node = MrpNode(f["node_id"], "a", [], [(f["anchor_from"], f["anchor_to"])], f["node_extras"])
+    node = MrpNode(f["node_id"], f["label"], [], [(f["anchor_from"], f["anchor_to"])], f["node_extras"])
     edge = MrpEdge(f["source"], f["target"], "L", [], f["edge_extras"])
     return MrpGraph("g7", "amr", "ab", [f["top"]], [node], [edge], f["graph_extras"])
 
@@ -271,6 +271,49 @@ def test_serialize_refuses_a_value_json_cannot_hold():
         mrp.serialize_mrp(g)
 
 
+def refusal(call, arg):
+    """The class and message of the MrpError that call(arg) raises."""
+    with pytest.raises(mrp.MrpError) as ei:
+        call(arg)
+    return type(ei.value), str(ei.value)
+
+
+def assert_refused_alike(g, line):
+    """serialize_mrp(g) raises what parse_mrp(line) raises, naming the graph."""
+    read = refusal(mrp.parse_mrp, line)
+    assert refusal(mrp.serialize_mrp, g) == read
+    assert read[1].startswith(f"graph {g.id}: ")
+
+
+@pytest.mark.parametrize("line, g, error, message", [
+    ('{"id":"g7","framework":"amr","input":"ab","tops":[0],"nodes":[{"id":true,"label":"a","anchors":[{"from":0,"to":1}]}],'
+     '"edges":[{"source":0,"target":0,"label":"L"}]}',
+     refused(node_id=True), mrp.MrpParseError, "node id True is not an integer"),
+    ('{"id":"g7","framework":"amr","input":"ab","tops":[0],"nodes":[{"id":0,"label":5,"anchors":[{"from":0,"to":1}]}],'
+     '"edges":[{"source":0,"target":0,"label":"L"}]}',
+     refused(label=5), mrp.MrpParseError, "node 0: label 5 is not a string"),
+    ('{"id":"g7","input":"ab","nodes":[{"id":0,"label":"a"},{"id":0,"label":"b"}]}',
+     MrpGraph("g7", "", "ab", nodes=[MrpNode(0, "a"), MrpNode(0, "b")]),
+     mrp.MrpValidationError, "node id 0 repeated"),
+    ('{"id":"g7","framework":"amr","input":"ab","tops":[0],"nodes":[{"id":0,"label":"a","anchors":[{"from":0,"to":1}]}],'
+     '"edges":[{"source":0,"target":9,"label":"L"}]}',
+     refused(target=9), mrp.MrpValidationError, "edge 0->9 references a missing node"),
+    ('{"id":"g7","framework":"amr","input":"ab","tops":[4],"nodes":[{"id":0,"label":"a","anchors":[{"from":0,"to":1}]}],'
+     '"edges":[{"source":0,"target":0,"label":"L"}]}',
+     refused(top=4), mrp.MrpValidationError, "top 4 is not a node"),
+    ('{"id":"g7","framework":"amr","input":"ab","tops":[0],"nodes":[{"id":0,"label":"a","anchors":[{"from":2,"to":1}]}],'
+     '"edges":[{"source":0,"target":0,"label":"L"}]}',
+     refused(anchor_from=2), mrp.MrpValidationError, "node 0: anchor (2, 1) is inverted"),
+    ('{"id":"g7","framework":"amr","input":"ab","tops":[0],"nodes":[{"id":0,"label":"a","anchors":[{"from":0,"to":50}]}],'
+     '"edges":[{"source":0,"target":0,"label":"L"}]}',
+     refused(anchor_to=50), mrp.MrpValidationError, "node 0: anchor (0, 50) is outside input of length 2"),
+], ids=["NotAnInteger", "NotAString", "DuplicateNodeId", "DanglingEdge", "DanglingTop", "InvertedAnchor",
+        "AnchorOutOfBounds"])
+def test_parse_and_serialize_refuse_each_rule_alike(line, g, error, message):
+    assert refusal(mrp.parse_mrp, line) == (error, f"graph g7: {message}")
+    assert_refused_alike(g, line)
+
+
 def test_validate_clean_graph():
     g = MrpGraph(id="v", framework="dm", input="a b", tops=[0],
                  nodes=[MrpNode(0, label="a", anchors=[(0, 1)]), MrpNode(1, label="b")],
@@ -300,12 +343,28 @@ def test_validate_is_pure():
     assert mrp.validate_graph(g) == mrp.validate_graph(g)
 
 
+def test_repeated_property_and_self_loop_are_data():
+    line = ('{"id":"v","framework":"dm","input":"ab","tops":[0],'
+            '"nodes":[{"id":0,"properties":["p","p"],"values":["x","y"]}],"edges":[{"source":0,"target":0}]}')
+    g = mrp.parse_mrp(line)
+    assert mrp.serialize_mrp(g) == line
+    assert [v.code for v in mrp.validate_graph(g)] == ["DuplicateProperty", "SelfLoop"]
+
+
 def test_file_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     graphs = [random_graph(rng, i) for i in range(20)]
     path = tmp_path / "graphs.mrp"
     mrp.write_mrp_file(path, graphs)
     assert mrp.read_mrp_file(path) == graphs
+
+
+def test_read_mrp_file_keeps_the_line_and_the_byte_offset(tmp_path):
+    path = tmp_path / "bad.mrp"
+    path.write_text('{"id": "1", "nodes": [}\n', encoding="utf-8")
+    with pytest.raises(mrp.MrpParseError, match=r"^line 1: malformed record: .*\(byte offset 22\)$") as ei:
+        mrp.read_mrp_file(path)
+    assert ei.value.offset == 22
 
 
 TEXT = st.text("aé\"\\ x0", max_size=4)
@@ -322,8 +381,29 @@ LABELS = st.none() | TEXT
 
 @st.composite
 def mrp_graphs(draw):
-    """Graphs with extras keys at every level, properties, edge attributes,
-    None and empty anchors, None labels and node ids out of order."""
+    """Graphs that keep the record contract, with extras keys at every
+    level, properties, edge attributes, None and empty anchors, None labels
+    and node ids out of order: every top is a node, and every anchor piece
+    (from, to) has 0 <= from <= to <= len(input)."""
+    text = draw(TEXT)
+    n = draw(st.integers(0, 4))
+    offsets = st.integers(0, len(text))
+    pieces = st.tuples(offsets, offsets).map(lambda p: (min(p), max(p)))
+    anchors = st.none() | st.just([]) | st.lists(pieces, max_size=2)
+    nodes = [MrpNode(i, draw(LABELS), draw(PAIRS), draw(anchors), draw(EXTRAS))
+             for i in draw(st.permutations(range(n)))]
+    ends = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = [MrpEdge(s, t, draw(LABELS), draw(PAIRS), draw(EXTRAS))
+             for s, t in draw(st.lists(ends, max_size=4 if n else 0))]
+    return MrpGraph(id=draw(TEXT), framework=draw(st.sampled_from(FRAMEWORKS)), input=text,
+                    tops=draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else [], nodes=nodes, edges=edges,
+                    extras=draw(EXTRAS))
+
+
+@st.composite
+def unchecked_graphs(draw):
+    """The graphs of `mrp_graphs`, but with tops from 0..4 whether or not
+    they are nodes, and anchor offsets from 0..50 in either order."""
     n = draw(st.integers(0, 4))
     anchors = st.none() | st.just([]) | st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), max_size=2)
     nodes = [MrpNode(i, draw(LABELS), draw(PAIRS), draw(anchors), draw(EXTRAS))
@@ -343,3 +423,19 @@ def test_parse_inverts_serialize(g):
     back = mrp.parse_mrp(line)
     assert back == g
     assert mrp.serialize_mrp(back) == line
+
+
+@given(unchecked_graphs())
+def test_serialize_refuses_what_parse_refuses(g):
+    """A graph whose tops are nodes and whose anchors lie in order within
+    input round-trips exactly; serialize_mrp refuses any other with the
+    error that parse_mrp raises on the reference serializer's line."""
+    ids = {n.id for n in g.nodes}
+    pieces = [p for n in g.nodes for p in n.anchors or ()]
+    line = reference_serialize(g)
+    if all(t in ids for t in g.tops) and all(0 <= f <= t <= len(g.input) for f, t in pieces):
+        assert mrp.serialize_mrp(g) == line
+        assert mrp.parse_mrp(line) == g
+    else:
+        assert_refused_alike(g, line)
+        assert refusal(mrp.parse_mrp, line)[0] is mrp.MrpValidationError

@@ -76,6 +76,21 @@ class TestReduceRule2:
         # ARG1 endpoint is the source, ARG2 endpoint the target
         assert reduced[0].source == 1 and reduced[0].target == 2
 
+    def test_list_pieces_reduce_as_tuple_pieces_do(self):
+        def compound(piece):
+            return graph("Pierre Vinken naps",
+                         nodes=[(0, "compound", [piece(0, 13)], []),
+                                (1, "Pierre", [piece(0, 6)], [("carg", "named")]),
+                                (2, "Vinken", [piece(7, 13)], [("carg", "named")]),
+                                (3, "_nap_v_1", [piece(14, 18)], [])],
+                         edges=[(0, 1, "ARG1"), (0, 2, "ARG2"), (3, 2, "ARG1")],
+                         tops=[3])
+        as_tuples, as_lists = eds_reduce(compound(lambda f, t: (f, t))), eds_reduce(compound(lambda f, t: [f, t]))
+        assert len(as_lists.nodes) == 3
+        assert [(e.source, e.target, e.label) for e in as_lists.edges] == \
+            [(e.source, e.target, e.label) for e in as_tuples.edges]
+        assert as_lists.edges[-1].label.startswith(REDUCED)
+
     def test_rule1_enables_rule2_fixpoint(self):
         # one call applies both rules: q folds into node 2 (rule 1) and
         # link, with its two surface neighbours, becomes a reserved edge
