@@ -37,10 +37,6 @@ class no_grad:
         return False
 
 
-def grad_enabled():
-    return _GRAD_ENABLED[-1]
-
-
 class ShapeError(ValueError):
     pass
 
@@ -68,16 +64,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # -- arithmetic -------------------------------------------------------
-
-    def __mul__(self, other):
-        return mul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def backward(self):
-        backward(self)
 
 
 def _lift(x):
@@ -86,7 +74,7 @@ def _lift(x):
 
 def _make(data, parents, backward_fn):
     out = Tensor(data)
-    if grad_enabled() and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn

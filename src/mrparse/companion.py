@@ -59,10 +59,6 @@ class CompanionSentence:
     def forms(self):
         return [t.form for t in self.tokens]
 
-    @property
-    def lemmas(self):
-        return [t.lemma for t in self.tokens]
-
     def text(self):
         """Reconstruct the sentence string implied by the token offsets."""
         out = []

@@ -7,22 +7,23 @@ parse/serialize cycle is structurally lossless.
 Record contract: one function, `_violations`, holds every rule a record
 keeps, and `parse_mrp`, `serialize_mrp` and `validate_graph` all read it.
 Node ids, edge endpoints, tops and anchor offsets are integers, not
-booleans (`NotAnInteger`); labels are strings or null (`NotAString`); no
-node id repeats (`DuplicateNodeId`); every edge endpoint and every top is
-a node (`DanglingEdge`, `DanglingTop`); and every anchor (from, to) has
-from <= to (`InvertedAnchor`) and lies within `input`
-(`AnchorOutOfBounds`). `parse_mrp` and `serialize_mrp` both refuse a graph
-that breaks one of these seven, with the first broken rule's message
-naming the graph: `MrpParseError` for the two type rules,
-`MrpValidationError` for the five structural ones. A repeated property
-name (`DuplicateProperty`) and a self-loop (`SelfLoop`) round-trip, so
-they are data: `validate_graph` reports them, and no reader or writer
-refuses them. Besides, `parse_mrp` refuses with `MrpParseError` a record
-of the wrong JSON shape: not an object, a node without id, an edge
-without endpoints, an anchor without from/to, a keyed list that is not a
-list, an `input` that is not a string, and names and values of different
-lengths. `serialize_mrp` refuses with `MrpError` extras that name a field
-of their record and a value that JSON cannot hold.
+booleans (`NotAnInteger`); labels are strings or null, and property and
+attribute names are strings (`NotAString`); no node id repeats
+(`DuplicateNodeId`); every edge endpoint and every top is a node
+(`DanglingEdge`, `DanglingTop`); and every anchor (from, to) has from <=
+to (`InvertedAnchor`) and lies within `input` (`AnchorOutOfBounds`).
+`parse_mrp` and `serialize_mrp` both refuse a graph that breaks one of
+these seven, with the first broken rule's message naming the graph:
+`MrpParseError` for the two type rules, `MrpValidationError` for the five
+structural ones. A repeated property name (`DuplicateProperty`) and a
+self-loop (`SelfLoop`) round-trip, so they are data: `validate_graph`
+reports them, and no reader or writer refuses them. Besides, `parse_mrp`
+refuses with `MrpParseError` a record of the wrong JSON shape: not an
+object, a node without id, an edge without endpoints, an anchor without
+from/to, a keyed list that is not a list, an `input` that is not a string,
+and names and values of different lengths. `serialize_mrp` refuses with
+`MrpError` extras that name a field of their record and a value that JSON
+cannot hold.
 
 Unknown keys at every level land in `extras` as they were read, and
 `serialize_mrp` writes them back unchanged. It writes the text itself, as
@@ -151,8 +152,10 @@ def _violations(g):
                 out.append(("InvertedAnchor", f"node {nid!r}: anchor ({f}, {t}) is inverted"))
             elif f < 0 or t > size:
                 out.append(("AnchorOutOfBounds", f"node {nid!r}: anchor ({f}, {t}) is outside input of length {size}"))
-        if len(n.properties) > 1:
+        if n.properties:
             names = [p for p, _ in n.properties]
+            out += [("NotAString", f"node {nid!r}: property name {p!r} is not a string")
+                    for p in names if type(p) is not str]
             if any(p in names[:i] for i, p in enumerate(names)):
                 out.append(("DuplicateProperty", f"node {nid!r} repeats a property name"))
     for e in g.edges:
@@ -165,6 +168,9 @@ def _violations(g):
             out.append(("SelfLoop", f"edge {s}->{t} is a self-loop"))
         if e.label is not None and type(e.label) is not str:
             out.append(("NotAString", f"edge {s!r}->{t!r}: label {e.label!r} is not a string"))
+        for a, _ in e.attributes:
+            if type(a) is not str:
+                out.append(("NotAString", f"edge {s!r}->{t!r}: attribute name {a!r} is not a string"))
     for t in g.tops:
         if type(t) is not int:
             out.append(("NotAnInteger", f"top {t!r} is not an integer"))

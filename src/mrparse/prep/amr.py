@@ -118,16 +118,13 @@ def _strip_sense(label):
     return label, None
 
 
-def amr_preprocess(g: MrpGraph, sent: CompanionSentence, tables: AmrTables | None = None,
-                   update=False):
+def amr_preprocess(g: MrpGraph, sent: CompanionSentence, tables: AmrTables, update=False):
     """Strip senses/wiki/polarity and anonymize entity sub-graphs.
 
     Returns (graph, sentence, entry) where entry maps each placeholder to
     the information needed to rebuild its sub-graph and surface phrase.
     With update=True, corpus statistics accumulate into `tables`.
     """
-    if tables is None:
-        tables = AmrTables()
     nodes = []
     for n in g.nodes:
         stem, full = _strip_sense(n.label)

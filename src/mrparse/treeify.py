@@ -51,9 +51,6 @@ class SeqNode:
 class NodeSequence:
     nodes: list
 
-    def __len__(self):
-        return len(self.nodes)
-
     def validate(self):
         for t, n in enumerate(self.nodes):
             if not 0 <= n.idx <= t:
@@ -124,8 +121,18 @@ def graph_to_tree(g: MrpGraph) -> NodeSequence:
     Edges into already-visited nodes (reentrancies and cycles alike)
     become copies. Each top is a position without a parent, so a top also
     reached through an edge appears once more, as a copy. Disconnected
-    nodes are an error. Positions follow visit_order.
+    nodes are an error. Positions follow visit_order. A sequence has no
+    place for a node's extras or an edge's attributes and extras, so a
+    graph with any raises TreeError naming the first such node or edge;
+    the graph's id, framework, input and extras are the caller's to keep.
     """
+    for n in g.nodes:
+        if n.extras:
+            raise TreeError(f"graph {g.id}: node {n.id} has extras, which a tree does not carry")
+    for e in g.edges:
+        if e.attributes or e.extras:
+            what = "attributes" if e.attributes else "extras"
+            raise TreeError(f"graph {g.id}: edge {e.source}->{e.target} has {what}, which a tree does not carry")
     first, steps = visit_order(g)
     seq = []
     for pos, (node, parent, edge_label) in enumerate(steps):

@@ -16,14 +16,14 @@ def test_matmul_identity():
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-    ag.tsum(x).backward()
+    ag.backward(ag.tsum(x))
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_sigmoid_closed_form():
     w = Tensor(0.3, requires_grad=True)
     c = 2.5
-    (ag.sigmoid(w) * Tensor(c)).backward()
+    ag.backward(ag.mul(ag.sigmoid(w), Tensor(c)))
     s = 1.0 / (1.0 + np.exp(-0.3))
     np.testing.assert_allclose(w.grad, c * s * (1 - s), rtol=1e-12)
 
@@ -47,7 +47,7 @@ def test_grad_check_linear_is_tight():
     w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
 
     def f():
-        return ag.tsum(w * Tensor(np.full(3, 4.0)))
+        return ag.tsum(ag.mul(w, Tensor(np.full(3, 4.0))))
 
     assert ag.grad_check(f, [w]) <= 1e-10
 
@@ -87,7 +87,7 @@ def test_forward_independent_of_grad_tracking():
 def test_backward_requires_scalar():
     x = Tensor(np.zeros(3), requires_grad=True)
     with pytest.raises(ag.ShapeError):
-        ag.tanh(x).backward()
+        ag.backward(ag.tanh(x))
 
 
 def _op_cases(rng):
@@ -130,15 +130,15 @@ def test_all_ops_each_get_checked():
 def test_grad_accumulates_over_shared_use():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     y = ag.add(ag.mul(x, x), ag.mul(x, Tensor(np.full(2, 3.0))))  # x^2 + 3x
-    ag.tsum(y).backward()
+    ag.backward(ag.tsum(y))
     np.testing.assert_allclose(x.grad, 2 * x.data + 3.0)
 
 
 def test_second_backward_on_same_graph_accumulates_once_more():
     w = Tensor(np.array(1.0), requires_grad=True)
     z = ag.add(ag.mul(w, Tensor(2.0)), 0.0)
-    z.backward()
-    z.backward()
+    ag.backward(z)
+    ag.backward(z)
     assert w.grad == 4.0
 
 
@@ -192,7 +192,7 @@ def test_backward_gives_every_leaf_its_own_gradient():
         for p in params:
             p.zero_grad()
         loss = f()
-        loss.backward()
+        ag.backward(loss)
         _assert_gradients_owned(loss)
 
 
@@ -206,7 +206,7 @@ def test_lstm_sequence_gives_every_leaf_its_own_gradient():
             t.zero_grad()
         out = ag.lstm_sequence(X, directions)
         loss = ag.tsum(ag.mul(out, Tensor(rng.normal(size=out.shape))))
-        loss.backward()
+        ag.backward(loss)
         _assert_gradients_owned(loss)
     # the two directions' weight gradients are separate arrays
     assert W1.grad is not None and W2.grad is not None
@@ -225,9 +225,9 @@ def test_take_scatters_into_the_table_gradient():
     np.add.at(ref, rows1, w1)
     np.add.at(ref, rows2, w2)
     np.add.at(ref, slice(3, 5), w3)
-    loss.backward()
+    ag.backward(loss)
     np.testing.assert_allclose(table.grad, ref, rtol=0, atol=1e-15)
     # a second backward scatters into the gradient the table already holds
-    loss.backward()
+    ag.backward(loss)
     np.testing.assert_allclose(table.grad, 2 * ref, rtol=0, atol=1e-15)
     _assert_gradients_owned(loss)

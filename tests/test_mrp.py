@@ -235,12 +235,12 @@ def test_serialize_matches_the_reference_on_the_benchmark_chain(monkeypatch):
 def refused(**changes):
     """A graph that serializes, with its one node, edge, top or anchor
     changed as `changes` name: `node_id`, `label`, `source`, `target`,
-    `top`, `anchor_from`, `anchor_to`, or `graph_extras`, `node_extras`,
-    `edge_extras`."""
+    `top`, `anchor_from`, `anchor_to`, `properties`, `attributes`, or
+    `graph_extras`, `node_extras`, `edge_extras`."""
     f = {"node_id": 0, "label": "a", "source": 0, "target": 0, "top": 0, "anchor_from": 0, "anchor_to": 1,
-         "graph_extras": {}, "node_extras": {}, "edge_extras": {}} | changes
-    node = MrpNode(f["node_id"], f["label"], [], [(f["anchor_from"], f["anchor_to"])], f["node_extras"])
-    edge = MrpEdge(f["source"], f["target"], "L", [], f["edge_extras"])
+         "properties": [], "attributes": [], "graph_extras": {}, "node_extras": {}, "edge_extras": {}} | changes
+    node = MrpNode(f["node_id"], f["label"], f["properties"], [(f["anchor_from"], f["anchor_to"])], f["node_extras"])
+    edge = MrpEdge(f["source"], f["target"], "L", f["attributes"], f["edge_extras"])
     return MrpGraph("g7", "amr", "ab", [f["top"]], [node], [edge], f["graph_extras"])
 
 
@@ -292,6 +292,9 @@ def assert_refused_alike(g, line):
     ('{"id":"g7","framework":"amr","input":"ab","tops":[0],"nodes":[{"id":0,"label":5,"anchors":[{"from":0,"to":1}]}],'
      '"edges":[{"source":0,"target":0,"label":"L"}]}',
      refused(label=5), mrp.MrpParseError, "node 0: label 5 is not a string"),
+    ('{"id":"g7","framework":"amr","input":"ab","tops":[0],"nodes":[{"id":0,"label":"a","properties":[5],'
+     '"values":["x"],"anchors":[{"from":0,"to":1}]}],"edges":[{"source":0,"target":0,"label":"L"}]}',
+     refused(properties=[(5, "x")]), mrp.MrpParseError, "node 0: property name 5 is not a string"),
     ('{"id":"g7","input":"ab","nodes":[{"id":0,"label":"a"},{"id":0,"label":"b"}]}',
      MrpGraph("g7", "", "ab", nodes=[MrpNode(0, "a"), MrpNode(0, "b")]),
      mrp.MrpValidationError, "node id 0 repeated"),
@@ -307,11 +310,26 @@ def assert_refused_alike(g, line):
     ('{"id":"g7","framework":"amr","input":"ab","tops":[0],"nodes":[{"id":0,"label":"a","anchors":[{"from":0,"to":50}]}],'
      '"edges":[{"source":0,"target":0,"label":"L"}]}',
      refused(anchor_to=50), mrp.MrpValidationError, "node 0: anchor (0, 50) is outside input of length 2"),
-], ids=["NotAnInteger", "NotAString", "DuplicateNodeId", "DanglingEdge", "DanglingTop", "InvertedAnchor",
-        "AnchorOutOfBounds"])
+], ids=["NotAnInteger", "NotAString", "NotAString-name", "DuplicateNodeId", "DanglingEdge", "DanglingTop",
+        "InvertedAnchor", "AnchorOutOfBounds"])
 def test_parse_and_serialize_refuse_each_rule_alike(line, g, error, message):
     assert refusal(mrp.parse_mrp, line) == (error, f"graph g7: {message}")
     assert_refused_alike(g, line)
+
+
+@pytest.mark.parametrize("line, g, message", [
+    ('{"id":"g7","framework":"ucca","input":"ab","tops":[0],"nodes":[{"id":0,"label":"a","anchors":[{"from":0,"to":1}]}],'
+     '"edges":[{"source":0,"target":0,"label":"L","attributes":[5],"values":[true]}]}',
+     refused(attributes=[(5, True)]), "edge 0->0: attribute name 5 is not a string"),
+    ('{"id":"g7","framework":"ucca","input":"ab","tops":[0],"nodes":[{"id":0,"label":"a","anchors":[{"from":0,"to":1}]}],'
+     '"edges":[{"source":0,"target":0,"label":"L","attributes":["remote",null],"values":[true,true]}]}',
+     refused(attributes=[("remote", True), (None, True)]), "edge 0->0: attribute name None is not a string"),
+], ids=["first", "second"])
+def test_an_attribute_name_that_is_not_a_string_is_refused(line, g, message):
+    """Else encode_graph_attrs fails on it untyped, far from the record."""
+    assert refusal(mrp.parse_mrp, line) == (mrp.MrpParseError, f"graph g7: {message}")
+    assert_refused_alike(g, line)
+    assert sorted(v.code for v in mrp.validate_graph(g)) == ["NotAString", "SelfLoop"]
 
 
 def test_validate_clean_graph():

@@ -1,7 +1,4 @@
 import numpy as np
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from mrparse import autograd as ag
 from mrparse.autograd import Tensor
@@ -37,39 +34,3 @@ def test_vocab_build_orders_by_count_then_string():
     assert v.entries == [PAD, UNK, "c", "b", "a", "d"]
     assert [v.index(e) for e in ("c", "b", "a", "d")] == [2, 3, 4, 5]
     assert v.index("unseen") == v.index(UNK)
-
-
-def test_vocab_lines_roundtrip_keeps_entries_counts_and_reserved():
-    words = ["x", "y", "x", "z z"]
-    # ordinary entries spelled like special names stay ordinary, and an
-    # empty form's entry survives
-    for items, reserved in [(words, (PAD, UNK)), (words, (PAD, UNK, "<s>", "</s>")), (words, ()),
-                            (["<s>", "<s>", "x"], ()), ([UNK, "x"], (PAD,)), (["", "x", " "], (PAD, UNK))]:
-        v = Vocab.build(items, reserved=reserved)
-        back = Vocab.from_lines(v.to_lines())
-        assert back.entries == v.entries
-        assert back.reserved == v.reserved
-        assert {e: back.counts.get(e, 0) for e in back.entries} == \
-            {e: v.counts.get(e, 0) for e in v.entries}
-        assert [back.index(e) for e in v.entries] == list(range(len(v)))
-
-
-@given(st.lists(st.text(max_size=4), max_size=8), st.lists(st.text(max_size=4), max_size=3, unique=True))
-def test_vocab_lines_roundtrip_property(items, reserved):
-    v = Vocab.build(items, reserved=reserved)
-    back = Vocab.from_lines(v.to_lines())
-    assert (back.entries, back.reserved) == (v.entries, v.reserved)
-    assert back.counts == {e: v.counts.get(e, 0) for e in v.entries}
-
-
-@pytest.mark.parametrize("lines, want", [
-    ([], "^Vocab: line 1: no number"),
-    (["", "two"], "^Vocab: line 2: invalid literal"),
-    (["0", "a\t1", "b1"], "^Vocab: line 3: not enough values"),
-    (["0", "a\tx"], "^Vocab: line 2: invalid literal"),
-    (["3", "a\t1"], "^Vocab: line 1: 3 reserved of 1 entries"),
-    (["-1", "a\t1"], "^Vocab: line 1: -1 reserved"),
-])
-def test_vocab_malformed_line_names_class_and_line(lines, want):
-    with pytest.raises(ValueError, match=want):
-        Vocab.from_lines(lines)

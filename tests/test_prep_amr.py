@@ -29,19 +29,19 @@ def amr(nodes, edges, tops, text=""):
 
 def test_sense_suffix_stripped():
     g = amr([(0, "want-01", [])], [], [0])
-    out, _, _ = amr_preprocess(g, sent("wants"))
+    out, _, _ = amr_preprocess(g, sent("wants"), AmrTables())
     assert out.nodes[0].label == "want"
 
 
 def test_wiki_and_polarity_dropped():
     g = amr([(0, "want-01", [("wiki", "-"), ("polarity", "-")])], [], [0])
-    out, _, _ = amr_preprocess(g, sent("wants"))
+    out, _, _ = amr_preprocess(g, sent("wants"), AmrTables())
     assert out.nodes[0].properties == []
 
 
 def test_untouched_graph_unchanged():
     g = amr([(0, "boy", []), (1, "want", [])], [(1, 0, "ARG0")], [1])
-    out, s, entry = amr_preprocess(g, sent("the boy wants"))
+    out, s, entry = amr_preprocess(g, sent("the boy wants"), AmrTables())
     assert out == g and entry == {}
 
 
@@ -49,7 +49,7 @@ def test_name_subgraph_anonymized():
     g = amr([(0, "visit-01", []), (1, "person", []), (2, "name", []), (3, "Pierre", [])],
             [(0, 1, "ARG0"), (1, 2, "name"), (2, 3, "op1")], [0])
     s = sent("Pierre visited", "PER O")
-    out, s2, entry = amr_preprocess(g, s)
+    out, s2, entry = amr_preprocess(g, s, AmrTables())
     labels = sorted(n.label for n in out.nodes)
     assert labels == ["PERSON_0", "visit"]
     assert s2.forms == ["PERSON_0", "visited"]
@@ -60,7 +60,7 @@ def test_multiword_name_anonymized():
     g = amr([(0, "person", []), (1, "name", []), (2, "Pierre", []), (3, "Vinken", [])],
             [(0, 1, "name"), (1, 2, "op1"), (1, 3, "op2")], [0])
     s = sent("Pierre Vinken retired", "PER PER O")
-    out, s2, entry = amr_preprocess(g, s)
+    out, s2, entry = amr_preprocess(g, s, AmrTables())
     assert s2.forms == ["PERSON_0", "retired"]
     assert entry["PERSON_0"]["phrase"] == ["Pierre", "Vinken"]
 
@@ -69,7 +69,7 @@ def test_unmatched_entity_left_intact():
     # phrase not present in the sentence: sub-graph survives
     g = amr([(0, "person", []), (1, "name", []), (2, "Zorro", [])],
             [(0, 1, "name"), (1, 2, "op1")], [0])
-    out, _, entry = amr_preprocess(g, sent("nobody here"))
+    out, _, entry = amr_preprocess(g, sent("nobody here"), AmrTables())
     assert len(out.nodes) == 3 and entry == {}
 
 

@@ -1,0 +1,91 @@
+"""Every public function, class and method of `mrparse` has a caller.
+
+A public name (no leading underscore, not a dunder) counts as used when it
+appears somewhere other than its own definition: in `src/` as a name or an
+attribute, or in `benchmarks/` as a name, an attribute or a part of a
+dotted string (`benchmarks/tracing.py` looks spans up as
+`"LSTMCell.step"`). A method counts only as an attribute or a string part,
+so a local variable of the same name is no use of it. Names in `__all__`
+and imports do not count. The exceptions below are kept on purpose, each
+for the ROADMAP aim or item named with it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ALLOWED = {
+    "grad_check": "aim 1: the float64 gate for any rewrite of autograd or nn/",
+    "validate_graph": "aim 4: violations reported as data, counted by code",
+    "read_mrp_file": "item 4: file IO of MRP records",
+    "write_mrp_file": "item 4: file IO of MRP records",
+    "write_companion": "item 4: file IO of companion blocks",
+    "sentence_entry": "item 4: the AMR entry of a sentence without a graph",
+    "AmrTables.to_lines": "item 4: the AmrTables line format",
+    "AmrTables.from_lines": "item 4: the AmrTables line format",
+    "MultiwordTable.to_lines": "item 4: the MultiwordTable line format",
+    "MultiwordTable.from_lines": "item 4: the MultiwordTable line format",
+}
+
+
+def _definitions(tree):
+    """(qualified name, name, is a method) of every module-level function
+    and class, and of every method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, False
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name, True)
+                        for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def _uses(tree, strings):
+    """(name, bare, enclosing definition names) of every name (bare) and
+    attribute in tree, and, with `strings`, of every part of a dotted string
+    constant."""
+    out = []
+
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name):
+            out.append((node.id, True, inside))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, False, inside))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.extend((part, False, inside) for part in node.value.split("."))
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(tree, frozenset())
+    return out
+
+
+def _parse(paths):
+    return [(p, ast.parse(p.read_text(encoding="utf-8"))) for p in paths]
+
+
+def test_every_public_name_has_a_caller():
+    src = _parse(sorted((ROOT / "src" / "mrparse").rglob("*.py")))
+    bench = _parse(sorted((ROOT / "benchmarks").glob("*.py")))
+    used = {}
+    for trees, strings in ((src, False), (bench, True)):
+        for _, tree in trees:
+            for name, bare, inside in _uses(tree, strings):
+                used.setdefault(name, []).append((bare, inside))
+    unused = []
+    for path, tree in src:
+        for qualified, name, method in _definitions(tree):
+            if name.startswith("_") or qualified in ALLOWED:
+                continue
+            # a use inside the definition of the same name is its own
+            if not any(name not in inside and not (method and bare) for bare, inside in used.get(name, ())):
+                unused.append(f"{path.relative_to(ROOT)}: {qualified}")
+    assert unused == []
+
+
+def test_every_allowed_name_is_still_defined():
+    defined = {name for _, tree in _parse((ROOT / "src" / "mrparse").rglob("*.py"))
+               for name, _, _ in _definitions(tree)}
+    assert sorted(set(ALLOWED) - defined) == []

@@ -5,7 +5,14 @@ hypothesis: most defects show on some small input).
 The record pair `parse_mrp`/`serialize_mrp` is enumerated over input "ab":
 at most two nodes with ids from NODE_IDS, each with an anchor from
 ANCHORS; at most one edge with endpoints from ENDPOINTS; and tops from
-every subset of ENDPOINTS."""
+every subset of ENDPOINTS.
+
+The UCCA pair `ucca_mark_implicit`/`ucca_strip_implicit` is enumerated over
+node labels: None and every string of up to MAX_LABEL characters from
+LABEL_CHARS, each alone and under an unlabeled top. The edge-label pair
+`encode_edge_label`/`decode_edge_label` is enumerated over the labels
+EDGE_LABELS and up to MAX_ATTRIBUTES attributes, each a name from
+ATTRIBUTE_NAMES with a value from ATTRIBUTE_VALUES."""
 
 import itertools
 from collections import Counter
@@ -14,6 +21,8 @@ from test_mrp import reference_serialize
 
 from mrparse import mrp
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
+from mrparse.prep.ucca import (UccaError, decode_edge_label, encode_edge_label, ucca_mark_implicit,
+                               ucca_strip_implicit)
 
 INPUT = "ab"
 NODE_IDS = (0, 1)
@@ -21,6 +30,13 @@ MAX_NODES = 2
 ENDPOINTS = (0, 1, 2)
 ANCHORS = (None, (0, 1), (1, 0), (0, 3), (-1, 1))
 REPORTED_ONLY = ("DuplicateProperty", "SelfLoop")
+
+LABEL_CHARS = "n_1a"
+MAX_LABEL = 5
+EDGE_LABELS = (None, "", "A", "⊕", "=")
+ATTRIBUTE_NAMES = ("", "⊕", "=", "a")
+ATTRIBUTE_VALUES = (True, False, 1, "x")
+MAX_ATTRIBUTES = 2
 
 
 def record_graphs():
@@ -67,3 +83,46 @@ def test_record_pair_round_trips_or_refuses_alike():
             tally[first.code] += 1
     assert tally == {"exact": 177, "AnchorOutOfBounds": 4160, "InvertedAnchor": 2080, "DuplicateNodeId": 1600,
                      "DanglingEdge": 648, "DanglingTop": 215}
+
+
+def ucca_graphs():
+    labels = [None] + ["".join(p) for k in range(MAX_LABEL + 1) for p in itertools.product(LABEL_CHARS, repeat=k)]
+    for label in labels:
+        yield MrpGraph("u", "ucca", "", [0], [MrpNode(0, label)])
+        yield MrpGraph("u", "ucca", "", [0], [MrpNode(0), MrpNode(1, label)], [MrpEdge(0, 1, "A")])
+
+
+def test_ucca_implicit_pair_round_trips():
+    """Neither direction refuses a label, so every case is exact."""
+    count = 0
+    for g in ucca_graphs():
+        marked = ucca_mark_implicit(g)
+        assert all(n.label is not None for n in marked.nodes), g
+        assert ucca_strip_implicit(marked) == g, g
+        count += 1
+    assert count == 2732
+
+
+def strict(pairs):
+    """Attributes compared with their values' types: True == 1 in Python."""
+    return [(name, type(value), value) for name, value in pairs]
+
+
+def test_edge_label_pair_round_trips_or_refuses():
+    """Exact means the label back and the attributes back in the order
+    encode_edge_label writes them, sorted by name."""
+    attributes = list(itertools.product(ATTRIBUTE_NAMES, ATTRIBUTE_VALUES))
+    tally = Counter()
+    for label in EDGE_LABELS:
+        for k in range(MAX_ATTRIBUTES + 1):
+            for attrs in itertools.product(attributes, repeat=k):
+                try:
+                    text = encode_edge_label(label, list(attrs))
+                except UccaError:
+                    tally["UccaError"] += 1
+                    continue
+                back_label, back = decode_edge_label(text)
+                assert (back_label, strict(back)) == (label, strict(sorted(attrs, key=lambda p: p[0]))), \
+                    (label, attrs, text)
+                tally["exact"] += 1
+    assert tally == {"exact": 293, "UccaError": 1072}

@@ -161,6 +161,23 @@ def test_repeated_node_id_errors_instead_of_dropping_a_node():
         visit_order(g)
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda g: g.nodes[1].extras.update(note=1), "node 1 has extras"),
+    (lambda g: g.edges[0].attributes.append(("remote", True)), "edge 0->1 has attributes"),
+    (lambda g: g.edges[0].extras.update(rank=2), "edge 0->1 has extras"),
+    (lambda g: g.edges[0].extras.update(rank=2) or g.nodes[1].extras.update(note=1), "node 1 has extras"),
+], ids=["node extras", "edge attributes", "edge extras", "node first"])
+def test_graph_to_tree_refuses_what_a_tree_cannot_carry(change, message):
+    """Else tree_to_graph gives the graph back without them, and nothing
+    says so. The graph's own extras stay the caller's, as its id does."""
+    g = build([(0, "a"), (1, "b")], [(0, 1, "A")], [0])
+    g.extras["flavor"] = 1
+    graph_to_tree(g)
+    change(g)
+    with pytest.raises(TreeError, match=f"^graph t: {message}, which a tree does not carry$"):
+        graph_to_tree(g)
+
+
 def test_roundtrip_hands_on_the_lists_it_was_given():
     """Anchor pieces given as lists come back as lists, in the very lists
     that were given; a copy position carries no properties."""
@@ -267,7 +284,7 @@ def test_sequence_length_formula():
         for e in g.edges:
             indeg[e.target] += 1
         expected = len(g.nodes) + sum(max(d - 1, 0) for d in indeg.values())
-        assert len(seq) == expected
+        assert len(seq.nodes) == expected
 
 
 def test_dfs_order_deterministic_under_edge_permutation():
