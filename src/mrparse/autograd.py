@@ -381,16 +381,15 @@ def lstm_sequence(X, directions):
 
 # -- numerical gradient checking ------------------------------------------
 
+_GRAD_CHECK_STEP = 1e-5
 
-def grad_check(f, params, step=1e-5, sample=None, rng=None):
+
+def grad_check(f, params):
     """Compare analytic gradients of the scalar `f()` against central
-    differences over `params`.
+    differences of _GRAD_CHECK_STEP at every coordinate of `params`.
 
     `f` must rebuild its computation from the live parameter values each
-    call. With `sample`, only that many coordinates per parameter are
-    probed (chosen by `rng`), which keeps large checks affordable without
-    changing what is being verified. Returns the max relative error
-    |a - n| / max(|a|, |n|, 1e-8).
+    call. Returns the max relative error |a - n| / max(|a|, |n|, 1e-8).
     """
     params = list(params)
     for p in params:
@@ -399,23 +398,16 @@ def grad_check(f, params, step=1e-5, sample=None, rng=None):
     backward(loss)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0
-    if rng is None:
-        rng = np.random.default_rng(0)
     for p, a in zip(params, analytic):
         flat = p.data.reshape(-1)
-        n_entries = flat.size
-        if sample is not None and sample < n_entries:
-            coords = rng.choice(n_entries, size=sample, replace=False)
-        else:
-            coords = range(n_entries)
-        for i in coords:
+        for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + _GRAD_CHECK_STEP
             up = f().item()
-            flat[i] = orig - step
+            flat[i] = orig - _GRAD_CHECK_STEP
             down = f().item()
             flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * _GRAD_CHECK_STEP)
             ana = a.reshape(-1)[i]
             err = abs(ana - numeric) / max(abs(ana), abs(numeric), 1e-8)
             worst = max(worst, err)

@@ -9,27 +9,18 @@ from ..autograd import Tensor
 
 
 class Module:
-    """Holds named parameters and child modules; names are stable so
-    checkpoints and the optimizer see a deterministic layout."""
-
-    def __init__(self):
-        self._params = {}
-        self._children = {}
-
-    def param(self, name, array):
-        t = Tensor(array, requires_grad=True)
-        self._params[name] = t
-        return t
-
-    def child(self, name, module):
-        self._children[name] = module
-        return module
+    """Every `Tensor` attribute is a parameter and every `Module` attribute
+    a child, each named by its attribute: `named_parameters` gives the
+    parameters in name order, then each child's under `name.`."""
 
     def named_parameters(self, prefix=""):
-        for name in sorted(self._params):
-            yield prefix + name, self._params[name]
-        for name in sorted(self._children):
-            yield from self._children[name].named_parameters(prefix + name + ".")
+        attributes = sorted(vars(self).items())
+        for name, value in attributes:
+            if isinstance(value, Tensor):
+                yield prefix + name, value
+        for name, value in attributes:
+            if isinstance(value, Module):
+                yield from value.named_parameters(prefix + name + ".")
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -40,8 +31,7 @@ class Module:
 
 class Embedding(Module):
     def __init__(self, n, dim, rng):
-        super().__init__()
-        self.table = self.param("table", rng.uniform(-0.1, 0.1, size=(n, dim)))
+        self.table = Tensor(rng.uniform(-0.1, 0.1, size=(n, dim)), requires_grad=True)
 
     def __call__(self, indices):
         return ag.take(self.table, np.asarray(indices, dtype=np.intp))
@@ -54,13 +44,12 @@ class LSTMCell(Module):
     back, and `BiLSTM` with both cells of a layer."""
 
     def __init__(self, n_in, n_hidden, rng):
-        super().__init__()
         self.n_hidden = n_hidden
         scale = 1.0 / np.sqrt(n_in + n_hidden)
-        self.w = self.param("w", rng.normal(scale=scale, size=(n_in + n_hidden, 4 * n_hidden)))
+        self.w = Tensor(rng.normal(scale=scale, size=(n_in + n_hidden, 4 * n_hidden)), requires_grad=True)
         b = np.zeros(4 * n_hidden)
         b[n_hidden:2 * n_hidden] = 1.0
-        self.b = self.param("b", b)
+        self.b = Tensor(b, requires_grad=True)
 
     def step(self, x, h, c):
         """x (B, n_in), h/c (B, n_hidden) -> new (h, c), recorded op by op
@@ -88,12 +77,12 @@ class BiLSTM(Module):
     in the same time loop and returns their states side by side."""
 
     def __init__(self, n_in, n_hidden, n_layers, rng):
-        super().__init__()
-        self.n_layers = n_layers
-        self.cells = []
+        self.cells = []  # (forward, backward) per layer, for iteration; named l{k}f, l{k}b
         for layer in range(n_layers):
-            fwd = self.child(f"l{layer}f", LSTMCell(n_in if layer == 0 else 2 * n_hidden, n_hidden, rng))
-            bwd = self.child(f"l{layer}b", LSTMCell(n_in if layer == 0 else 2 * n_hidden, n_hidden, rng))
+            width = n_in if layer == 0 else 2 * n_hidden
+            fwd, bwd = LSTMCell(width, n_hidden, rng), LSTMCell(width, n_hidden, rng)
+            setattr(self, f"l{layer}f", fwd)
+            setattr(self, f"l{layer}b", bwd)
             self.cells.append((fwd, bwd))
 
     def __call__(self, xs):
@@ -113,9 +102,8 @@ class CharEncoder(Module):
     needs no mask."""
 
     def __init__(self, n_chars, char_dim, n_hidden, rng):
-        super().__init__()
-        self.emb = self.child("emb", Embedding(n_chars, char_dim, rng))
-        self.cell = self.child("cell", LSTMCell(char_dim, n_hidden, rng))
+        self.emb = Embedding(n_chars, char_dim, rng)
+        self.cell = LSTMCell(char_dim, n_hidden, rng)
 
     def __call__(self, words):
         """words: one list of character indices per word -> (n_words,

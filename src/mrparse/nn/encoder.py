@@ -55,25 +55,23 @@ def build_token_vocabs(sentences):
 
 class SentenceEncoder(Module):
     def __init__(self, cfg: EncoderConfig, vocabs, rng):
-        super().__init__()
         self.cfg = cfg
         self.vocabs = vocabs
-        self.word_emb = self.child("word", Embedding(len(vocabs["word"]), cfg.word_dim, rng))
-        self.pos_emb = self.child("pos", Embedding(len(vocabs["xpos"]), cfg.pos_dim, rng))
-        self.lemma_emb = self.child("lemma", Embedding(len(vocabs["lemma"]), cfg.lemma_dim, rng))
-        self.ner_emb = self.child("ner", Embedding(len(vocabs["ner"]), cfg.ner_dim, rng))
-        self.char_enc = self.child("char", CharEncoder(len(vocabs["char"]), cfg.char_dim,
-                                                       cfg.char_hidden, rng))
-        self.bilstm = self.child("bilstm", BiLSTM(cfg.input_width, cfg.hidden, cfg.layers, rng))
+        self.word = Embedding(len(vocabs["word"]), cfg.word_dim, rng)
+        self.pos = Embedding(len(vocabs["xpos"]), cfg.pos_dim, rng)
+        self.lemma = Embedding(len(vocabs["lemma"]), cfg.lemma_dim, rng)
+        self.ner = Embedding(len(vocabs["ner"]), cfg.ner_dim, rng)
+        self.char = CharEncoder(len(vocabs["char"]), cfg.char_dim, cfg.char_hidden, rng)
+        self.bilstm = BiLSTM(cfg.input_width, cfg.hidden, cfg.layers, rng)
 
     def embed_sentence(self, sent):
         """Token representations (n, input_width)."""
         v = self.vocabs
-        words = self.word_emb([v["word"].index(t.form.lower()) for t in sent.tokens])
-        pos = self.pos_emb([v["xpos"].index(t.xpos) for t in sent.tokens])
-        lemmas = self.lemma_emb([v["lemma"].index(t.lemma.lower()) for t in sent.tokens])
-        ner = self.ner_emb([v["ner"].index(tag) for tag in sent.ner_tags])
-        chars = self.char_enc([[v["char"].index(ch) for ch in t.form] for t in sent.tokens])
+        words = self.word([v["word"].index(t.form.lower()) for t in sent.tokens])
+        pos = self.pos([v["xpos"].index(t.xpos) for t in sent.tokens])
+        lemmas = self.lemma([v["lemma"].index(t.lemma.lower()) for t in sent.tokens])
+        ner = self.ner([v["ner"].index(tag) for tag in sent.ner_tags])
+        chars = self.char([[v["char"].index(ch) for ch in t.form] for t in sent.tokens])
         return ag.concat([words, pos, lemmas, chars, ner], axis=1)
 
     def encode(self, sent):

@@ -1,8 +1,8 @@
 """Character-anchor / token-span conversion.
 
-Node anchors are assumed contiguous: the (possibly multi-span) character
-range collapses to one covering token run. Anchors that cut through a
-token are snapped outward to whole tokens and reported back to the caller.
+Each anchor piece maps to its own covering token run, so a node anchored
+on several pieces keeps them apart. Pieces that cut through a token are
+snapped outward to whole tokens and reported back to the caller.
 
 The covering run is found by bisection on the tokens' start and end
 offsets, not by a scan over the tokens. That needs both offset lists to be
@@ -37,25 +37,28 @@ def covering_run(starts, ends, lo, hi):
 
 
 def anchors_to_spans(g: MrpGraph, sent) -> tuple:
-    """Replace character anchors with token-index spans (stored as a single
-    (start_token, end_token) anchor pair, end inclusive). The span covers
-    every token overlapping the node's range [lo, hi); a node whose range
-    does not start and end on its span's token boundaries is flagged as
-    snapped. A node without anchors, or with an empty anchor list, keeps
-    them as they are. Returns (graph, flagged node ids)."""
+    """Replace each character anchor piece [lo, hi) with the token-index
+    span (start_token, end_token), end inclusive, of every token
+    overlapping it. A node with a piece that does not start and end on its
+    span's token boundaries is flagged as snapped. A node without anchors,
+    or with an empty anchor list, keeps them as they are. Returns (graph,
+    flagged node ids)."""
     starts = [t.start for t in sent.tokens]
     ends = [t.end for t in sent.tokens]
     flagged = []
     nodes = []
     for n in g.nodes:
         if n.anchors:
-            lo, hi = _range(n.anchors)
-            s, e, exact = covering_run(starts, ends, lo, hi)
-            if s > e:
-                raise AnchorError(f"graph {g.id}: node {n.id}: character range ({lo},{hi}) covers no token")
-            if not exact:
+            spans, snapped = [], False
+            for lo, hi in n.anchors:
+                s, e, exact = covering_run(starts, ends, lo, hi)
+                if s > e:
+                    raise AnchorError(f"graph {g.id}: node {n.id}: character range ({lo},{hi}) covers no token")
+                spans.append((s, e))
+                snapped |= not exact
+            if snapped:
                 flagged.append(n.id)
-            n = MrpNode(n.id, n.label, n.properties, [(s, e)], n.extras)
+            n = MrpNode(n.id, n.label, n.properties, spans, n.extras)
         nodes.append(n)
     return g.derive(nodes), flagged
 

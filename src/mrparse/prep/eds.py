@@ -85,7 +85,8 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
             pieces = list(b.anchors) + list(c.anchors)
             if not pieces or _norm_anchors(a.anchors) != (_range(pieces),):
                 continue
-            src, esrc, tgt, etgt = _pick_direction(b, eb, c, ec)
+            # the end with the smaller (edge label, node id) is the source: ARG1 before ARG2
+            (src, esrc), (tgt, etgt) = sorted(ends, key=lambda end: (end[1].label or "", end[0].id))
             payload = json.dumps([a.label, esrc.label, _side(esrc, a), etgt.label, _side(etgt, a)])
             reduced_edges.append(MrpEdge(src.id, tgt.id, REDUCED + payload))
         dead.add(id(a))
@@ -113,19 +114,6 @@ def _adjacency(g):
         adj[e.source].append(e)
         adj[e.target].append(e)
     return adj
-
-
-def _pick_direction(b, eb, c, ec):
-    """ARG1 endpoint is the source and ARG2 the target; otherwise the
-    lexicographically smaller edge label wins the source slot."""
-    lb, lc = eb.label or "", ec.label or ""
-    if lb == "ARG2" and lc == "ARG1":
-        return c, ec, b, eb
-    if lb == "ARG1" and lc == "ARG2":
-        return b, eb, c, ec
-    if (lb, b.id) <= (lc, c.id):
-        return b, eb, c, ec
-    return c, ec, b, eb
 
 
 def eds_restore(g: MrpGraph) -> MrpGraph:
@@ -228,10 +216,9 @@ class MultiwordTable:
 
 def build_multiword_table(corpus) -> MultiwordTable:
     """corpus: (graph, companion) pairs. A phrase occurrence counts as
-    single-node when some node's anchor covers exactly that token window
-    (the window anchors_to_spans gives it, unsnapped) and no other node's
-    window lies strictly inside it (a compound over two names is not a
-    phrase)."""
+    single-node when some node's anchor range covers exactly that token
+    window (its covering run, unsnapped) and no other node's window lies
+    strictly inside it (a compound over two names is not a phrase)."""
     single = {}
     for g, sent in corpus:
         starts = [t.start for t in sent.tokens]

@@ -20,9 +20,12 @@ class UccaError(ValueError):
 
 
 def ucca_mark_implicit(g: MrpGraph) -> MrpGraph:
-    """Give every unlabeled node a positional name n_i, i counted in node
-    sequence order. Genuine labels already shaped like n_3 get an extra
-    underscore so the namespace stays reserved."""
+    """Give every unlabeled node a positional name n_i, i counted in the
+    order visit_order first reaches it in `g`, unnamed. When every node is
+    unlabeled, as in UCCA, that is also the marked graph's node sequence
+    order; otherwise the new names sort among the labels and may not be.
+    Genuine labels already shaped like n_3 get an extra underscore so the
+    namespace stays reserved."""
     first, steps = visit_order(g)
     number = {}
     for pos in first.values():

@@ -278,10 +278,11 @@ def test_sentence_encoder_matches_one_tape_run_per_word_and_direction(monkeypatc
     fused = [p.grad.copy() for p in params]
     for p in params:
         p.zero_grad()
-    monkeypatch.setattr(enc, "char_enc", _Tape(_tape_chars, enc.char_enc))
+    named = list(enc.named_parameters())  # before the stand-ins, which are no Module
+    monkeypatch.setattr(enc, "char", _Tape(_tape_chars, enc.char))
     monkeypatch.setattr(enc, "bilstm", _Tape(_tape_bilstm, enc.bilstm))
     ref, _ = enc.encode(sent)
     np.testing.assert_allclose(r.data, ref.data, rtol=0, atol=1e-12)
     ag.backward(ag.tsum(ag.mul(ref, mix)))
-    for (name, p), g in zip(enc.named_parameters(), fused):
+    for (name, p), g in zip(named, fused):
         np.testing.assert_allclose(g, p.grad, rtol=0, atol=1e-12, err_msg=name)

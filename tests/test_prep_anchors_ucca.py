@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -11,6 +12,7 @@ from mrparse.prep import (AnchorError, anchors_to_spans, decode_edge_label,
                           spans_to_anchors, ucca_mark_implicit, ucca_strip_implicit)
 from mrparse.prep.anchors import _range, covering_run
 from mrparse.prep.ucca import UccaError
+from mrparse.treeify import graph_to_tree
 
 
 def sent(*forms):
@@ -74,6 +76,18 @@ class TestAnchors:
         with pytest.raises(AnchorError, match=r"^graph 9: node 4: token span \(0,1\) outside sentence of 1 tokens$"):
             spans_to_anchors(g, sent("ab"))
 
+    @pytest.mark.parametrize("pieces, spans", [
+        ([(0, 2), (6, 8)], [(0, 0), (2, 2)]),
+        ([(0, 2), (3, 5)], [(0, 0), (1, 1)]),
+        ([(6, 8), (0, 2)], [(2, 2), (0, 0)]),
+    ])
+    def test_each_anchor_piece_maps_to_its_own_span_and_back(self, pieces, spans):
+        s = sent("ab", "cd", "ef")
+        g = MrpGraph(id="1", framework="ucca", input=s.text(), nodes=[MrpNode(0, None, anchors=pieces)])
+        out, flagged = anchors_to_spans(g, s)
+        assert out.nodes[0].anchors == spans and flagged == []
+        assert spans_to_anchors(out, s).nodes[0].anchors == pieces
+
     def test_empty_anchor_list_passes_through(self):
         g = MrpGraph(id="1", framework="eds", input="hi",
                      nodes=[MrpNode(0, "x", anchors=[]), MrpNode(1, "y", anchors=[(0, 2)])])
@@ -126,10 +140,9 @@ def test_anchors_to_spans_matches_linear_scan(case):
             if not n.anchors:
                 want.append(n.anchors)
                 continue
-            span, snapped = char_range_to_span(min(f for f, _ in n.anchors),
-                                               max(t for _, t in n.anchors), s.tokens)
-            want.append([span])
-            if snapped:
+            runs = [char_range_to_span(lo, hi, s.tokens) for lo, hi in n.anchors]
+            want.append([span for span, _ in runs])
+            if any(snapped for _, snapped in runs):
                 want_flagged.append(n.id)
     except AnchorError as e:
         with pytest.raises(AnchorError, match=re.escape(str(e))):
@@ -235,6 +248,30 @@ class TestImplicitLabels:
         assert labels[0] == "n__3"
         assert labels[1] == "n_0"
         assert ucca_strip_implicit(marked) == g
+
+
+def test_numbers_follow_the_walk_of_the_unmarked_graph():
+    # x -> {1, a -> 3}: unmarked, 1 (None) sorts before a, so 1 is n_0 and 3 is n_1;
+    # marked, a sorts before n_0, so the sequence meets n_1 first
+    g = ucca_graph(["x", None, "a", None], edges=[(0, 1, "A"), (0, 2, "A"), (2, 3, "A")])
+    assert [n.label for n in graph_to_tree(ucca_mark_implicit(g)).nodes] == ["x", "a", "n_1", "n_0"]
+
+
+def test_unlabeled_nodes_are_numbered_in_node_sequence_order():
+    """With every node unlabeled, as in UCCA, n_i is the i-th node the
+    marked graph's sequence meets. Random rooted graphs with ids out of
+    order, reentrancies and cycles."""
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        ids = rng.sample(range(2 * n), n)
+        edges = [(ids[rng.randrange(k)], ids[k], "A") for k in range(1, n)]  # every node reachable
+        edges += [(rng.choice(ids), rng.choice(ids), "B") for _ in range(rng.randint(0, n))]
+        rng.shuffle(edges)
+        g = MrpGraph(id="u", framework="ucca", input="", tops=[ids[0]] + rng.sample(ids[1:], rng.randint(0, n - 1)),
+                     nodes=[MrpNode(i, None) for i in ids], edges=[MrpEdge(s, t, lab) for s, t, lab in edges])
+        labels = [sn.label for sn in graph_to_tree(ucca_mark_implicit(g)).nodes]
+        assert list(dict.fromkeys(labels)) == [f"n_{i}" for i in range(n)], g
 
 
 @st.composite

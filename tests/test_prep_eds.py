@@ -11,8 +11,7 @@ from mrparse.prep import (MultiwordTable, anchors_to_spans, apply_multiword,
                           build_multiword_table, eds_exchange_properties, eds_reduce,
                           eds_restore, spans_to_anchors)
 from mrparse.prep.anchors import _range
-from mrparse.prep.eds import (REDUCED, EdsError, _adjacency,
-                              _is_surface_mapped, _norm_anchors, _pick_direction)
+from mrparse.prep.eds import REDUCED, EdsError, _adjacency, _is_surface_mapped, _norm_anchors
 
 
 def graph(text, nodes, edges, tops):
@@ -294,7 +293,9 @@ def test_multiword_malformed_line_names_class_and_line(lines, want):
 # -- property tests ---------------------------------------------------------
 
 # The fixpoint algorithm eds_reduce replaced, kept verbatim as the reference:
-# it restarts the scan after every fold or edge reduction.
+# it restarts the scan after every fold or edge reduction. `_pick_direction`
+# is the rule-2 direction it used, which eds_reduce now reads off the order
+# of (edge label, node id).
 
 
 def fixpoint_reduce(g: MrpGraph) -> MrpGraph:
@@ -365,6 +366,19 @@ def _edge_once(g):
         g.nodes.remove(a)
         return True
     return False
+
+
+def _pick_direction(b, eb, c, ec):
+    """ARG1 endpoint is the source and ARG2 the target; otherwise the
+    lexicographically smaller edge label wins the source slot."""
+    lb, lc = eb.label or "", ec.label or ""
+    if lb == "ARG2" and lc == "ARG1":
+        return c, ec, b, eb
+    if lb == "ARG1" and lc == "ARG2":
+        return b, eb, c, ec
+    if (lb, b.id) <= (lc, c.id):
+        return b, eb, c, ec
+    return c, ec, b, eb
 
 
 WORDS = ("aa", "bb", "cc", "dog", "dogs")

@@ -8,6 +8,12 @@ dotted string (`benchmarks/tracing.py` looks spans up as
 so a local variable of the same name is no use of it. Names in `__all__`
 and imports do not count. The exceptions below are kept on purpose, each
 for the ROADMAP aim or item named with it.
+
+Every defaulted parameter of a public function, method or constructor is
+passed by some call in `src/`, `benchmarks/` or `tests/`: by keyword, by
+position, or through `*` or `**`. Calls are matched by name, as above: a
+call of `f` or `x.f` counts for every `f`, and a call of `C` for the
+constructor of class `C`.
 """
 
 import ast
@@ -89,3 +95,46 @@ def test_every_allowed_name_is_still_defined():
     defined = {name for _, tree in _parse((ROOT / "src" / "mrparse").rglob("*.py"))
                for name, _, _ in _definitions(tree)}
     assert sorted(set(ALLOWED) - defined) == []
+
+
+def _defaulted(tree):
+    """(qualified name, called name, parameter, its position among the
+    arguments a call passes, or None when keyword-only) of every defaulted
+    parameter of a public module-level function, and of a public method or
+    the constructor of a public module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from ((node.name, node.name, *p) for p in _parameters(node, 0))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (item.name == "__init__" or item.name[0] != "_"):
+                    called = node.name if item.name == "__init__" else item.name
+                    yield from ((f"{node.name}.{item.name}", called, *p) for p in _parameters(item, 1))
+
+
+def _parameters(fn, skip):
+    """(name, position) of fn's defaulted parameters, positions counted
+    after the first `skip` parameters (a method's self or cls)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    yield from ((a.arg, k - skip) for k, a in enumerate(positional) if k >= first)
+    yield from ((a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    files = [ROOT / "src" / "mrparse", ROOT / "benchmarks", ROOT / "tests"]
+    calls = {}  # called name -> (positional count, keywords, has *, has **) per call
+    for _, tree in _parse(sorted(p for d in files for p in d.rglob("*.py"))):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append((
+                    len(node.args), {k.arg for k in node.keywords},
+                    any(isinstance(a, ast.Starred) for a in node.args), any(k.arg is None for k in node.keywords)))
+    never = []
+    for path, tree in _parse(sorted((ROOT / "src" / "mrparse").rglob("*.py"))):
+        for qualified, called, param, position in _defaulted(tree):
+            if not any(param in keywords or double or (position is not None and (star or position < n))
+                       for n, keywords, star, double in calls.get(called, ())):
+                never.append(f"{path.relative_to(ROOT)}: {qualified}({param})")
+    assert never == []

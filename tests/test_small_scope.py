@@ -12,17 +12,32 @@ node labels: None and every string of up to MAX_LABEL characters from
 LABEL_CHARS, each alone and under an unlabeled top. The edge-label pair
 `encode_edge_label`/`decode_edge_label` is enumerated over the labels
 EDGE_LABELS and up to MAX_ATTRIBUTES attributes, each a name from
-ATTRIBUTE_NAMES with a value from ATTRIBUTE_VALUES."""
+ATTRIBUTE_NAMES with a value from ATTRIBUTE_VALUES.
+
+The treeify pair `graph_to_tree`/`tree_to_graph` is enumerated over every
+graph of 1 to MAX_TREE_NODES nodes with labels from TREE_LABELS, any set of
+TREE_EDGE_LABEL edges (self-loops included) and every non-empty top set,
+with node ids kept and with them cleared.
+
+The anchor pair `anchors_to_spans`/`spans_to_anchors` is enumerated over
+every sentence of up to MAX_TOKENS tokens of width >= 1 laid out over
+TEXT_LENGTH characters, and every anchor on it of one piece (lo, hi) with
+0 <= lo < hi <= TEXT_LENGTH, or of two such pieces in order that do not
+overlap."""
 
 import itertools
 from collections import Counter
 
 from test_mrp import reference_serialize
+from test_treeify import clear_node_ids
 
 from mrparse import mrp
+from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
+from mrparse.prep.anchors import AnchorError, anchors_to_spans, spans_to_anchors
 from mrparse.prep.ucca import (UccaError, decode_edge_label, encode_edge_label, ucca_mark_implicit,
                                ucca_strip_implicit)
+from mrparse.treeify import TreeError, graph_to_tree, tree_to_graph
 
 INPUT = "ab"
 NODE_IDS = (0, 1)
@@ -37,6 +52,13 @@ EDGE_LABELS = (None, "", "A", "⊕", "=")
 ATTRIBUTE_NAMES = ("", "⊕", "=", "a")
 ATTRIBUTE_VALUES = (True, False, 1, "x")
 MAX_ATTRIBUTES = 2
+
+MAX_TREE_NODES = 3
+TREE_LABELS = ("a", "b")
+TREE_EDGE_LABEL = "L"
+
+MAX_TOKENS = 3
+TEXT_LENGTH = 7
 
 
 def record_graphs():
@@ -126,3 +148,100 @@ def test_edge_label_pair_round_trips_or_refuses():
                     (label, attrs, text)
                 tally["exact"] += 1
     assert tally == {"exact": 293, "UccaError": 1072}
+
+
+def tree_graphs():
+    for k in range(1, MAX_TREE_NODES + 1):
+        pairs = list(itertools.product(range(k), repeat=2))
+        top_sets = [list(c) for r in range(1, k + 1) for c in itertools.combinations(range(k), r)]
+        for labels in itertools.product(TREE_LABELS, repeat=k):
+            nodes = [MrpNode(i, label) for i, label in enumerate(labels)]
+            for edge_set in itertools.product((False, True), repeat=len(pairs)):
+                edges = [MrpEdge(s, t, TREE_EDGE_LABEL) for (s, t), on in zip(pairs, edge_set) if on]
+                for tops in top_sets:
+                    yield MrpGraph("t", "amr", "", tops, nodes, edges)
+
+
+def shape(g, rename=None):
+    """Nodes, edges and tops of g as sorted lists, with ids renamed."""
+    r = rename or {n.id: n.id for n in g.nodes}
+    return (sorted((r[n.id], n.label) for n in g.nodes), sorted((r[e.source], r[e.target], e.label) for e in g.edges),
+            sorted(r[t] for t in g.tops))
+
+
+def test_treeify_pair_round_trips_or_refuses():
+    """Exact with node ids kept; with them cleared, exact up to the ids."""
+    tally = Counter()
+    for g in tree_graphs():
+        try:
+            seq = graph_to_tree(g)
+        except TreeError as e:
+            assert str(e).startswith("graph t: "), (g, e)
+            tally["TreeError"] += 1
+            continue
+        want = shape(g)
+        assert shape(tree_to_graph(seq)) == want, g
+        # cleared, tree_to_graph numbers the nodes in the order of their first positions
+        first = [n.node_id for t, n in enumerate(seq.nodes) if n.idx == t]
+        assert shape(tree_to_graph(clear_node_ids(seq)), dict(enumerate(first))) == want, g
+        tally["exact"] += 1
+    assert tally == {"exact": 19588, "TreeError": 9280}
+
+
+def token_layouts(start=0, k=MAX_TOKENS):
+    """Every list of up to k (start, end) token extents of width >= 1 in
+    [start, TEXT_LENGTH], in order, apart or touching."""
+    yield []
+    if k:
+        for s in range(start, TEXT_LENGTH):
+            for e in range(s + 1, TEXT_LENGTH + 1):
+                for rest in token_layouts(e, k - 1):
+                    yield [(s, e)] + rest
+
+
+def covering(piece, extents):
+    """Reference: the (first, last) tokens overlapping the piece [lo, hi)
+    by a scan, and whether they start at lo and end at hi; None if no
+    token overlaps."""
+    lo, hi = piece
+    over = [i for i, (s, e) in enumerate(extents) if e > lo and s < hi]
+    if not over:
+        return None
+    return (over[0], over[-1]), extents[over[0]][0] == lo and extents[over[-1]][1] == hi
+
+
+def test_anchor_pair_round_trips_snaps_or_refuses():
+    """Each piece maps to the token run it overlaps: exact when every piece
+    is a run's extent; else the runs' extents back, with the node flagged;
+    AnchorError naming the first piece that overlaps no token. The
+    mappable anchors of a layout run as the nodes of one graph."""
+    pieces = [(lo, hi) for lo in range(TEXT_LENGTH) for hi in range(lo + 1, TEXT_LENGTH + 1)]
+    anchors = [[p] for p in pieces] + [[p, q] for p, q in itertools.product(pieces, repeat=2) if p[1] <= q[0]]
+    tally = Counter()
+    for extents in token_layouts():
+        sent = CompanionSentence([Token("x" * (e - s), "x", "X", s, e) for s, e in extents])
+        runs = {p: covering(p, extents) for p in pieces}
+        mapped = []
+        for a in anchors:
+            missing = [p for p in a if runs[p] is None]
+            if not missing:
+                mapped.append(a)
+                continue
+            try:
+                anchors_to_spans(MrpGraph("c", "ucca", "x" * TEXT_LENGTH, [], [MrpNode(0, None, [], a)]), sent)
+            except AnchorError as e:
+                assert str(e) == "graph c: node 0: character range ({},{}) covers no token".format(*missing[0])
+            else:
+                raise AssertionError(f"{a} on {extents}: no AnchorError")
+            tally["AnchorError"] += 1
+        g = MrpGraph("c", "ucca", "x" * TEXT_LENGTH, [], [MrpNode(i, None, [], a) for i, a in enumerate(mapped)])
+        spans, flagged = anchors_to_spans(g, sent)
+        assert [n.anchors for n in spans.nodes] == [[runs[p][0] for p in a] for a in mapped], extents
+        snapped = [i for i, a in enumerate(mapped) if not all(runs[p][1] for p in a)]
+        assert flagged == snapped, extents
+        extent = {p: (extents[run[0][0]][0], extents[run[0][1]][1]) for p, run in runs.items() if run}
+        back = spans_to_anchors(spans, sent)
+        assert [n.anchors for n in back.nodes] == [[extent[p] for p in a] for a in mapped], extents
+        tally["snapped"] += len(snapped)
+        tally["exact"] += len(mapped) - len(snapped)
+    assert tally == {"exact": 2842, "snapped": 31920, "AnchorError": 21448}
