@@ -101,6 +101,9 @@ def _side(e, a):
     return "out" if e.source == a.id else "in"
 
 
+_SIDES = ("out", "in")  # the values _side writes, the only ones _attach reads
+
+
 def _attach(a, b, label, side):
     """The edge between restored node a and neighbour b that _side read."""
     return MrpEdge(a.id, b.id, label) if side == "out" else MrpEdge(b.id, a.id, label)
@@ -129,8 +132,11 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
             continue
         try:
             label, lab_src, side_src, lab_tgt, side_tgt = json.loads(e.label[len(REDUCED):])
+            known = side_src in _SIDES and side_tgt in _SIDES
         except (ValueError, TypeError):
-            raise EdsError(f"graph {g.id}: unrecognized reduced edge label {e.label!r}") from None
+            known = False
+        if not known:
+            raise EdsError(f"graph {g.id}: unrecognized reduced edge label {e.label!r}")
         b, c = by_id.get(e.source), by_id.get(e.target)
         if b is None or c is None:
             raise EdsError(f"graph {g.id}: reduced edge {e.source} -> {e.target} names a missing node")
@@ -152,9 +158,11 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
         for name, value in folded:
             try:
                 label, edge_label, side = json.loads(value)
+                known = side in _SIDES
             except (ValueError, TypeError):
-                raise EdsError(
-                    f"graph {g.id}: unrecognized reduced property {name}={value!r} on node {b.id}") from None
+                known = False
+            if not known:
+                raise EdsError(f"graph {g.id}: unrecognized reduced property {name}={value!r} on node {b.id}")
             a = MrpNode(next(new_ids), label=label,
                         anchors=sorted(b.anchors) if b.anchors is not None else None)
             nodes.append(a)

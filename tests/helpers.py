@@ -1,0 +1,59 @@
+"""What several test modules build or compare with: companion sentences,
+the linear-scan covering run of a character range, and graph equality up
+to node ids, with networkx as an independent oracle."""
+
+import networkx as nx
+
+from mrparse.companion import CompanionSentence, Token
+
+
+def _words(x):
+    """A list as given; a string split on single spaces, none when empty."""
+    if isinstance(x, str):
+        return x.split(" ") if x else []
+    return list(x)
+
+
+def sentence(forms, lemmas=None, tags=()):
+    """A companion sentence with one token per form, the tokens one space
+    apart from offset 0. Forms, lemmas and NER tags are lists or
+    space-separated strings; lemmas default to the lowercased forms, tags
+    to all 'O'."""
+    forms = _words(forms)
+    lemmas = [f.lower() for f in forms] if lemmas is None else _words(lemmas)
+    toks, pos = [], 0
+    for form, lemma in zip(forms, lemmas, strict=True):
+        toks.append(Token(form, lemma, "XX", pos, pos + len(form)))
+        pos += len(form) + 1
+    return CompanionSentence(tokens=toks, ner_tags=_words(tags))
+
+
+def covering(piece, extents):
+    """Reference: the linear scan that `anchors_to_spans` replaced. The
+    (first, last) tokens overlapping the piece [lo, hi), an empty piece
+    counting as [lo, lo + 1), and whether they start at lo and end at hi;
+    None if no token overlaps. `extents` are the tokens' (start, end)."""
+    lo, hi = piece
+    over = [i for i, (s, e) in enumerate(extents) if e > lo and s < max(hi, lo + 1)]
+    if not over:
+        return None
+    return (over[0], over[-1]), extents[over[0]][0] == lo and extents[over[-1]][1] == hi
+
+
+def _nx(g):
+    G = nx.MultiDiGraph()
+    for n in g.nodes:
+        G.add_node(n.id, key=(n.label, sorted(map(tuple, n.anchors or ())), tuple(n.properties),
+                              g.tops.count(n.id)))
+    for e in g.edges:
+        G.add_edge(e.source, e.target, key=(e.label, tuple(map(tuple, e.attributes))))
+    return G
+
+
+def same_up_to_ids(g1, g2):
+    """Whether g1 and g2 are one graph up to node ids. A node is its label,
+    its anchor pieces sorted, its properties as given and how often it is a
+    top; an edge is its label and attributes."""
+    match = nx.algorithms.isomorphism
+    return nx.is_isomorphic(_nx(g1), _nx(g2), node_match=match.categorical_node_match("key", None),
+                            edge_match=match.categorical_multiedge_match("key", None))

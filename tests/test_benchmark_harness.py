@@ -1,57 +1,53 @@
 """The benchmark's traced encoder run still finds every name it wraps:
 a short `--trace 1` run of `encode_train` passes its checks and reports
 every per-layer metric that BENCHMARK.json declares. And the benchmark's
-self-test still finds that each output check behaves."""
+self-test still finds that each output check behaves. Both run in this
+process, on the session's shared seed-1 workloads (see conftest.py)."""
 
+import copy
 import json
-import subprocess
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_encode_train_reports_every_per_layer_metric():
-    out = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "encode_train", "--seed", "1",
-         "--seconds", "0.3", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
-    assert result["correct"] and result["failed"] == 0, out.stderr
-    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+def test_traced_encode_train_reports_every_per_layer_metric(bench, encode_train, monkeypatch, capsys):
+    monkeypatch.setitem(bench.WORKLOADS, "encode_train", lambda seed: copy.copy(encode_train))
+    assert bench.main(["--workload", "encode_train", "--seed", "1", "--seconds", "0.3", "--trace", "1"]) == 0
+    out = capsys.readouterr()
+    result = json.loads(out.out.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, out.err
+    declared = [m["name"] for m in json.loads((bench.HERE.parent / "BENCHMARK.json").read_text())["per_layer"]]
     assert [name for name in declared if name not in result["metrics"]] == []
 
 
-def test_selftest_finds_every_check_behaving():
+def test_selftest_finds_every_check_behaving(bench, prep_roundtrip, encode_train, monkeypatch, capsys):
     """`benchmarks/selftest.py` feeds each output check a good and a spoiled
-    output, and exits 0 only when every check accepts and rejects them."""
-    out = subprocess.run([sys.executable, "benchmarks/selftest.py"],
-                         cwd=ROOT, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stdout + out.stderr
-    assert "every check behaves" in out.stdout
+    output, and every check accepts and rejects them."""
+    import selftest
+    monkeypatch.setattr(selftest, "FAILURES", [])
+    monkeypatch.setattr(bench, "PrepRoundtrip", lambda seed: prep_roundtrip[0])
+    monkeypatch.setattr(bench, "EncodeTrain", lambda seed: copy.copy(encode_train))
+    selftest.graph_cases()
+    selftest.encoder_cases()
+    assert selftest.FAILURES == [], capsys.readouterr().out
 
 
-def test_graph_spans_trace_one_sentence_per_framework(monkeypatch):
+def test_graph_spans_trace_one_sentence_per_framework(bench, prep_roundtrip):
     """The graph spans of `benchmarks/tracing.py`, installed in this process,
     each record a call over one generated sentence per framework, and
     uninstalling restores every wrapped original. The chain itself makes no
     `MrpGraph.copy` call, since transforms share records with their input;
     one direct `copy()` shows that the slotted method is wrapped."""
-    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
-    import run
     import tracing
     from mrparse.mrp import MrpGraph
 
-    monkeypatch.setattr(run.gen, "PREP_TRAIN", 4)
-    monkeypatch.setattr(run.gen, "PREP_TIMED", 3)
-    w = run.PrepRoundtrip(1)
-    state = w.setup()
-    copy = MrpGraph.copy
+    shared, state = prep_roundtrip
+    w = copy.copy(shared)
+    w.items = [next(it for it in shared.items if it.framework == fw) for fw in ("amr", "eds", "ucca")]
+    unwrapped = MrpGraph.copy
     tracer = tracing.Tracer()
     tracer.install(tracing.GRAPH_SPANS)
     wrapped = list(tracer._undo)
     try:
-        assert MrpGraph.copy is not copy
+        assert MrpGraph.copy is not unwrapped
         results = [w.roundtrip(it, *state) for it in w.items]
         assert tracer.calls["mrp.MrpGraph.copy"] == 0
         MrpGraph("g", "amr").copy()
@@ -60,6 +56,6 @@ def test_graph_spans_trace_one_sentence_per_framework(monkeypatch):
         tracer.uninstall()
     assert sorted(it.framework for it in w.items) == ["amr", "eds", "ucca"]
     assert [name for _, _, name in tracing.GRAPH_SPANS if tracer.calls[name] == 0] == []
-    assert MrpGraph.copy is copy
+    assert MrpGraph.copy is unwrapped
     assert [(owner, attr) for owner, attr, original in wrapped if getattr(owner, attr) is not original] == []
     assert w.check(results) == [[], [], []]

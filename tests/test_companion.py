@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import sentence
+
 from mrparse import companion as comp
 from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpGraph
@@ -70,30 +72,21 @@ def test_ner_sidecar():
     assert lines == [["O", "PER"], ["O", "O", "O"]]
 
 
-def _sent(pairs, tags=None):
-    toks = []
-    pos = 0
-    for form, lemma in pairs:
-        toks.append(Token(form, lemma, "XX", pos, pos + len(form)))
-        pos += len(form) + 1
-    return CompanionSentence(tokens=toks, ner_tags=tags or [])
-
-
 class TestAlignCompanion:
     def test_identity_when_consistent(self):
-        s = _sent([("Dogs", "dog"), ("bark", "bark")])
+        s = sentence("Dogs bark", "dog bark")
         g = MrpGraph(id="1", framework="dm", input="Dogs bark")
         out = comp.align_companion(g, s)
         assert out.forms == ["Dogs", "bark"]
         assert [(t.start, t.end) for t in out.tokens] == [(0, 4), (5, 9)]
 
     def test_matching_tokens_are_returned_themselves(self):
-        s = _sent([("Dogs", "dog"), ("bark", "bark")])
+        s = sentence("Dogs bark", "dog bark")
         out = comp.align_companion(MrpGraph(id="1", framework="dm", input="Dogs bark"), s)
         assert len(out.tokens) == 2 and all(a is b for a, b in zip(out.tokens, s.tokens))
 
     def test_drifted_and_moved_tokens_are_new(self):
-        s = _sent([("we", "we"), ("gonna", "go"), ("leave", "leave")])
+        s = sentence("we gonna leave", "we go leave")
         g = MrpGraph(id="1", framework="dm", input="we gon na leave")
         out = comp.align_companion(g, s)
         assert out.forms == ["we", "gon", "na", "leave"]
@@ -102,7 +95,7 @@ class TestAlignCompanion:
 
     def test_contraction_tokens_kept_offsets_mapped(self):
         # companion splits "don't" while the input spells it solid
-        s = _sent([("do", "do"), ("n't", "not"), ("go", "go")])
+        s = sentence("do n't go", "do not go")
         g = MrpGraph(id="1", framework="dm", input="don't go")
         out = comp.align_companion(g, s)
         assert out.forms == ["do", "n't", "go"]
@@ -111,7 +104,7 @@ class TestAlignCompanion:
 
     def test_resplit_from_input(self):
         # companion merged what the input spells as two tokens
-        s = _sent([("don't", "do"), ("go", "go")])
+        s = sentence("don't go", "do go")
         g = MrpGraph(id="1", framework="dm", input="do n't go")
         out = comp.align_companion(g, s)
         assert out.forms == ["do", "n't", "go"]
@@ -119,14 +112,14 @@ class TestAlignCompanion:
         assert out.tokens[0].lemma == "do"
 
     def test_solid_compound_consumed_without_gap(self):
-        s = _sent([("New", "New"), ("York", "York"), ("won", "win")])
+        s = sentence("New York won", "New York win")
         g = MrpGraph(id="1", framework="dm", input="NewYork won")
         out = comp.align_companion(g, s)
         assert out.forms == ["New", "York", "won"]
         assert [(t.start, t.end) for t in out.tokens] == [(0, 3), (3, 7), (8, 11)]
 
     def test_merge_when_companion_diverges(self):
-        s = _sent([("gonna", "go"), ("leave", "leave")])
+        s = sentence("gonna leave", "go leave")
         g = MrpGraph(id="1", framework="dm", input="gon na leave")
         out = comp.align_companion(g, s)
         assert out.forms == ["gon", "na", "leave"]
@@ -134,19 +127,19 @@ class TestAlignCompanion:
 
     def test_concatenation_invariant(self):
         cases = [
-            ([("a", "a"), ("b", "b")], "a  b"),
-            ([("ab", "ab")], "a b"),
-            ([("x", "x"), ("y", "y"), ("z", "z")], "xyz"),
+            ("a b", "a  b"),
+            ("ab", "a b"),
+            ("x y z", "xyz"),
         ]
-        for pairs, text in cases:
+        for forms, text in cases:
             g = MrpGraph(id="1", framework="dm", input=text)
-            out = comp.align_companion(g, _sent(pairs))
+            out = comp.align_companion(g, sentence(forms, forms))
             rebuilt = out.text()
             assert rebuilt.rstrip() == text.rstrip()[:len(rebuilt)] or all(
                 text[t.start:t.end] == t.form for t in out.tokens)
 
     def test_disjoint_strings_error(self):
-        s = _sent([("alpha", "alpha"), ("beta", "beta")])
+        s = sentence("alpha beta", "alpha beta")
         g = MrpGraph(id="1", framework="dm", input="zzz qqq www")
         with pytest.raises(comp.AlignmentError):
             comp.align_companion(g, s)
@@ -158,12 +151,7 @@ def test_alignment_invariant_failure_is_typed(monkeypatch):
     monkeypatch.setattr(comp, "_WORD", re.compile(r"(?!)"))
     g = MrpGraph(id="1", framework="dm", input="we gon na leave")
     with pytest.raises(comp.AlignmentError, match="between"):
-        comp.align_companion(g, _sent([("we", "we"), ("gonna", "go"), ("leave", "leave")]))
-
-
-def _own(forms):
-    """Companion tokens whose lemma is their own form."""
-    return _sent([(f, f) for f in forms])
+        comp.align_companion(g, sentence("we gonna leave", "we go leave"))
 
 
 @pytest.mark.parametrize("text, forms, expected, lemmas", [
@@ -178,14 +166,14 @@ def _own(forms):
     ("a cat sat on a mat.", "acat sat on a mat .", "a cat sat on a mat .", "acat acat sat on a mat ."),
 ], ids=["sawthe", "redfox", "thecat", "acat"])
 def test_merged_companion_token_splits_at_input_spaces(text, forms, expected, lemmas):
-    out = comp.align_companion(MrpGraph(id="1", framework="dm", input=text), _own(forms.split()))
+    out = comp.align_companion(MrpGraph(id="1", framework="dm", input=text), sentence(forms, forms))
     assert out.forms == expected.split()
     assert [t.lemma for t in out.tokens] == lemmas.split()
     assert all(text[t.start:t.end] == t.form for t in out.tokens)
 
 
 def test_accent_drift_keeps_neighbours():
-    s = _own(["the", "cafe", "is", "a", "cafe"])
+    s = sentence("the cafe is a cafe", "the cafe is a cafe")
     g = MrpGraph(id="1", framework="dm", input="the café is a cafe")
     out = comp.align_companion(g, s)
     assert out.forms == ["the", "café", "is", "a", "cafe"]
@@ -200,14 +188,14 @@ def test_accent_drift_keeps_neighbours():
     ("", ["", "a"], []),
 ])
 def test_alignment_edge_cases(text, forms, expected):
-    out = comp.align_companion(MrpGraph(id="1", framework="dm", input=text), _own(forms))
+    out = comp.align_companion(MrpGraph(id="1", framework="dm", input=text), sentence(forms, forms))
     assert out.forms == expected
     assert [t.lemma for t in out.tokens] == expected
 
 
 def test_empty_companion_on_nonempty_input_is_an_error():
     with pytest.raises(comp.AlignmentError, match="rewrite 3/3"):
-        comp.align_companion(MrpGraph(id="1", framework="dm", input="a b c"), _own([]))
+        comp.align_companion(MrpGraph(id="1", framework="dm", input="a b c"), sentence([]))
 
 
 # Words that repeat and contain each other, so that a search for a later
@@ -243,7 +231,7 @@ def resegmented(draw):
 @given(resegmented())
 def test_resegmented_companion_aligns_exactly(case):
     text, forms = case
-    sent = _sent([(f, f"L{k}") for k, f in enumerate(forms)], tags=[f"T{k}" for k in range(len(forms))])
+    sent = sentence(forms, [f"L{k}" for k in range(len(forms))], [f"T{k}" for k in range(len(forms))])
     out = comp.align_companion(MrpGraph(id="1", framework="dm", input=text), sent)
     assert all(text[t.start:t.end] == t.form for t in out.tokens)
     # the tokens cover each non-space input character once, in order
@@ -256,7 +244,7 @@ def test_resegmented_companion_aligns_exactly(case):
 
 
 def test_apply_multiword_merges_groups():
-    s = _sent([("such", "such"), ("as", "as"), ("dogs", "dog")])
+    s = sentence("such as dogs", "such as dog")
     out = apply_multiword(s, MultiwordTable({"such as": (1.0, 2)}))
     assert out.forms == ["such as", "dogs"]
     assert out.tokens[0].lemma == "such+as"
@@ -264,8 +252,7 @@ def test_apply_multiword_merges_groups():
 
 
 def test_replace_spans_shifts_offsets():
-    s = _sent([("met", "meet"), ("Pierre", "Pierre"), ("Vinken", "Vinken"), ("today", "today")],
-              tags=["O", "PER", "PER", "O"])
+    s = sentence("met Pierre Vinken today", "meet Pierre Vinken today", "O PER PER O")
     out = comp.replace_spans(s, [(1, 2, "PERSON_0", "PERSON_0", "NNP", "PER")])
     assert out.forms == ["met", "PERSON_0", "today"]
     assert out.text() == "met PERSON_0 today"

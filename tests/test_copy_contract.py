@@ -16,22 +16,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mrparse.companion import CompanionSentence, Token
+from helpers import sentence
+
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
 from mrparse.prep import (AmrTables, amr_postprocess, amr_preprocess, anchors_to_spans,
                           decode_graph_attrs, eds_exchange_properties, eds_reduce,
                           eds_restore, encode_graph_attrs, spans_to_anchors,
                           ucca_mark_implicit, ucca_strip_implicit)
 from mrparse.treeify import NodeSequence, TreeError, graph_to_tree, tree_to_graph
-
-
-def sent(text, tags=None):
-    toks = []
-    pos = 0
-    for f in text.split(" "):
-        toks.append(Token(f, f.lower(), "XX", pos, pos + len(f)))
-        pos += len(f) + 1
-    return CompanionSentence(tokens=toks, ner_tags=tags or [])
 
 
 def full_graph():
@@ -93,8 +85,8 @@ def amr_graph():
                     edges=[MrpEdge(0, 1, "ARG0"), MrpEdge(1, 2, "name"), MrpEdge(2, 3, "op1")])
 
 
-UCCA_SENT = sent("Pierre naps")
-AMR_SENT = sent("Pierre visited", ["PER", "O"])
+UCCA_SENT = sentence("Pierre naps")
+AMR_SENT = sentence("Pierre visited", tags="PER O")
 AMR_TABLES = AmrTables()
 _, _, AMR_ENTRY = amr_preprocess(amr_graph(), AMR_SENT, AMR_TABLES, update=True)
 
@@ -158,7 +150,7 @@ def full_graphs(draw):
     amr_preprocess anonymizes, and some a quantifier that eds_reduce folds
     and a compound that it turns into an edge."""
     words = draw(st.lists(st.sampled_from(WORDS), min_size=2, max_size=5))
-    s = sent(" ".join(words), ["PER"] + ["O"] * (len(words) - 1))
+    s = sentence(words, tags=["PER"] + ["O"] * (len(words) - 1))
     token = st.integers(0, len(words) - 1)
 
     def node(i, label, properties, lo=None, hi=None):

@@ -3,7 +3,6 @@ round-trip harness, the check that both refuse a graph alike, and the
 check of `serialize_mrp` against the dict-based serializer it replaced."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from mrparse import mrp
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
 
-ROOT = Path(__file__).resolve().parents[1]
 FRAMEWORKS = ("dm", "psd", "eds", "ucca", "amr")
 
 
@@ -218,15 +216,12 @@ def test_roundtrip_100_random_graphs():
         assert mrp.serialize_mrp(g2) == line
 
 
-def test_serialize_matches_the_reference_on_the_benchmark_chain(monkeypatch):
+def test_serialize_matches_the_reference_on_the_benchmark_chain(monkeypatch, prep_roundtrip):
     """Every graph that the benchmark's prep_roundtrip chain writes on seed
     1 is written byte for byte as the reference writes it."""
-    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
-    import run
     serialize, written = mrp.serialize_mrp, []
     monkeypatch.setattr(mrp, "serialize_mrp", lambda g: written.append(g) or serialize(g))
-    w = run.PrepRoundtrip(1)
-    state = w.setup()
+    w, state = prep_roundtrip
     lines = [w.roundtrip(it, *state)[0] for it in w.items]
     assert len(written) == len(w.items) == 360
     assert lines == [reference_serialize(g) for g in written]

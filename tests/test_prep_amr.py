@@ -4,21 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mrparse.companion import CompanionSentence, Token
+from helpers import sentence
+
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
 from mrparse.prep import AmrTables, amr_postprocess, amr_preprocess
 from mrparse.prep.amr import sentence_entry
-
-
-def sent(text, tags=""):
-    """One token per space-separated word; `tags` holds one NER tag per
-    word, all 'O' when empty."""
-    toks = []
-    pos = 0
-    for f in text.split(" "):
-        toks.append(Token(f, f.lower(), "XX", pos, pos + len(f)))
-        pos += len(f) + 1
-    return CompanionSentence(tokens=toks, ner_tags=tags.split())
 
 
 def amr(nodes, edges, tops, text=""):
@@ -29,26 +19,26 @@ def amr(nodes, edges, tops, text=""):
 
 def test_sense_suffix_stripped():
     g = amr([(0, "want-01", [])], [], [0])
-    out, _, _ = amr_preprocess(g, sent("wants"), AmrTables())
+    out, _, _ = amr_preprocess(g, sentence("wants"), AmrTables())
     assert out.nodes[0].label == "want"
 
 
 def test_wiki_and_polarity_dropped():
     g = amr([(0, "want-01", [("wiki", "-"), ("polarity", "-")])], [], [0])
-    out, _, _ = amr_preprocess(g, sent("wants"), AmrTables())
+    out, _, _ = amr_preprocess(g, sentence("wants"), AmrTables())
     assert out.nodes[0].properties == []
 
 
 def test_untouched_graph_unchanged():
     g = amr([(0, "boy", []), (1, "want", [])], [(1, 0, "ARG0")], [1])
-    out, s, entry = amr_preprocess(g, sent("the boy wants"), AmrTables())
+    out, s, entry = amr_preprocess(g, sentence("the boy wants"), AmrTables())
     assert out == g and entry == {}
 
 
 def test_name_subgraph_anonymized():
     g = amr([(0, "visit-01", []), (1, "person", []), (2, "name", []), (3, "Pierre", [])],
             [(0, 1, "ARG0"), (1, 2, "name"), (2, 3, "op1")], [0])
-    s = sent("Pierre visited", "PER O")
+    s = sentence("Pierre visited", tags="PER O")
     out, s2, entry = amr_preprocess(g, s, AmrTables())
     labels = sorted(n.label for n in out.nodes)
     assert labels == ["PERSON_0", "visit"]
@@ -59,7 +49,7 @@ def test_name_subgraph_anonymized():
 def test_multiword_name_anonymized():
     g = amr([(0, "person", []), (1, "name", []), (2, "Pierre", []), (3, "Vinken", [])],
             [(0, 1, "name"), (1, 2, "op1"), (1, 3, "op2")], [0])
-    s = sent("Pierre Vinken retired", "PER PER O")
+    s = sentence("Pierre Vinken retired", tags="PER PER O")
     out, s2, entry = amr_preprocess(g, s, AmrTables())
     assert s2.forms == ["PERSON_0", "retired"]
     assert entry["PERSON_0"]["phrase"] == ["Pierre", "Vinken"]
@@ -69,7 +59,7 @@ def test_unmatched_entity_left_intact():
     # phrase not present in the sentence: sub-graph survives
     g = amr([(0, "person", []), (1, "name", []), (2, "Zorro", [])],
             [(0, 1, "name"), (1, 2, "op1")], [0])
-    out, _, entry = amr_preprocess(g, sent("nobody here"), AmrTables())
+    out, _, entry = amr_preprocess(g, sentence("nobody here"), AmrTables())
     assert len(out.nodes) == 3 and entry == {}
 
 
@@ -77,7 +67,7 @@ def test_postprocess_expands_recorded_subgraph():
     g = amr([(0, "visit-01", []), (1, "person", []), (2, "name", []), (3, "Pierre", [])],
             [(0, 1, "ARG0"), (1, 2, "name"), (2, 3, "op1")], [0])
     tables = AmrTables()
-    pre, _, entry = amr_preprocess(g, sent("Pierre visited", "PER O"), tables, update=True)
+    pre, _, entry = amr_preprocess(g, sentence("Pierre visited", tags="PER O"), tables, update=True)
     post = amr_postprocess(pre, entry, tables)
     by_label = {n.label for n in post.nodes}
     assert {"person", "name", "Pierre"} <= by_label
@@ -166,7 +156,7 @@ def test_preprocess_postprocess_roundtrip_on_mini_corpus():
          [(0, 1, "ARG0"), (0, 2, "ARG1")], [0]),
     ]:
         g = amr(nodes, edges, tops, text=text)
-        s = sent(text, tags)
+        s = sentence(text, tags=tags)
         corpus.append((g, s))
         amr_preprocess(g, s, tables, update=True)
     for g, s in corpus:
@@ -179,7 +169,7 @@ def test_entity_with_two_names_roundtrips_unanonymized():
     g = amr([(0, "city", []), (1, "name", []), (2, "Paris", []), (3, "name", []), (4, "France", [])],
             [(0, 1, "name"), (1, 2, "op1"), (0, 3, "name"), (3, 4, "op1")], [0], text="Paris France")
     tables = AmrTables()
-    pre, s, entry = amr_preprocess(g, sent("Paris France", "LOC ORG"), tables)
+    pre, s, entry = amr_preprocess(g, sentence("Paris France", tags="LOC ORG"), tables)
     assert entry == {} and s.forms == ["Paris", "France"]
     assert _sig(amr_postprocess(pre, entry, tables)) == _sig(g)
 
@@ -193,7 +183,7 @@ def _sig(g):
 
 def test_sentence_entry_for_test_time():
     tables = AmrTables(entity_types={"PER": {"person": 7}, "LOC": {"city": 3}})
-    s = sent("Pierre Vinken visited Rome", "PER PER O LOC")
+    s = sentence("Pierre Vinken visited Rome", tags="PER PER O LOC")
     out, entry = sentence_entry(s, tables)
     assert out.forms == ["PERSON_0", "visited", "LOCATION_0"]
     assert out.text() == "PERSON_0 visited LOCATION_0" and out.ner_tags == ["PER", "O", "LOC"]
@@ -206,7 +196,7 @@ def test_tables_serialization_roundtrip():
     g = amr([(0, "visit-01", [("polarity", "-")]), (1, "person", []), (2, "name", []),
              (3, "Pierre", [])],
             [(0, 1, "ARG0"), (1, 2, "name"), (2, 3, "op1")], [0])
-    amr_preprocess(g, sent("Pierre visited", "PER O"), tables, update=True)
+    amr_preprocess(g, sentence("Pierre visited", tags="PER O"), tables, update=True)
     back = AmrTables.from_lines(tables.to_lines())
     assert back.senses == tables.senses
     assert back.bare == tables.bare

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import covering, sentence
+
 from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
 from mrparse.prep import (AnchorError, anchors_to_spans, decode_edge_label,
@@ -15,25 +17,16 @@ from mrparse.prep.ucca import UccaError
 from mrparse.treeify import graph_to_tree
 
 
-def sent(*forms):
-    toks = []
-    pos = 0
-    for f in forms:
-        toks.append(Token(f, f.lower(), "XX", pos, pos + len(f)))
-        pos += len(f) + 1
-    return CompanionSentence(tokens=toks)
-
-
 class TestAnchors:
     def test_single_token_anchor(self):
         g = MrpGraph(id="1", framework="eds", input="Pierre naps",
                      nodes=[MrpNode(0, "named", anchors=[(0, 6)])])
-        out, flagged = anchors_to_spans(g, sent("Pierre", "naps"))
+        out, flagged = anchors_to_spans(g, sentence("Pierre naps"))
         assert out.nodes[0].anchors == [(0, 0)]
         assert flagged == []
 
     def test_multi_token_anchor_roundtrip(self):
-        s = sent("a", "bb", "ccc", "dddd", "e")
+        s = sentence("a bb ccc dddd e")
         g = MrpGraph(id="1", framework="eds", input=s.text(),
                      nodes=[MrpNode(0, "x", anchors=[(s.tokens[2].start, s.tokens[4].end)])])
         out, flagged = anchors_to_spans(g, s)
@@ -45,36 +38,36 @@ class TestAnchors:
     def test_mid_token_anchor_snaps_and_flags(self):
         g = MrpGraph(id="1", framework="eds", input="Pierre naps",
                      nodes=[MrpNode(7, "x", anchors=[(0, 3)])])
-        out, flagged = anchors_to_spans(g, sent("Pierre", "naps"))
+        out, flagged = anchors_to_spans(g, sentence("Pierre naps"))
         assert out.nodes[0].anchors == [(0, 0)]
         assert flagged == [7]
 
     def test_unanchored_nodes_pass_through(self):
         g = MrpGraph(id="1", framework="ucca", input="hi",
                      nodes=[MrpNode(0, None)])
-        out, flagged = anchors_to_spans(g, sent("hi"))
+        out, flagged = anchors_to_spans(g, sentence("hi"))
         assert out.nodes[0].anchors is None and flagged == []
 
     def test_uncovered_range_is_error(self):
         g = MrpGraph(id="1", framework="eds", input="ab",
                      nodes=[MrpNode(0, "x", anchors=[(10, 12)])])
         with pytest.raises(AnchorError):
-            anchors_to_spans(g, sent("ab"))
+            anchors_to_spans(g, sentence("ab"))
 
     def test_span_out_of_range_is_error(self):
         g = MrpGraph(id="1", framework="eds", input="ab",
                      nodes=[MrpNode(0, "x", anchors=[(0, 5)])])
         with pytest.raises(AnchorError):
-            spans_to_anchors(g, sent("ab"))
+            spans_to_anchors(g, sentence("ab"))
 
     def test_anchor_errors_name_graph_and_node(self):
         g = MrpGraph(id="9", framework="eds", input="ab  ",
                      nodes=[MrpNode(0, "x", anchors=[(0, 2)]), MrpNode(4, "y", anchors=[(3, 4)])])
         with pytest.raises(AnchorError, match=r"^graph 9: node 4: character range \(3,4\) covers no token$"):
-            anchors_to_spans(g, sent("ab"))
+            anchors_to_spans(g, sentence("ab"))
         g.nodes[0].anchors, g.nodes[1].anchors = [(0, 0)], [(0, 1)]
         with pytest.raises(AnchorError, match=r"^graph 9: node 4: token span \(0,1\) outside sentence of 1 tokens$"):
-            spans_to_anchors(g, sent("ab"))
+            spans_to_anchors(g, sentence("ab"))
 
     @pytest.mark.parametrize("pieces, spans", [
         ([(0, 2), (6, 8)], [(0, 0), (2, 2)]),
@@ -82,7 +75,7 @@ class TestAnchors:
         ([(6, 8), (0, 2)], [(2, 2), (0, 0)]),
     ])
     def test_each_anchor_piece_maps_to_its_own_span_and_back(self, pieces, spans):
-        s = sent("ab", "cd", "ef")
+        s = sentence("ab cd ef")
         g = MrpGraph(id="1", framework="ucca", input=s.text(), nodes=[MrpNode(0, None, anchors=pieces)])
         out, flagged = anchors_to_spans(g, s)
         assert out.nodes[0].anchors == spans and flagged == []
@@ -91,20 +84,9 @@ class TestAnchors:
     def test_empty_anchor_list_passes_through(self):
         g = MrpGraph(id="1", framework="eds", input="hi",
                      nodes=[MrpNode(0, "x", anchors=[]), MrpNode(1, "y", anchors=[(0, 2)])])
-        out, flagged = anchors_to_spans(g, sent("hi"))
+        out, flagged = anchors_to_spans(g, sentence("hi"))
         assert [n.anchors for n in out.nodes] == [[], [(0, 0)]] and flagged == []
-        assert spans_to_anchors(out, sent("hi")) == g
-
-
-def char_range_to_span(lo, hi, tokens):
-    """Reference: the linear scan anchors_to_spans replaced. The covering
-    token run of [lo, hi) as (first, last), and whether snapping was
-    needed."""
-    overlapping = [i for i, t in enumerate(tokens) if t.end > lo and t.start < max(hi, lo + 1)]
-    if not overlapping:
-        raise AnchorError(f"character range ({lo},{hi}) covers no token")
-    s, e = overlapping[0], overlapping[-1]
-    return (s, e), tokens[s].start != lo or tokens[e].end != hi
+        assert spans_to_anchors(out, sentence("hi")) == g
 
 
 @st.composite
@@ -134,20 +116,21 @@ def anchored(draw):
 @given(anchored())
 def test_anchors_to_spans_matches_linear_scan(case):
     s, g = case
+    extents = [(t.start, t.end) for t in s.tokens]
     want, want_flagged = [], []
-    try:
-        for n in g.nodes:
-            if not n.anchors:
-                want.append(n.anchors)
-                continue
-            runs = [char_range_to_span(lo, hi, s.tokens) for lo, hi in n.anchors]
-            want.append([span for span, _ in runs])
-            if any(snapped for _, snapped in runs):
-                want_flagged.append(n.id)
-    except AnchorError as e:
-        with pytest.raises(AnchorError, match=re.escape(str(e))):
-            anchors_to_spans(g, s)
-        return
+    for n in g.nodes:
+        if not n.anchors:
+            want.append(n.anchors)
+            continue
+        runs = [covering(piece, extents) for piece in n.anchors]
+        if None in runs:
+            lo, hi = n.anchors[runs.index(None)]
+            with pytest.raises(AnchorError, match=re.escape(f"character range ({lo},{hi}) covers no token")):
+                anchors_to_spans(g, s)
+            return
+        want.append([span for span, _ in runs])
+        if not all(exact for _, exact in runs):
+            want_flagged.append(n.id)
     out, flagged = anchors_to_spans(g, s)
     assert [n.anchors for n in out.nodes] == want
     assert flagged == want_flagged

@@ -1,11 +1,11 @@
 import json
 
-import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mrparse.companion import CompanionSentence, Token
+from helpers import same_up_to_ids, sentence
+
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
 from mrparse.prep import (MultiwordTable, anchors_to_spans, apply_multiword,
                           build_multiword_table, eds_exchange_properties, eds_reduce,
@@ -19,15 +19,6 @@ def graph(text, nodes, edges, tops):
                     tops=tops,
                     nodes=[MrpNode(i, lab, props or [], anchors) for i, lab, anchors, props in nodes],
                     edges=[MrpEdge(s, t, lab) for s, t, lab in edges])
-
-
-def sent(text):
-    toks = []
-    pos = 0
-    for f in text.split(" "):
-        toks.append(Token(f, f.lower(), "XX", pos, pos + len(f)))
-        pos += len(f) + 1
-    return CompanionSentence(tokens=toks)
 
 
 class TestReduceRule1:
@@ -179,7 +170,9 @@ class TestRestore:
          "reduced edge 1 -> 0 joins unanchored nodes"),
         ((0, 1, REDUCED + "not json"), None, "unrecognized reduced edge label"),
         (None, (REDUCED + "0", "not json"), "unrecognized reduced property"),
-    ], ids=["missing-node", "unanchored", "bad-edge-label", "bad-property"])
+        ((0, 1, REDUCED + '["compound", "ARG1", "up", "ARG2", 7]'), None, "unrecognized reduced edge label"),
+        (None, (REDUCED + "0", '["q", "BV", "sideways"]'), "unrecognized reduced property"),
+    ], ids=["missing-node", "unanchored", "bad-edge-label", "bad-property", "bad-edge-side", "bad-property-side"])
     def test_malformed_reduction_names_graph(self, edge, prop, message):
         g = graph("aa bb", nodes=[(0, "_aa_x", [], [prop] if prop else []), (1, "_bb_x", None, [])],
                   edges=[edge] if edge else [], tops=[0])
@@ -217,7 +210,7 @@ class TestMultiword:
         pairs = []
         # 8 sentences where "such as" is one node, 2 where it is two
         for i in range(8):
-            s = sent("dogs such as cats")
+            s = sentence("dogs such as cats")
             g = graph(s.text(),
                       nodes=[(0, "_dog_n_1", [(0, 4)], []),
                              (1, "_such+as_p", [(5, 12)], []),
@@ -225,7 +218,7 @@ class TestMultiword:
                       edges=[(1, 0, "ARG1"), (1, 2, "ARG2")], tops=[1])
             pairs.append((g, s))
         for i in range(2):
-            s = sent("dogs such as cats")
+            s = sentence("dogs such as cats")
             g = graph(s.text(),
                       nodes=[(0, "_such_x", [(5, 9)], []), (1, "_as_p", [(10, 12)], [])],
                       edges=[(0, 1, "L")], tops=[0])
@@ -238,7 +231,7 @@ class TestMultiword:
         assert table.should_merge("such as")
 
     def test_single_occurrence_blocked_by_count_rule(self):
-        s = sent("ad hoc")
+        s = sentence("ad hoc")
         g = graph(s.text(), nodes=[(0, "_ad+hoc_a", [(0, 6)], [])], edges=[], tops=[0])
         table = build_multiword_table([(g, s)])
         assert table.entries["ad hoc"] == (1.0, 1)
@@ -250,12 +243,12 @@ class TestMultiword:
 
     def test_apply_merges_tokens(self):
         table = build_multiword_table(self.corpus())
-        merged = apply_multiword(sent("dogs such as cats"), table)
+        merged = apply_multiword(sentence("dogs such as cats"), table)
         assert merged.forms == ["dogs", "such as", "cats"]
         assert merged.tokens[1].lemma == "such+as"
 
     def test_name_compound_is_not_a_phrase(self):
-        s = sent("Pierre Vinken naps")
+        s = sentence("Pierre Vinken naps")
         g = graph(s.text(),
                   nodes=[(0, "compound", [(0, 13)], []),
                          (1, "named", [(0, 6)], [("carg", "Pierre")]),
@@ -469,18 +462,6 @@ def eds_graphs(draw, lossy=False):
                            for s, t, lab, attrs in edges])
 
 
-def _nx_up_to_ids(g):
-    """Node ids dropped; anchors compared as sorted pieces, as eds_restore
-    writes them."""
-    G = nx.MultiDiGraph()
-    for n in g.nodes:
-        G.add_node(n.id, key=(n.label, _norm_anchors(n.anchors), tuple(n.properties),
-                              n.id in g.tops))
-    for e in g.edges:
-        G.add_edge(e.source, e.target, key=(e.label, tuple(e.attributes)))
-    return G
-
-
 class TestReduceProperties:
     @given(eds_graphs())
     def test_one_pass_matches_fixpoint_reference(self, g):
@@ -493,11 +474,7 @@ class TestReduceProperties:
 
     @given(eds_graphs(lossy=True))
     def test_restore_inverts_reduce_up_to_ids(self, g):
-        back = eds_restore(eds_reduce(g))
-        match = nx.algorithms.isomorphism
-        assert nx.is_isomorphic(_nx_up_to_ids(back), _nx_up_to_ids(g),
-                                node_match=match.categorical_node_match("key", None),
-                                edge_match=match.categorical_multiedge_match("key", None))
+        assert same_up_to_ids(eds_restore(eds_reduce(g)), g)
 
 
 def test_multiword_line_with_a_non_string_phrase_is_rejected():

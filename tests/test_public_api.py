@@ -68,20 +68,23 @@ def _uses(tree, strings):
     return out
 
 
-def _parse(paths):
-    return [(p, ast.parse(p.read_text(encoding="utf-8"))) for p in paths]
+def _parse(directory):
+    return [(p, ast.parse(p.read_text(encoding="utf-8"))) for p in sorted(directory.rglob("*.py"))]
+
+
+SRC = _parse(ROOT / "src" / "mrparse")
+BENCH = _parse(ROOT / "benchmarks")
+TESTS = _parse(ROOT / "tests")
 
 
 def test_every_public_name_has_a_caller():
-    src = _parse(sorted((ROOT / "src" / "mrparse").rglob("*.py")))
-    bench = _parse(sorted((ROOT / "benchmarks").glob("*.py")))
     used = {}
-    for trees, strings in ((src, False), (bench, True)):
+    for trees, strings in ((SRC, False), (BENCH, True)):
         for _, tree in trees:
             for name, bare, inside in _uses(tree, strings):
                 used.setdefault(name, []).append((bare, inside))
     unused = []
-    for path, tree in src:
+    for path, tree in SRC:
         for qualified, name, method in _definitions(tree):
             if name.startswith("_") or qualified in ALLOWED:
                 continue
@@ -92,8 +95,7 @@ def test_every_public_name_has_a_caller():
 
 
 def test_every_allowed_name_is_still_defined():
-    defined = {name for _, tree in _parse((ROOT / "src" / "mrparse").rglob("*.py"))
-               for name, _, _ in _definitions(tree)}
+    defined = {name for _, tree in SRC for name, _, _ in _definitions(tree)}
     assert sorted(set(ALLOWED) - defined) == []
 
 
@@ -122,9 +124,8 @@ def _parameters(fn, skip):
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
-    files = [ROOT / "src" / "mrparse", ROOT / "benchmarks", ROOT / "tests"]
     calls = {}  # called name -> (positional count, keywords, has *, has **) per call
-    for _, tree in _parse(sorted(p for d in files for p in d.rglob("*.py"))):
+    for _, tree in SRC + BENCH + TESTS:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
@@ -132,7 +133,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                     len(node.args), {k.arg for k in node.keywords},
                     any(isinstance(a, ast.Starred) for a in node.args), any(k.arg is None for k in node.keywords)))
     never = []
-    for path, tree in _parse(sorted((ROOT / "src" / "mrparse").rglob("*.py"))):
+    for path, tree in SRC:
         for qualified, called, param, position in _defaulted(tree):
             if not any(param in keywords or double or (position is not None and (star or position < n))
                        for n, keywords, star, double in calls.get(called, ())):

@@ -28,6 +28,7 @@ overlap."""
 import itertools
 from collections import Counter
 
+from helpers import covering
 from test_mrp import reference_serialize
 from test_treeify import clear_node_ids
 
@@ -197,17 +198,6 @@ def token_layouts(start=0, k=MAX_TOKENS):
             for e in range(s + 1, TEXT_LENGTH + 1):
                 for rest in token_layouts(e, k - 1):
                     yield [(s, e)] + rest
-
-
-def covering(piece, extents):
-    """Reference: the (first, last) tokens overlapping the piece [lo, hi)
-    by a scan, and whether they start at lo and end at hi; None if no
-    token overlaps."""
-    lo, hi = piece
-    over = [i for i, (s, e) in enumerate(extents) if e > lo and s < hi]
-    if not over:
-        return None
-    return (over[0], over[-1]), extents[over[0]][0] == lo and extents[over[-1]][1] == hi
 
 
 def test_anchor_pair_round_trips_snaps_or_refuses():
