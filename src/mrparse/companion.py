@@ -75,21 +75,21 @@ def read_companion(doc: str) -> list:
     sentences = []
     block = []
     block_id = None
-    for lineno, line in enumerate(doc.splitlines(), start=1):
+    for lineno, line in enumerate(doc.splitlines() + [""], start=1):  # a blank line ends the last block
         if not line.strip():
             if block:
                 sentences.append(_finish_block(block, block_id))
                 block, block_id = [], None
             continue
         if line.startswith("#"):
+            if block:
+                raise CompanionError(f"line {lineno}: id line {line!r} inside a block")
             block_id = line[1:].strip()
             continue
         cols = line.split("\t")
         if len(cols) != 5:
             raise CompanionError(f"line {lineno}: expected 5 columns, got {len(cols)}")
         block.append((lineno, cols))
-    if block:
-        sentences.append(_finish_block(block, block_id))
     return sentences
 
 

@@ -1,6 +1,8 @@
-"""Frequency vocabularies: the fixed reserved entries PAD (index 0) and UNK
-(index 1), then the built entries by frequency desc, string asc. An item
-that is not an entry gets UNK's index."""
+"""Frequency vocabularies: PAD (index 0) and UNK (index 1), then the entries
+`Vocab.build` counts, from a list of items or a mapping of item to count, by
+count desc, string asc. An item that is not an entry gets UNK's index."""
+
+from collections import Counter
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -13,10 +15,8 @@ class Vocab:
 
     @classmethod
     def build(cls, items):
-        counts = {}
-        for item in items:
-            counts[item] = counts.get(item, 0) + 1
-        return cls(sorted(counts, key=lambda e: (-counts[e], e)))
+        counts = Counter(items)
+        return cls(sorted(sorted(counts), key=counts.__getitem__, reverse=True))  # stable: ties stay string asc
 
     def __len__(self):
         return len(self.entries)

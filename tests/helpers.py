@@ -14,16 +14,17 @@ def _words(x):
     return list(x)
 
 
-def sentence(forms, lemmas=None, tags=()):
+def sentence(forms, lemmas=None, tags=(), xpos=None):
     """A companion sentence with one token per form, the tokens one space
-    apart from offset 0. Forms, lemmas and NER tags are lists or
+    apart from offset 0. Forms, lemmas, NER tags and xpos are lists or
     space-separated strings; lemmas default to the lowercased forms, tags
-    to all 'O'."""
+    to all 'O', xpos to all 'XX'."""
     forms = _words(forms)
     lemmas = [f.lower() for f in forms] if lemmas is None else _words(lemmas)
+    xpos = ["XX"] * len(forms) if xpos is None else _words(xpos)
     toks, pos = [], 0
-    for form, lemma in zip(forms, lemmas, strict=True):
-        toks.append(Token(form, lemma, "XX", pos, pos + len(form)))
+    for form, lemma, xp in zip(forms, lemmas, xpos, strict=True):
+        toks.append(Token(form, lemma, xp, pos, pos + len(form)))
         pos += len(form) + 1
     return CompanionSentence(tokens=toks, ner_tags=_words(tags))
 

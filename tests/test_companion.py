@@ -47,6 +47,12 @@ def test_read_column_mismatch_names_line():
     assert "line 1" in str(ei.value)
 
 
+def test_id_line_inside_a_block_names_line():
+    # two sentences without the blank line between them are not one sentence
+    with pytest.raises(comp.CompanionError, match=r"line 3: id line '#b' inside a block"):
+        comp.read_companion("#a\n1\tx\tx\tX\t_\n#b\n1\ty\ty\tY\t_\n")
+
+
 @pytest.mark.parametrize("token_range", ["0-1", "a:1", "1:2:3", ""])
 def test_malformed_token_range_names_line(token_range):
     doc = f"#s1\n1\tab\tab\tXX\tTokenRange=0:2\n2\tcd\tcd\tXX\tTokenRange={token_range}\n"
