@@ -6,16 +6,11 @@ order. All data is 64-bit; broadcasting is restricted to a trailing-shape
 operand against leading batch axes (anything else needs an explicit
 reshape), which keeps shape bugs loud.
 
-A gradient that reaches a tensor first becomes its `.grad` without a copy
-when the backward has just made it and holds it nowhere else: the
-products of `mul`, `matmul`, `tanh` and `sigmoid`, the filled array of
-`tsum`, the sum of a broadcast `add` operand, and `dX` and each
-direction's `dW` and `db` of `lstm_sequence`. `take` scatters straight
-into the table's `.grad`, which it starts from `np.zeros` (allocated zero
-pages, not a written fill) when there is none. Every other backward hands
-on its incoming gradient or a view of it (`add` without broadcast gives the
-same array to both operands, `reshape`, `concat`'s slices), and that is
-copied, so no two tensors' gradients share memory.
+Ownership: an op's output may share its inputs' data, and no op edits
+data in place. A first gradient becomes a tensor's `.grad` as it is
+handed over, so a backward that would hand on its incoming gradient or a
+view of it (`add` without broadcast, `reshape`, `concat`'s slices) copies
+it, and no two tensors' gradients share memory.
 """
 
 from __future__ import annotations
@@ -81,11 +76,10 @@ def _make(data, parents, backward_fn):
     return out
 
 
-def _accum(t, g, fresh=False):
-    """Add `g` into `t.grad`. `fresh` says that the caller has just made
-    `g` and holds it nowhere else, so a first gradient is kept as it is."""
+def _accum(t, g):
+    """Add `g` into `t.grad`; a first gradient is kept as it is."""
     if t.grad is None:
-        t.grad = np.asarray(g, dtype=np.float64) if fresh else np.array(g, dtype=np.float64)
+        t.grad = np.asarray(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -123,11 +117,11 @@ def backward(loss):
 
 
 def _unbroadcast(g, shape):
-    # reduce gradient g back to `shape` after leading-axis broadcast
+    # g summed back to `shape` over the leading broadcast axes, else a copy of g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    return g
+        return g.sum(axis=tuple(range(extra)))
+    return g.copy()
 
 
 def add(a, b):
@@ -138,11 +132,10 @@ def add(a, b):
     out_data = a.data + b.data
 
     def bw(g):
-        # an operand of the output's shape gets g itself; a broadcast one a new sum
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, sa), fresh=sa != g.shape)
+            _accum(a, _unbroadcast(g, sa))
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, sb), fresh=sb != g.shape)
+            _accum(b, _unbroadcast(g, sb))
 
     return _make(out_data, (a, b), bw)
 
@@ -154,9 +147,9 @@ def mul(a, b):
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * b.data, fresh=True)
+            _accum(a, g * b.data)
         if b.requires_grad:
-            _accum(b, g * a.data, fresh=True)
+            _accum(b, g * a.data)
 
     return _make(a.data * b.data, (a, b), bw)
 
@@ -169,9 +162,9 @@ def matmul(a, b):
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g @ b.data.T, fresh=True)
+            _accum(a, g @ b.data.T)
         if b.requires_grad:
-            _accum(b, a.data.T @ g, fresh=True)
+            _accum(b, a.data.T @ g)
 
     return _make(out_data, (a, b), bw)
 
@@ -187,7 +180,7 @@ def take(a, idx):
                 a.grad = np.zeros(a.data.shape)
             np.add.at(a.grad, idx, g)
 
-    return _make(np.array(out_data, dtype=np.float64), (a,), bw)
+    return _make(out_data, (a,), bw)
 
 
 def reshape(a, shape):
@@ -197,7 +190,7 @@ def reshape(a, shape):
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g.reshape(orig))
+            _accum(a, g.reshape(orig).copy())
 
     return _make(out_data, (a,), bw)
 
@@ -213,7 +206,7 @@ def concat(tensors, axis=0):
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                _accum(t, g[tuple(sl)])
+                _accum(t, g[tuple(sl)].copy())
 
     return _make(out_data, tuple(tensors), bw)
 
@@ -224,7 +217,7 @@ def tsum(a):
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, np.full_like(a.data, g), fresh=True)
+            _accum(a, np.full_like(a.data, g))
 
     return _make(out_data, (a,), bw)
 
@@ -235,7 +228,7 @@ def tanh(a):
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * (1.0 - y * y), fresh=True)
+            _accum(a, g * (1.0 - y * y))
 
     return _make(y, (a,), bw)
 
@@ -248,7 +241,7 @@ def sigmoid(a):
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * y * (1.0 - y), fresh=True)
+            _accum(a, g * y * (1.0 - y))
 
     return _make(y, (a,), bw)
 
@@ -369,11 +362,11 @@ def lstm_sequence(X, directions):
                 dW = np.empty(W.data.shape)
                 np.matmul(x_steps[d].T, dz[d], out=dW[:n_in])
                 np.matmul(hs[:-1, d].reshape(-1, nh).T, dz[d, B:], out=dW[n_in:])
-                _accum(W, dW, fresh=True)
+                _accum(W, dW)
             if b.requires_grad:
-                _accum(b, dz[d].sum(axis=0), fresh=True)
+                _accum(b, dz[d].sum(axis=0))
         if dx is not None:
-            _accum(X, dx.transpose(1, 0, 2), fresh=True)
+            _accum(X, dx.transpose(1, 0, 2))
 
     parents = (X,) + tuple(t for W, b, _ in directions for t in (W, b))
     return _make(out.reshape(B, T, D * nh), parents, bw)

@@ -71,15 +71,15 @@ class CompanionSentence:
 
 
 def read_companion(doc: str) -> list:
-    """Parse a companion document into one CompanionSentence per block."""
+    """One CompanionSentence per blank-line-separated block; an id line alone is a tokenless sentence."""
     sentences = []
     block = []
     block_id = None
     for lineno, line in enumerate(doc.splitlines() + [""], start=1):  # a blank line ends the last block
         if not line.strip():
-            if block:
+            if block or block_id is not None:
                 sentences.append(_finish_block(block, block_id))
-                block, block_id = [], None
+            block, block_id = [], None
             continue
         if line.startswith("#"):
             if block:

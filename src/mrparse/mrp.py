@@ -37,10 +37,11 @@ Record rule: a node or edge record is never edited after the function
 that built it returns. A transform builds its output with
 `MrpGraph.derive`, which shares every record it leaves unchanged with its
 input, and builds new records only for what it changes. Lists are shared
-the same way: a record's properties, attributes and anchors, and the
-`treeify.SeqNode` lists built from them, are never edited either.
-`MrpGraph.copy` is the one way to get a graph whose records may be edited
-in place."""
+the same way: a record's properties, attributes and anchors, the
+`treeify.SeqNode` lists built from them and the anchor list that
+`eds_restore` shares between an unfolded node and its neighbour are never
+edited either. `MrpGraph.copy` is the one way to get a graph whose records
+may be edited in place."""
 
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 Nodes without a direct surface-token mapping (type 1) get reduced into
 their surface-mapped neighbours (type 2), either as a node property
-`reduced:k` (single neighbour, same anchor) or as an edge label `reduced:`
+`reduced:k` (single neighbour, same anchors) or as an edge label `reduced:`
 plus a JSON payload (exactly two neighbours whose anchors tile the node's
 range). Both moves write the one reserved prefix `reduced:` (REDUCED), and
 eds_restore reverses both exactly. One pass reaches the fixpoint, since no
@@ -28,9 +28,10 @@ class EdsError(Exception):
     pass
 
 
-def _norm_anchors(anchors):
-    """The pieces as sorted tuples, so list and tuple pieces compare equal."""
-    return tuple(sorted(tuple(p) for p in anchors or ()))
+def _as_written(anchors):
+    """The pieces in their order, list and tuple pieces alike; None (no
+    anchors) stays apart from []."""
+    return None if anchors is None else [tuple(p) for p in anchors]
 
 
 def _is_surface_mapped(node, text):
@@ -51,12 +52,15 @@ def _is_surface_mapped(node, text):
 
 def eds_reduce(g: MrpGraph) -> MrpGraph:
     """Apply both reduction rules; one pass in id order reaches the
-    fixpoint. A node is reduced only when every neighbour is surface-mapped,
-    and that changes only those neighbours: a `reduced:k` property, or a
-    reserved edge that adjacency ignores. Being surface-mapped depends on
-    label and anchors alone, so no reduction makes or unmakes another.
-    Type-1 nodes that do not match, or whose properties or link attributes
-    neither encoding carries, are left alone; node count never increases."""
+    fixpoint. A type-1 node is reduced when it is anchored, not a top, has
+    no properties or extras, its links have no attributes or extras and its
+    neighbours are all surface-mapped: with one link when its anchors are
+    identical to the neighbour's as written (`_as_written`), with two when
+    they are the one piece the neighbours' pieces span. That changes only
+    the neighbours: a `reduced:k` property, or a reserved edge that
+    adjacency ignores. Being surface-mapped depends on label and anchors
+    alone, so no reduction makes or unmakes another; node count never
+    increases."""
     by_id = g.node_by_id()
     surface = {n.id: _is_surface_mapped(n, g.input) for n in g.nodes}
     adj = _adjacency(g)
@@ -66,14 +70,15 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
     for a in sorted(g.nodes, key=lambda n: n.id):
         links = adj[a.id]
         if (len(links) not in (1, 2) or surface[a.id] or a.anchors is None
-                or a.id in g.tops or folded.get(a.id, a.properties) or any(e.attributes for e in links)):
+                or a.id in g.tops or folded.get(a.id, a.properties) or a.extras
+                or any(e.attributes or e.extras for e in links)):
             continue
         ends = [(by_id[e.target if e.source == a.id else e.source], e) for e in links]
         if not all(surface[b.id] for b, _ in ends):
             continue
         if len(ends) == 1:
             [(b, e)] = ends
-            if _norm_anchors(a.anchors) != _norm_anchors(b.anchors):
+            if _as_written(a.anchors) != _as_written(b.anchors):
                 continue
             properties = folded.setdefault(b.id, list(b.properties))
             k = sum(1 for p, _ in properties if p.startswith(REDUCED))
@@ -83,7 +88,7 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
             if b.id == c.id or b.anchors is None or c.anchors is None:
                 continue
             pieces = list(b.anchors) + list(c.anchors)
-            if not pieces or _norm_anchors(a.anchors) != (_range(pieces),):
+            if not pieces or _as_written(a.anchors) != [_range(pieces)]:
                 continue
             # the end with the smaller (edge label, node id) is the source: ARG1 before ARG2
             (src, esrc), (tgt, etgt) = sorted(ends, key=lambda end: (end[1].label or "", end[0].id))
@@ -121,7 +126,8 @@ def _adjacency(g):
 
 def eds_restore(g: MrpGraph) -> MrpGraph:
     """Reverse eds_reduce: reserved edge labels become nodes spanning both
-    endpoints, reserved properties unfold into single-link nodes."""
+    endpoints, reserved properties unfold into single-link nodes that share
+    their neighbour's anchor list."""
     new_ids = itertools.count(max((n.id for n in g.nodes), default=-1) + 1)
     by_id = g.node_by_id()
 
@@ -163,8 +169,7 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
                 known = False
             if not known:
                 raise EdsError(f"graph {g.id}: unrecognized reduced property {name}={value!r} on node {b.id}")
-            a = MrpNode(next(new_ids), label=label,
-                        anchors=sorted(b.anchors) if b.anchors is not None else None)
+            a = MrpNode(next(new_ids), label=label, anchors=b.anchors)
             nodes.append(a)
             edges.append(_attach(a, b, edge_label, side))
     return g.derive(nodes, edges)

@@ -2,6 +2,8 @@
 the linear-scan covering run of a character range, and graph equality up
 to node ids, with networkx as an independent oracle."""
 
+import json
+
 import networkx as nx
 
 from mrparse.companion import CompanionSentence, Token
@@ -44,17 +46,19 @@ def covering(piece, extents):
 def _nx(g):
     G = nx.MultiDiGraph()
     for n in g.nodes:
-        G.add_node(n.id, key=(n.label, sorted(map(tuple, n.anchors or ())), tuple(n.properties),
+        anchors = None if n.anchors is None else tuple(map(tuple, n.anchors))
+        G.add_node(n.id, sig=(n.label, anchors, tuple(n.properties), json.dumps(n.extras),
                               g.tops.count(n.id)))
     for e in g.edges:
-        G.add_edge(e.source, e.target, key=(e.label, tuple(map(tuple, e.attributes))))
+        G.add_edge(e.source, e.target, sig=(e.label, tuple(map(tuple, e.attributes)), json.dumps(e.extras)))
     return G
 
 
 def same_up_to_ids(g1, g2):
     """Whether g1 and g2 are one graph up to node ids. A node is its label,
-    its anchor pieces sorted, its properties as given and how often it is a
-    top; an edge is its label and attributes."""
+    its anchor pieces as written (in their order, list and tuple pieces
+    alike, None apart from []), its properties as given, its extras and how
+    often it is a top; an edge is its label, attributes and extras."""
     match = nx.algorithms.isomorphism
-    return nx.is_isomorphic(_nx(g1), _nx(g2), node_match=match.categorical_node_match("key", None),
-                            edge_match=match.categorical_multiedge_match("key", None))
+    return nx.is_isomorphic(_nx(g1), _nx(g2), node_match=match.categorical_node_match("sig", None),
+                            edge_match=match.categorical_multiedge_match("sig", None))

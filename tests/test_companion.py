@@ -73,6 +73,33 @@ def test_companion_file_roundtrip(tmp_path):
     assert comp.read_companion(path.read_text()) == sents
 
 
+def test_blank_line_ends_a_block_of_an_id_alone():
+    assert comp.read_companion("#a\n\n1\tx\tx\tX\t_\n") == [
+        CompanionSentence([], id="a"), CompanionSentence([Token("x", "x", "X", 0, 1)])]
+
+
+# the empty string, the format's own syntax and spaces that `str.strip` removes; no tab
+# and nothing that `str.splitlines` breaks a line at
+_FIELD = st.sampled_from(["", "a", "#a", "1", "_", "a|TokenRange=0:1", "a b", "\u00a0é\u3000"])
+
+
+@st.composite
+def companion_sentences(draw):
+    tokens, pos = [], 0
+    for form, lemma, xpos in draw(st.lists(st.tuples(_FIELD, _FIELD, _FIELD), max_size=3)):
+        start = pos + draw(st.integers(0, 2))
+        pos = start + draw(st.integers(0, 3))
+        tokens.append(Token(form, lemma, xpos, start, pos))
+    return CompanionSentence(tokens, id=draw(st.none() | _FIELD.map(str.strip)))
+
+
+@given(sents=st.lists(companion_sentences(), max_size=4))
+def test_write_then_read_gives_back_every_sentence_with_an_id_or_a_token(tmp_path_factory, sents):
+    path = tmp_path_factory.getbasetemp() / "roundtrip.tsv"
+    comp.write_companion(path, sents)
+    assert comp.read_companion(path.read_text(encoding="utf-8")) == [s for s in sents if s.id is not None or s.tokens]
+
+
 def test_ner_sidecar():
     lines = comp.read_ner_sidecar("O PER\nO O O\n")
     assert lines == [["O", "PER"], ["O", "O", "O"]]

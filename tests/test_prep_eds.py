@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from helpers import same_up_to_ids, sentence
 
-from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
+from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, parse_mrp, serialize_mrp
 from mrparse.prep import (MultiwordTable, anchors_to_spans, apply_multiword,
                           build_multiword_table, eds_exchange_properties, eds_reduce,
                           eds_restore, spans_to_anchors)
 from mrparse.prep.anchors import _range
-from mrparse.prep.eds import REDUCED, EdsError, _adjacency, _is_surface_mapped, _norm_anchors
+from mrparse.prep.eds import REDUCED, EdsError, _adjacency, _is_surface_mapped
 
 
 def graph(text, nodes, edges, tops):
@@ -163,6 +163,32 @@ class TestRestore:
         _, restored = self._roundtrip(g)
         assert _canonical(restored) == _canonical(g)
 
+    @pytest.mark.parametrize("folds, line", [
+        # a node anchored [] does not fold into one without anchors
+        (0, '{"id":"e","framework":"eds","input":"dogs","tops":[0],"nodes":[{"id":0,"label":"_dog_n_1"},'
+            '{"id":1,"label":"udef_q","anchors":[]}],"edges":[{"source":1,"target":0,"label":"BV"}]}'),
+        # pieces in reverse order fold into the same pieces and come back in that order
+        (1, '{"id":"e","framework":"eds","input":"aa bb","tops":[0],"nodes":[{"id":0,"label":"_aa+bb_p",'
+            '"anchors":[{"from":3,"to":5},{"from":0,"to":2}]},{"id":1,"label":"udef_q",'
+            '"anchors":[{"from":3,"to":5},{"from":0,"to":2}]}],"edges":[{"source":1,"target":0,"label":"BV"}]}'),
+        # and do not fold into the same pieces in the other order
+        (0, '{"id":"e","framework":"eds","input":"aa bb","tops":[0],"nodes":[{"id":0,"label":"_aa+bb_p",'
+            '"anchors":[{"from":0,"to":2},{"from":3,"to":5}]},{"id":1,"label":"udef_q",'
+            '"anchors":[{"from":3,"to":5},{"from":0,"to":2}]}],"edges":[{"source":1,"target":0,"label":"BV"}]}'),
+        # neither encoding carries a node's extras or its link's
+        (0, '{"id":"e","framework":"eds","input":"dogs","tops":[0],"nodes":[{"id":0,"label":"_dog_n_1",'
+            '"anchors":[{"from":0,"to":4}]},{"id":1,"label":"udef_q","anchors":[{"from":0,"to":4}],"note":1}],'
+            '"edges":[{"source":1,"target":0,"label":"BV"}]}'),
+        (0, '{"id":"e","framework":"eds","input":"dogs","tops":[0],"nodes":[{"id":0,"label":"_dog_n_1",'
+            '"anchors":[{"from":0,"to":4}]},{"id":1,"label":"udef_q","anchors":[{"from":0,"to":4}]}],'
+            '"edges":[{"source":1,"target":0,"label":"BV","note":1}]}'),
+    ], ids=["empty-anchors", "reversed-pieces", "pieces-in-the-other-order", "node-extras", "edge-extras"])
+    def test_roundtrip_gives_the_record_back_byte_for_byte(self, folds, line):
+        g = parse_mrp(line)
+        reduced = eds_reduce(g)
+        assert len(reduced.nodes) == len(g.nodes) - folds
+        assert serialize_mrp(eds_restore(reduced)) == line
+
     @pytest.mark.parametrize("edge, prop, message", [
         ((0, 7, REDUCED + '["compound", "ARG1", "out", "ARG2", "out"]'), None,
          "reduced edge 0 -> 7 names a missing node"),
@@ -288,7 +314,15 @@ def test_multiword_malformed_line_names_class_and_line(lines, want):
 # The fixpoint algorithm eds_reduce replaced, kept verbatim as the reference:
 # it restarts the scan after every fold or edge reduction. `_pick_direction`
 # is the rule-2 direction it used, which eds_reduce now reads off the order
-# of (edge label, node id).
+# of (edge label, node id). Its `_norm_anchors` sorts the pieces and reads
+# None as [], where eds_reduce compares anchors as written, so it is the
+# reference only on `eds_graphs()`, which draws neither [] nor a piece order
+# that sorting changes.
+
+
+def _norm_anchors(anchors):
+    """The pieces as sorted tuples, so list and tuple pieces compare equal."""
+    return tuple(sorted(tuple(p) for p in anchors or ()))
 
 
 def fixpoint_reduce(g: MrpGraph) -> MrpGraph:
@@ -393,7 +427,10 @@ def eds_graphs(draw, lossy=False):
     """EDS-like graphs: surface nodes over tokens, then quantifier-like,
     compound-like and chained type-1 nodes, extra links, one or two tops,
     and shuffled ids with gaps. With lossy=True, type-1 nodes may carry
-    properties and edges attributes."""
+    properties, edges attributes, and nodes and edges extras; surface nodes
+    may be unanchored, anchored `[]` or on two pieces out of order, phrase
+    pieces come in either order, and type-1 nodes may be anchored `[]` or on
+    their neighbour's pieces reversed."""
     words = draw(st.lists(st.sampled_from(WORDS), min_size=2, max_size=6))
     spans, pos = [], 0
     for w in words:
@@ -402,21 +439,30 @@ def eds_graphs(draw, lossy=False):
     text = " ".join(words)
     nodes, edges = [], []  # [label, anchors, props], (src, tgt, label, attrs)
 
+    def sometimes(values, default):
+        """With lossy=True, one time in six a draw from `values`; else `default`."""
+        return draw(values) if lossy and draw(st.integers(0, 5)) == 0 else default
+
     def edge(s, t):
         if draw(st.booleans()):
             s, t = t, s
-        attrs = [("scope", "wide")] if lossy and draw(st.integers(0, 5)) == 0 else []
+        attrs = sometimes(st.just([("scope", "wide")]), [])
         edges.append((s, t, draw(st.sampled_from(EDGE_LABELS)), attrs))
+
+    def type1_anchors(anchors):
+        return draw(st.sampled_from((anchors, [], (anchors or [])[::-1]))) if lossy else anchors
 
     for i, w in enumerate(words):
         kind = draw(st.sampled_from(("pred", "named", "pred", "phrase", "none")))
         if kind == "pred":
-            nodes.append([f"_{w}_n_1", [spans[i]], []])
+            own = [spans[i]]
+            nodes.append([f"_{w}_n_1", draw(st.sampled_from((own, [], None, own + [spans[0]]))) if lossy else own, []])
         elif kind == "named":  # surface-mapped by matching the anchored text
             nodes.append([draw(st.sampled_from((w, w.upper(), w + "s"))), [spans[i]],
                           [("carg", "named")]])
         elif kind == "phrase" and i + 1 < len(words):
-            nodes.append([f"_{w}+{words[i + 1]}_p", [spans[i], spans[i + 1]], []])
+            pieces = [spans[i], spans[i + 1]]
+            nodes.append([f"_{w}+{words[i + 1]}_p", draw(st.permutations(pieces)) if lossy else pieces, []])
     if not nodes:
         nodes.append(["_x_n_1", None, []])
     n_surface = len(nodes)
@@ -427,7 +473,7 @@ def eds_graphs(draw, lossy=False):
         if kind == "quantifier":
             b = draw(surface)
             anchors = nodes[b][1] if draw(st.integers(0, 4)) else [spans[0]]
-            nodes.append([draw(st.sampled_from(QUANTIFIERS)), anchors, []])
+            nodes.append([draw(st.sampled_from(QUANTIFIERS)), type1_anchors(anchors), []])
             edge(a, b)
         elif kind == "compound":
             b = draw(surface)
@@ -439,13 +485,12 @@ def eds_graphs(draw, lossy=False):
             edge(a, c)
         elif kind == "chain":  # type-1 linked to any earlier node
             b = draw(st.integers(0, a - 1))
-            nodes.append(["nominalization", nodes[b][1], []])
+            nodes.append(["nominalization", type1_anchors(nodes[b][1]), []])
             edge(a, b)
         else:
             i = draw(st.integers(0, len(words) - 1))
             nodes.append(["loc_nonsp", draw(st.sampled_from((None, [spans[i]]))), []])
-        if lossy and draw(st.integers(0, 5)) == 0:
-            nodes[a][2] = [("carg", "2")]
+        nodes[a][2] = sometimes(st.just([("carg", "2")]), [])
     for _ in range(draw(st.integers(0, 3))):
         edge(draw(st.integers(0, len(nodes) - 1)), draw(st.integers(0, len(nodes) - 1)))
 
@@ -456,9 +501,10 @@ def eds_graphs(draw, lossy=False):
     order = draw(st.permutations(range(len(nodes))))
     return MrpGraph(id="p", framework="eds", input=text, tops=tops,
                     nodes=[MrpNode(ids[i], nodes[i][0], list(nodes[i][2]),
-                                   list(nodes[i][1]) if nodes[i][1] else None)
+                                   None if nodes[i][1] is None else list(nodes[i][1]),
+                                   sometimes(st.just({"note": 1}), {}))
                            for i in order],
-                    edges=[MrpEdge(ids[s], ids[t], lab, list(attrs))
+                    edges=[MrpEdge(ids[s], ids[t], lab, list(attrs), sometimes(st.just({"note": 1}), {}))
                            for s, t, lab, attrs in edges])
 
 
