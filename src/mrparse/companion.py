@@ -25,7 +25,7 @@ class AlignmentError(CompanionError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     form: str
     lemma: str
@@ -76,13 +76,13 @@ def read_companion(doc: str) -> list:
     block = []
     block_id = None
     for lineno, line in enumerate(doc.splitlines() + [""], start=1):  # a blank line ends the last block
-        if not line.strip():
+        if not line or line.isspace():
             if block or block_id is not None:
                 sentences.append(_finish_block(block, block_id))
             block, block_id = [], None
             continue
         if line.startswith("#"):
-            if block:
+            if block or block_id is not None:  # a block has one id line, before its tokens
                 raise CompanionError(f"line {lineno}: id line {line!r} inside a block")
             block_id = line[1:].strip()
             continue
@@ -98,10 +98,13 @@ def _finish_block(rows, block_id):
     pos = 0
     for lineno, (_, form, lemma, xpos, misc) in rows:
         start = end = None
-        for item in misc.split("|"):
+        for item in misc.split("|") if "|" in misc else (misc,):
             if item.startswith("TokenRange="):
+                if start is not None:
+                    raise CompanionError(f"line {lineno}: TokenRange given twice")
+                a, _, z = item[len("TokenRange="):].partition(":")
                 try:
-                    start, end = map(int, item[len("TokenRange="):].split(":"))
+                    start, end = int(a), int(z)
                 except ValueError:
                     raise CompanionError(f"line {lineno}: {item!r} is not TokenRange=start:end") from None
         if start is None:
@@ -139,7 +142,8 @@ def align_companion(graph, sent: CompanionSentence) -> CompanionSentence:
     matches; an unmatched one belongs to the token of the nearest matched
     character before it (after it, at the start). A token whose input text
     equals its form keeps it with fresh offsets, or is returned itself when
-    its offsets match too (tokens are frozen); any other token's input
+    its offsets match too (by the record rule of `mrp`, a token is never
+    edited after it is built); any other token's input
     text is split at whitespace and every piece inherits the token's
     lemma/xpos/NER. Raises AlignmentError when more than half of the
     input's non-space characters are unmatched — that signals a wrong

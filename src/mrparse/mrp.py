@@ -33,8 +33,9 @@ keys id, label, properties, values, anchors, extras; edge keys source,
 target, label, attributes, values, extras. It leaves out a null label,
 empty properties or attributes and None anchors.
 
-Record rule: a node or edge record is never edited after the function
-that built it returns. A transform builds its output with
+Record rule: a node or edge record, or a companion `Token`, is never
+edited after the function that built it returns, and neither is a
+sentence's token or NER tag list. A transform builds its output with
 `MrpGraph.derive`, which shares every record it leaves unchanged with its
 input, and builds new records only for what it changes. Lists are shared
 the same way: a record's properties, attributes and anchors, the

@@ -187,8 +187,7 @@ def _entity_subgraphs(g):
     return found
 
 
-def _find_phrase(sent, words, used):
-    forms = sent.forms
+def _find_phrase(forms, words, used):
     for i in range(len(forms) - len(words) + 1):
         if forms[i:i + len(words)] == words and not any(k in used for k in range(i, i + len(words))):
             return i
@@ -202,12 +201,13 @@ def _anonymize(g, sent, tables, update):
     removed_nodes = set()
     renamed = {}  # entity node id -> its placeholder
     replacements = []  # replace_spans runs
+    forms = sent.forms
 
     for kind, v, parts, collapsed in _entity_subgraphs(g):
         words = [leaf.label for _, leaf in parts]
         if None in words:
             continue
-        pos = _find_phrase(sent, words, used_tokens)
+        pos = _find_phrase(forms, words, used_tokens)
         if pos is None:
             continue
         tag = sent.ner_tags[pos]

@@ -23,6 +23,9 @@ class AnchorError(Exception):
 
 def _range(anchors):
     """The character range (lo, hi) that a node's anchor pieces span."""
+    if len(anchors) == 1:
+        lo, hi = anchors[0]
+        return lo, hi
     return (min(f for f, _ in anchors), max(t for _, t in anchors))
 
 

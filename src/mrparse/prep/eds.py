@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from ..companion import replace_spans
 from ..mrp import MrpEdge, MrpGraph, MrpNode
@@ -32,6 +33,14 @@ def _as_written(anchors):
     """The pieces in their order, list and tuple pieces alike; None (no
     anchors) stays apart from []."""
     return None if anchors is None else [tuple(p) for p in anchors]
+
+
+def _payload(items):
+    """json.dumps(items), written directly when every item is a str or None."""
+    try:
+        return "[" + ", ".join(["null" if x is None else encode_basestring_ascii(x) for x in items]) + "]"
+    except TypeError:  # an item that is not a string: a label of a graph built in code
+        return json.dumps(items)
 
 
 def _is_surface_mapped(node, text):
@@ -82,7 +91,7 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
                 continue
             properties = folded.setdefault(b.id, list(b.properties))
             k = sum(1 for p, _ in properties if p.startswith(REDUCED))
-            properties.append((f"{REDUCED}{k}", json.dumps([a.label, e.label, _side(e, a)])))
+            properties.append((f"{REDUCED}{k}", _payload([a.label, e.label, _side(e, a)])))
         else:
             (b, eb), (c, ec) = ends
             if b.id == c.id or b.anchors is None or c.anchors is None:
@@ -92,7 +101,7 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
                 continue
             # the end with the smaller (edge label, node id) is the source: ARG1 before ARG2
             (src, esrc), (tgt, etgt) = sorted(ends, key=lambda end: (end[1].label or "", end[0].id))
-            payload = json.dumps([a.label, esrc.label, _side(esrc, a), etgt.label, _side(etgt, a)])
+            payload = _payload([a.label, esrc.label, _side(esrc, a), etgt.label, _side(etgt, a)])
             reduced_edges.append(MrpEdge(src.id, tgt.id, REDUCED + payload))
         dead.add(id(a))
         dead.update(id(e) for e in links)
@@ -156,6 +165,8 @@ def eds_restore(g: MrpGraph) -> MrpGraph:
 
     for i in range(len(nodes)):
         b = nodes[i]
+        if not b.properties:
+            continue
         folded = [(name, value) for name, value in b.properties if name.startswith(REDUCED)]
         if not folded:
             continue
@@ -264,10 +275,13 @@ def apply_multiword(sent, table: MultiwordTable):
     mergeable = [p.split(" ") for p in table.entries if table.should_merge(p)]
     mergeable.sort(key=lambda w: (-len(w), w))
     forms = [t.form.lower() for t in sent.tokens]
+    present = set(forms)
     taken = [False] * len(forms)
     text = sent.text()
     runs = []
     for words in mergeable:
+        if words[0] not in present:
+            continue
         i = 0
         while i + len(words) <= len(forms):
             if forms[i:i + len(words)] == words and not any(taken[i:i + len(words)]):

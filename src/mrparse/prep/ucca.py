@@ -83,6 +83,8 @@ def encode_edge_label(label, attributes) -> str | None:
         if attributes:
             raise UccaError("attributes on an edge without a label")
         return None
+    if not attributes:
+        return _escape(label)
     out = [_escape(label)]
     for name, value in sorted(attributes, key=lambda p: p[0]):
         if "=" in name:
@@ -97,8 +99,8 @@ def encode_edge_label(label, attributes) -> str | None:
 
 
 def decode_edge_label(s: str | None) -> tuple:
-    if s is None:
-        return None, []
+    if s is None or SEP not in s:
+        return s, []
     parts = _split_composite(s)
     attrs = []
     for part in parts[1:]:

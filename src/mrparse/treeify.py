@@ -166,7 +166,6 @@ def tree_to_graph(seq: NodeSequence, framework="amr", graph_id="", input_text=""
         if n.parent is None:
             tops.append(new_id[n.idx])
         else:
-            edges.append(MrpEdge(source=new_id[nodes[n.parent].idx], target=new_id[n.idx],
-                                 label=n.edge_label))
+            edges.append(MrpEdge(new_id[nodes[n.parent].idx], new_id[n.idx], n.edge_label))
     return MrpGraph(id=graph_id, framework=framework, input=input_text,
                     tops=tops, nodes=graph_nodes, edges=edges)

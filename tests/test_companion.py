@@ -53,6 +53,22 @@ def test_id_line_inside_a_block_names_line():
         comp.read_companion("#a\n1\tx\tx\tX\t_\n#b\n1\ty\ty\tY\t_\n")
 
 
+def test_second_id_line_before_any_token_names_line():
+    # a block has one id; a second one would silently replace the first
+    with pytest.raises(comp.CompanionError, match=r"line 2: id line '#b' inside a block"):
+        comp.read_companion("#a\n#b\n1\tx\tx\tX\t_\n")
+
+
+def test_token_range_is_read_from_among_other_misc_items():
+    [s] = comp.read_companion("1\tab\tab\tXX\tSpaceAfter=No|TokenRange=3:5\n2\tc\tc\tXX\tTokenRange=5:6|Gloss=c\n")
+    assert [(t.start, t.end) for t in s.tokens] == [(3, 5), (5, 6)]
+
+
+def test_repeated_token_range_names_line():
+    with pytest.raises(comp.CompanionError, match=r"^line 2: TokenRange given twice$"):
+        comp.read_companion("#s1\n1\tab\tab\tXX\tTokenRange=0:2|TokenRange=5:7\n")
+
+
 @pytest.mark.parametrize("token_range", ["0-1", "a:1", "1:2:3", ""])
 def test_malformed_token_range_names_line(token_range):
     doc = f"#s1\n1\tab\tab\tXX\tTokenRange=0:2\n2\tcd\tcd\tXX\tTokenRange={token_range}\n"

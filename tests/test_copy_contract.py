@@ -1,13 +1,16 @@
 """The copy contract: `MrpGraph.copy()` shares no mutable part with its
 source, and every transform leaves the graph it is given unchanged, as do
-`graph_to_tree` and `tree_to_graph` with what they are given.
+`graph_to_tree` and `tree_to_graph` with what they are given, and every
+function of a companion sentence with the sentence it is given.
 
-The record rule behind it: a node or edge record is never edited after the
-function that built it returns. A transform shares every record it leaves
-unchanged with its input and builds new records only for what it changes,
-so `copy()` is the one way to get a graph that may be edited in place.
-Treeify hands each node's property and anchor lists on as they are, so
-those lists, in a record or in a `SeqNode`, are never edited either."""
+The record rule behind it: a node or edge record, or a companion `Token`,
+is never edited after the function that built it returns. A transform
+shares every record it leaves unchanged with its input and builds new
+records only for what it changes, so `copy()` is the one way to get a
+graph that may be edited in place. Treeify hands each node's property and
+anchor lists on as they are, so those lists, in a record or in a
+`SeqNode`, are never edited either; nor is a sentence's token or NER tag
+list."""
 
 import copy
 import dataclasses
@@ -18,11 +21,13 @@ from hypothesis import strategies as st
 
 from helpers import sentence
 
+from mrparse.companion import align_companion, replace_spans
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
-from mrparse.prep import (AmrTables, amr_postprocess, amr_preprocess, anchors_to_spans,
-                          decode_graph_attrs, eds_exchange_properties, eds_reduce,
-                          eds_restore, encode_graph_attrs, spans_to_anchors,
-                          ucca_mark_implicit, ucca_strip_implicit)
+from mrparse.prep import (AmrTables, MultiwordTable, amr_postprocess, amr_preprocess,
+                          anchors_to_spans, apply_multiword, decode_graph_attrs,
+                          eds_exchange_properties, eds_reduce, eds_restore,
+                          encode_graph_attrs, spans_to_anchors, ucca_mark_implicit,
+                          ucca_strip_implicit)
 from mrparse.treeify import NodeSequence, TreeError, graph_to_tree, tree_to_graph
 
 
@@ -261,6 +266,34 @@ def test_a_transform_rebuilds_only_the_records_it_changes():
     g = eds_graph()
     out = eds_exchange_properties(g)
     assert [a is b for a, b in zip(out.nodes, g.nodes)] == [True, False, False, True, True]  # carg on 1 and 2
+
+
+def sentence_snapshot(s):
+    """s's token and NER tag lists by identity, each token by identity with
+    a copy of its fields, and a copy of the tags."""
+    return id(s.tokens), id(s.ner_tags), [(id(t), dataclasses.astuple(t)) for t in s.tokens], list(s.ner_tags)
+
+
+# name -> (function of the sentence, a sentence it builds moved or new tokens from)
+SENTENCE_TRANSFORMS = {
+    "align_companion": (lambda s: align_companion(MrpGraph("d", "dm", "Pierre  Vinken naps"), s),
+                        lambda: sentence("Pierre Vinken naps", tags="PER PER O")),  # drifted: two tokens move
+    "replace_spans": (lambda s: replace_spans(s, [(0, 1, "PER_0", "PER_0", "NNP", "PER")]),
+                      lambda: sentence("Pierre Vinken naps", tags="PER PER O")),  # "naps" moves left
+    "apply_multiword": (lambda s: apply_multiword(s, MultiwordTable({"new york": (1.0, 2)})),
+                        lambda: sentence("New York naps", tags="LOC LOC O")),
+    "amr_preprocess": (lambda s: amr_preprocess(amr_graph(), s, AmrTables())[1], lambda: AMR_SENT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SENTENCE_TRANSFORMS))
+def test_a_sentence_transform_leaves_its_input_sentence_unchanged(name):
+    transform, make_input = SENTENCE_TRANSFORMS[name]
+    s = make_input()
+    before = sentence_snapshot(s)
+    out = transform(s)
+    assert out.tokens != s.tokens  # the transform did change something
+    assert sentence_snapshot(s) == before
 
 
 @pytest.mark.parametrize("part", sorted(MUTATIONS))

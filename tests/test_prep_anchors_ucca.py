@@ -136,6 +136,11 @@ def test_anchors_to_spans_matches_linear_scan(case):
     assert flagged == want_flagged
 
 
+@pytest.mark.parametrize("piece", [(0, 0), (3, 5), [3, 5]])
+def test_range_of_one_piece_is_its_min_max_form(piece):
+    assert _range([piece]) == (min(f for f, _ in [piece]), max(t for _, t in [piece]))
+
+
 def _node_token_span(node, tokens):
     """Reference: the scan build_multiword_table used before covering_run.
     The tokens lying inside the node's range, as (first, last), when they
