@@ -206,6 +206,17 @@ def _match_owners(text, spelled, spelled_by):
     return owner
 
 
+def find_phrase(forms, words, taken):
+    """The index of the leftmost run of the non-empty `words` in `forms`
+    that takes no index in the set `taken`, or None (entity anonymization
+    and multiword merging)."""
+    n = len(words)
+    for i in range(len(forms) - n + 1):
+        if forms[i] == words[0] and forms[i:i + n] == words and taken.isdisjoint(range(i, i + n)):
+            return i
+    return None
+
+
 def replace_spans(sent: CompanionSentence, spans) -> CompanionSentence:
     """Replace token runs with single tokens, in one left-to-right pass
     (multiword merging and entity anonymization). `spans` holds (lo, hi,

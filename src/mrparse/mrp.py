@@ -7,26 +7,28 @@ parse/serialize cycle is structurally lossless.
 Record contract: one function, `_violations`, holds every rule a record
 keeps, and `parse_mrp`, `serialize_mrp` and `validate_graph` all read it.
 Node ids, edge endpoints, tops and anchor offsets are integers, not
-booleans (`NotAnInteger`); labels are strings or null, and property and
-attribute names are strings (`NotAString`); no node id repeats
-(`DuplicateNodeId`); every edge endpoint and every top is a node
-(`DanglingEdge`, `DanglingTop`); and every anchor (from, to) has from <=
-to (`InvertedAnchor`) and lies within `input` (`AnchorOutOfBounds`).
-`parse_mrp` and `serialize_mrp` both refuse a graph that breaks one of
-these seven, with the first broken rule's message naming the graph:
-`MrpParseError` for the two type rules, `MrpValidationError` for the five
-structural ones. A repeated property name (`DuplicateProperty`) and a
-self-loop (`SelfLoop`) round-trip, so they are data: `validate_graph`
-reports them, and no reader or writer refuses them. Besides, `parse_mrp`
-refuses with `MrpParseError` a record of the wrong JSON shape: not an
-object, a node without id, an edge without endpoints, an anchor without
-from/to, a keyed list that is not a list, an `input` that is not a string,
-and names and values of different lengths. `serialize_mrp` refuses with
-`MrpError` extras that name a field of their record and a value that JSON
-cannot hold.
+booleans (`NotAnInteger`); the graph's id and framework are strings,
+labels are strings or null, and property and attribute names are strings
+(`NotAString`); no node id repeats (`DuplicateNodeId`); every edge
+endpoint and every top is a node (`DanglingEdge`, `DanglingTop`); and
+every anchor (from, to) has from <= to (`InvertedAnchor`) and lies within
+`input` (`AnchorOutOfBounds`). `parse_mrp` and `serialize_mrp` both refuse
+a graph that breaks one of these seven, with the first broken rule's
+message naming the graph: `MrpParseError` for the two type rules,
+`MrpValidationError` for the five structural ones. A repeated property
+name (`DuplicateProperty`) and a self-loop (`SelfLoop`) round-trip, so
+they are data: `validate_graph` reports them, and no reader or writer
+refuses them. Besides, `parse_mrp` refuses with `MrpParseError` a record
+of the wrong JSON shape: not an object, a node without id, an edge
+without endpoints, an anchor without from/to, a keyed list that is not a
+list, an `input` that is not a string, and names and values of different
+lengths. `serialize_mrp` refuses with `MrpError` extras that name a field
+of their record and a value that JSON cannot hold.
 
-Unknown keys at every level land in `extras` as they were read, and
-`serialize_mrp` writes them back unchanged. It writes the text itself, as
+The header is kept as written: an id or framework is neither converted
+nor case-folded, and an absent one reads as "". Unknown keys at every
+level land in `extras` as they were read, and `serialize_mrp` writes them
+back unchanged. It writes the text itself, as
 `json.dumps(ensure_ascii=False)` with no spaces would. Keys come in the
 order id, the graph's extras, framework, input, tops, nodes, edges; node
 keys id, label, properties, values, anchors, extras; edge keys source,
@@ -96,10 +98,6 @@ class MrpGraph:
     edges: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.id = str(self.id)
-        self.framework = self.framework.lower()
-
     def node_by_id(self):
         return {n.id: n for n in self.nodes}
 
@@ -137,6 +135,9 @@ def _violations(g):
     """(code, message) for every rule of the record contract that g breaks,
     in one pass over its nodes, edges and tops."""
     out, ids, size = [], set(), len(g.input)
+    for key, value in (("id", g.id), ("framework", g.framework)):
+        if type(value) is not str:
+            out.append(("NotAString", f"{key} {value!r} is not a string"))
     for n in g.nodes:
         nid = n.id
         if type(nid) is not int:
@@ -219,7 +220,7 @@ def parse_mrp(line: str) -> MrpGraph:
     if not isinstance(obj, dict):
         raise MrpParseError("record is not an object")
 
-    gid = str(obj.get("id", ""))
+    gid = obj.get("id", "")
     nodes = []
     for raw in _list(obj, "nodes", gid):
         if not isinstance(raw, dict):
@@ -248,7 +249,7 @@ def parse_mrp(line: str) -> MrpGraph:
     if type(text) is not str:
         raise MrpParseError(f"graph {gid}: 'input' is {type(text).__name__}, not a string")
     extras = {} if obj.keys() <= _GRAPH_KEYS else {k: v for k, v in obj.items() if k not in _GRAPH_KEYS}
-    g = MrpGraph(gid, str(obj.get("framework", "")), text, _list(obj, "tops", gid), nodes, edges, extras)
+    g = MrpGraph(gid, obj.get("framework", ""), text, _list(obj, "tops", gid), nodes, edges, extras)
     _refuse(g)
     return g
 

@@ -4,8 +4,14 @@ handling, and named-entity anonymization.
 Entity sub-graphs (an entity-type node pointing at a `name` node with op
 children, or a date-entity with field children) collapse to a single
 placeholder node such as PERSON_0, and the matching sentence tokens
-collapse to the same placeholder. The tables learned during training —
-sense frequencies, polarity attachment rates, NER-tag/entity-type
+collapse to the same placeholder. Its entry is `{"kind", "type", "parts"}`:
+"named" or "date", the entity node's label, and `[edge label, word]` per
+leaf, as written; `amr_postprocess` hangs the parts under a new `name`
+node ("named") or under the entity node ("date"). A pattern collapses only
+when its entry rebuilds it exactly: its collapsed nodes and edges are bare
+labels (`_entity_subgraphs`) and its placeholder is no label of the graph;
+any other stays in the graph as it is. The tables learned during training
+— sense frequencies, polarity attachment rates, NER-tag/entity-type
 statistics — drive the inverse at parse time.
 """
 
@@ -17,13 +23,14 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from ..companion import CompanionSentence, replace_spans
+from ..companion import CompanionSentence, find_phrase, replace_spans
 from ..mrp import MrpEdge, MrpGraph, MrpNode
+from ..treeify import natural_key
 
 log = logging.getLogger(__name__)
 
 SENSE_RE = re.compile(r"^(.+?)-(\d{2,})$")
-OP_RE = re.compile(r"^op(\d+)$")
+OP_RE = re.compile(r"^op\d+$")
 DATE_FIELDS = ("year", "month", "day", "weekday")
 
 DEFAULT_TEMPLATES = {
@@ -122,7 +129,7 @@ def amr_preprocess(g: MrpGraph, sent: CompanionSentence, tables: AmrTables, upda
     """Strip senses/wiki/polarity and anonymize entity sub-graphs.
 
     Returns (graph, sentence, entry) where entry maps each placeholder to
-    the information needed to rebuild its sub-graph and surface phrase.
+    its `{"kind", "type", "parts"}` record (module docstring).
     With update=True, corpus statistics accumulate into `tables`.
     """
     nodes = []
@@ -147,51 +154,51 @@ def amr_preprocess(g: MrpGraph, sent: CompanionSentence, tables: AmrTables, upda
 
 
 def _entity_subgraphs(g):
-    """(kind, entity node, [(key, leaf)], collapsed nodes) per pattern: a
-    `name` node with op leaves under an entity node ("named", keyed by op
-    index; none for an entity node with two such names), or a date-entity
-    with field leaves ("date"). A leaf, and so each collapsed node, has one
-    in-edge; no two patterns collapse one node or rename one entity node."""
+    """(kind, entity node, [(edge, leaf)], collapsed nodes) per pattern: a
+    `name` node with op leaves under an entity node ("named"; none for an
+    entity node with two such names), or a date-entity with field leaves
+    ("date"). Parts come in `natural_key` order of their edge labels. Only
+    what an entry rebuilds is a pattern: each collapsed node is a bare
+    label (no properties, anchors or extras, not a top) with one in-edge,
+    and each collapsed edge a label alone (no attributes or extras). No two
+    patterns collapse one node or rename one entity node."""
     by_id = g.node_by_id()
     out_edges = {n.id: [] for n in g.nodes}
     in_deg = {n.id: 0 for n in g.nodes}
     for e in g.edges:
         out_edges[e.source].append(e)
         in_deg[e.target] += 1
+    tops = set(g.tops)
 
-    def leaves(v, key):
-        """v's children as (key, leaf) in key order; None unless each is a keyed leaf."""
-        parts = []
-        for e in out_edges[v.id]:
-            k, leaf = key(e.label), by_id[e.target]
-            if k is None or out_edges[leaf.id] or in_deg[leaf.id] != 1:
-                return None
-            parts.append((k, leaf))
-        return sorted(parts, key=lambda p: p[0])
+    def bare(e):
+        """Whether edge e is a label alone into a bare node, not a top, that has no other in-edge."""
+        m = by_id[e.target]
+        return (not (e.attributes or e.extras or m.properties or m.extras)
+                and m.anchors is None and m.id not in tops and in_deg[m.id] == 1)
+
+    def leaves(v, is_part):
+        """v's children as (edge, leaf) in edge label order; None unless each is a bare leaf."""
+        parts = [(e, by_id[e.target]) for e in out_edges[v.id]]
+        if not all(is_part(e.label) and bare(e) and not out_edges[e.target] for e, _ in parts):
+            return None
+        return sorted(parts, key=lambda p: natural_key(p[0].label))
 
     found = []
     for v in sorted(g.nodes, key=lambda n: n.id):
         named = []
         for e in out_edges[v.id]:
             m = by_id[e.target]
-            if e.label == "name" and m.label == "name" and in_deg[m.id] == 1:
-                ops = leaves(m, lambda label: int(label[2:]) if OP_RE.match(label or "") else None)
+            if e.label == "name" and m.label == "name" and bare(e):
+                ops = leaves(m, lambda label: OP_RE.match(label or ""))
                 if ops:
                     named.append(("named", v, ops, [m] + [leaf for _, leaf in ops]))
         if len(named) == 1:  # a placeholder stands for one name
             found += named
         if v.label == "date-entity":
-            fields = leaves(v, lambda label: label if label in DATE_FIELDS else None)
+            fields = leaves(v, DATE_FIELDS.__contains__)
             if fields:
                 found.append(("date", v, fields, [leaf for _, leaf in fields]))
     return found
-
-
-def _find_phrase(forms, words, used):
-    for i in range(len(forms) - len(words) + 1):
-        if forms[i:i + len(words)] == words and not any(k in used for k in range(i, i + len(words))):
-            return i
-    return None
 
 
 def _anonymize(g, sent, tables, update):
@@ -202,26 +209,23 @@ def _anonymize(g, sent, tables, update):
     renamed = {}  # entity node id -> its placeholder
     replacements = []  # replace_spans runs
     forms = sent.forms
+    labels = {n.label for n in g.nodes}  # a placeholder must not be one of them
 
     for kind, v, parts, collapsed in _entity_subgraphs(g):
         words = [leaf.label for _, leaf in parts]
-        if None in words:
-            continue
-        pos = _find_phrase(forms, words, used_tokens)
+        pos = find_phrase(forms, words, used_tokens)
         if pos is None:
             continue
         tag = sent.ner_tags[pos]
         if tag == "O":
             continue
         placeholder = _mint(tables, counters, tag)
+        if placeholder in labels:
+            continue
         if update:
             tables.entity_types.setdefault(tag, {})
             tables.entity_types[tag][v.label] = tables.entity_types[tag].get(v.label, 0) + 1
-        if kind == "named":
-            entry[placeholder] = {"kind": "named", "type": v.label, "phrase": words}
-        else:
-            entry[placeholder] = {"kind": "date", "type": v.label,
-                                  "parts": [[key, leaf.label] for key, leaf in parts]}
+        entry[placeholder] = {"kind": kind, "type": v.label, "parts": [[e.label, leaf.label] for e, leaf in parts]}
         removed_nodes.update(n.id for n in collapsed)
         renamed[v.id] = placeholder
         used_tokens.update(range(pos, pos + len(words)))
@@ -236,31 +240,22 @@ def _anonymize(g, sent, tables, update):
 
 def sentence_entry(sent: CompanionSentence, tables: AmrTables):
     """Test-time preprocessing: anonymize the sentence from NER tags alone
-    and build the restoration entry from corpus statistics."""
+    and build the restoration entry from corpus statistics: a DATE run's
+    words as `day` fields, any other run's as `op1`, `op2`, ..."""
     entry = {}
     counters = {}
     runs = []
     i = 0
-    while i < len(sent.tokens):
-        tag = sent.ner_tags[i]
-        if tag == "O":
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(sent.tokens) and sent.ner_tags[j + 1] == tag:
-            j += 1
-        words = [t.form for t in sent.tokens[i:j + 1]]
-        placeholder = _mint(tables, counters, tag)
-        if tag == "DATE":
-            entry[placeholder] = {"kind": "date",
-                                  "type": tables.best_entity_type(tag, "date-entity"),
-                                  "parts": [["day", w] for w in words]}
-        else:
-            entry[placeholder] = {"kind": "named",
-                                  "type": tables.best_entity_type(tag, "thing"),
-                                  "phrase": words}
-        runs.append((i, j, placeholder, placeholder, "NNP", tag))
-        i = j + 1
+    for tag, run in itertools.groupby(sent.ner_tags):
+        j = i + len(list(run))
+        if tag != "O":
+            placeholder = _mint(tables, counters, tag)
+            kind, fallback = ("date", "date-entity") if tag == "DATE" else ("named", "thing")
+            entry[placeholder] = {"kind": kind, "type": tables.best_entity_type(tag, fallback),
+                                  "parts": [["day" if kind == "date" else f"op{k}", t.form]
+                                            for k, t in enumerate(sent.tokens[i:j], start=1)]}
+            runs.append((i, j - 1, placeholder, placeholder, "NNP", tag))
+        i = j
     return replace_spans(sent, runs), entry
 
 
@@ -273,8 +268,8 @@ def _mint(tables, counters, tag):
 
 
 def amr_postprocess(g: MrpGraph, entry: dict, tables: AmrTables) -> MrpGraph:
-    """Assign senses and polarity, then expand placeholder nodes back into
-    entity sub-graphs."""
+    """Assign senses and polarity, then expand each placeholder node back
+    into the entity sub-graph its entry records."""
     templates = {*tables.templates.values(), "ENTITY"}  # every template _mint uses
     nodes, edges = list(g.nodes), list(g.edges)
     placeholders = []  # positions in nodes
@@ -307,11 +302,7 @@ def amr_postprocess(g: MrpGraph, entry: dict, tables: AmrTables) -> MrpGraph:
             log.warning("no anonymization entry for %s; leaving placeholder", v.label)
             continue
         nodes[pos] = v = MrpNode(v.id, info["type"], v.properties, v.anchors, v.extras)
-        if info["kind"] == "named":
-            m = add("name", v, "name")
-            for i, word in enumerate(info["phrase"], start=1):
-                add(word, m, f"op{i}")
-        else:
-            for lab, value in info["parts"]:
-                add(value, v, lab)
+        parent = add("name", v, "name") if info["kind"] == "named" else v
+        for edge_label, word in info["parts"]:
+            add(word, parent, edge_label)
     return g.derive(nodes, edges)

@@ -21,14 +21,6 @@ class AnchorError(Exception):
     pass
 
 
-def _range(anchors):
-    """The character range (lo, hi) that a node's anchor pieces span."""
-    if len(anchors) == 1:
-        lo, hi = anchors[0]
-        return lo, hi
-    return (min(f for f, _ in anchors), max(t for _, t in anchors))
-
-
 def covering_run(starts, ends, lo, hi):
     """The run of tokens overlapping [lo, hi) (the token at lo if the range
     is empty), as (s, e, exact) with e inclusive and s > e when no token

@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from ..companion import replace_spans
+from ..companion import find_phrase, replace_spans
 from ..mrp import MrpEdge, MrpGraph, MrpNode
-from .anchors import _range, covering_run
+from .anchors import covering_run
 
 REDUCED = "reduced:"
 
@@ -33,6 +33,14 @@ def _as_written(anchors):
     """The pieces in their order, list and tuple pieces alike; None (no
     anchors) stays apart from []."""
     return None if anchors is None else [tuple(p) for p in anchors]
+
+
+def _range(anchors):
+    """The character range (lo, hi) that a node's anchor pieces span."""
+    if len(anchors) == 1:
+        lo, hi = anchors[0]
+        return lo, hi
+    return (min(f for f, _ in anchors), max(t for _, t in anchors))
 
 
 def _payload(items):
@@ -276,21 +284,15 @@ def apply_multiword(sent, table: MultiwordTable):
     mergeable.sort(key=lambda w: (-len(w), w))
     forms = [t.form.lower() for t in sent.tokens]
     present = set(forms)
-    taken = [False] * len(forms)
+    taken = set()
     text = sent.text()
     runs = []
     for words in mergeable:
         if words[0] not in present:
             continue
-        i = 0
-        while i + len(words) <= len(forms):
-            if forms[i:i + len(words)] == words and not any(taken[i:i + len(words)]):
-                run = sent.tokens[i:i + len(words)]
-                runs.append((i, i + len(words) - 1, text[run[0].start:run[-1].end],
-                             "+".join(t.lemma for t in run), run[0].xpos, sent.ner_tags[i]))
-                for k in range(i, i + len(words)):
-                    taken[k] = True
-                i += len(words)
-            else:
-                i += 1
+        while (i := find_phrase(forms, words, taken)) is not None:
+            run = sent.tokens[i:i + len(words)]
+            runs.append((i, i + len(words) - 1, text[run[0].start:run[-1].end],
+                         "+".join(t.lemma for t in run), run[0].xpos, sent.ner_tags[i]))
+            taken.update(range(i, i + len(words)))
     return replace_spans(sent, sorted(runs))

@@ -312,6 +312,26 @@ def test_parse_and_serialize_refuse_each_rule_alike(line, g, error, message):
     assert_refused_alike(g, line)
 
 
+@pytest.mark.parametrize("framework", ["DM", "Amr"])
+def test_the_header_round_trips_as_written(framework):
+    line = f'{{"id":"g7","framework":"{framework}","input":"","tops":[],"nodes":[],"edges":[]}}'
+    assert mrp.serialize_mrp(mrp.parse_mrp(line)) == line
+
+
+def test_an_absent_id_or_framework_reads_as_empty():
+    g = mrp.parse_mrp("{}")
+    assert (g.id, g.framework) == ("", "")
+
+
+@pytest.mark.parametrize("key, value", [("id", None), ("id", 5), ("framework", None), ("framework", 5)])
+def test_an_id_or_framework_that_is_not_a_string_is_refused(key, value):
+    header = {"id": "g7", "framework": "dm", key: value}
+    line = json.dumps({**header, "input": "", "tops": [], "nodes": [], "edges": []})
+    message = f"graph {header['id']}: {key} {value!r} is not a string"
+    assert refusal(mrp.parse_mrp, line) == (mrp.MrpParseError, message)
+    assert refusal(mrp.serialize_mrp, MrpGraph(header["id"], header["framework"])) == (mrp.MrpParseError, message)
+
+
 @pytest.mark.parametrize("line, g, message", [
     ('{"id":"g7","framework":"ucca","input":"ab","tops":[0],"nodes":[{"id":0,"label":"a","anchors":[{"from":0,"to":1}]}],'
      '"edges":[{"source":0,"target":0,"label":"L","attributes":[5],"values":[true]}]}',

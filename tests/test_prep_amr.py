@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import sentence
+from helpers import same_up_to_ids, sentence
 
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
 from mrparse.prep import AmrTables, amr_postprocess, amr_preprocess
@@ -43,7 +43,7 @@ def test_name_subgraph_anonymized():
     labels = sorted(n.label for n in out.nodes)
     assert labels == ["PERSON_0", "visit"]
     assert s2.forms == ["PERSON_0", "visited"]
-    assert entry["PERSON_0"] == {"kind": "named", "type": "person", "phrase": ["Pierre"]}
+    assert entry["PERSON_0"] == {"kind": "named", "type": "person", "parts": [["op1", "Pierre"]]}
 
 
 def test_multiword_name_anonymized():
@@ -52,7 +52,7 @@ def test_multiword_name_anonymized():
     s = sentence("Pierre Vinken retired", tags="PER PER O")
     out, s2, entry = amr_preprocess(g, s, AmrTables())
     assert s2.forms == ["PERSON_0", "retired"]
-    assert entry["PERSON_0"]["phrase"] == ["Pierre", "Vinken"]
+    assert entry["PERSON_0"]["parts"] == [["op1", "Pierre"], ["op2", "Vinken"]]
 
 
 def test_unmatched_entity_left_intact():
@@ -80,7 +80,7 @@ def test_postprocess_expands_placeholder_of_custom_template():
     tables.templates["MON"] = "MONEY"
     tables.senses["cost"] = {"cost-01": 1}
     g = amr([(0, "cost", []), (1, "MONEY_0", [])], [(0, 1, "ARG1")], [0])
-    entry = {"MONEY_0": {"kind": "named", "type": "monetary-quantity", "phrase": ["$5"]}}
+    entry = {"MONEY_0": {"kind": "named", "type": "monetary-quantity", "parts": [["op1", "$5"]]}}
     post = amr_postprocess(g, entry, tables)
     by_id = post.node_by_id()
     assert by_id[1].label == "monetary-quantity"
@@ -174,6 +174,60 @@ def test_entity_with_two_names_roundtrips_unanonymized():
     assert _sig(amr_postprocess(pre, entry, tables)) == _sig(g)
 
 
+def pierre_vinken(ops):
+    """person -name-> name -ops-> Pierre (, Vinken) over "Pierre (Vinken)
+    retired", the names tagged PER."""
+    words = ["Pierre", "Vinken"][:len(ops)]
+    text = " ".join(words + ["retired"])
+    nodes = [MrpNode(0, "person"), MrpNode(1, "name")] + [MrpNode(2 + k, w) for k, w in enumerate(words)]
+    edges = [MrpEdge(0, 1, "name")] + [MrpEdge(1, 2 + k, op) for k, op in enumerate(ops)]
+    return MrpGraph("a", "amr", text, [0], nodes, edges), sentence(text, tags=["PER"] * len(words) + ["O"])
+
+
+def _leaf_anchors(g):
+    g.nodes[2].anchors = [(0, 6)]
+
+
+def _name_property(g):
+    g.nodes[1].properties = [("lang", "fr")]
+
+
+def _edge_extras(g):
+    g.edges[1].extras = {"note": "x"}
+
+
+def _leaf_top(g):
+    g.tops = [0, 2]
+
+
+def _bystander_placeholder(g):
+    g.nodes.append(MrpNode(9, "PERSON_0"))
+    g.edges.append(MrpEdge(9, 0, "ARG0"))
+    g.tops = [9]
+
+
+@pytest.mark.parametrize("ops, decorate, collapsed", [
+    (("op1", "op2"), _leaf_anchors, False),
+    (("op1", "op2"), _name_property, False),
+    (("op1", "op2"), _edge_extras, False),
+    (("op01",), None, True),
+    (("op1", "op3"), None, True),
+    (("op1", "op2"), _bystander_placeholder, False),
+    (("op1", "op2"), _leaf_top, False),
+], ids=["leaf-anchors", "name-property", "edge-extras", "op01", "op1-op3", "bystander-PERSON_0",
+        "leaf-top"])
+def test_entity_round_trips_as_written(ops, decorate, collapsed):
+    """An entity that its entry cannot rebuild stays in the graph as it is;
+    one that it can comes back with its edge labels as written."""
+    g, s = pierre_vinken(ops)
+    if decorate:
+        decorate(g)
+    tables = AmrTables()
+    pre, _, entry = amr_preprocess(g, s, tables, update=True)
+    assert bool(entry) == collapsed
+    assert same_up_to_ids(amr_postprocess(pre, entry, tables), g)
+
+
 def _sig(g):
     lab = {n.id: n.label for n in g.nodes}
     return (sorted((n.label, tuple(sorted(n.properties))) for n in g.nodes),
@@ -187,7 +241,8 @@ def test_sentence_entry_for_test_time():
     out, entry = sentence_entry(s, tables)
     assert out.forms == ["PERSON_0", "visited", "LOCATION_0"]
     assert out.text() == "PERSON_0 visited LOCATION_0" and out.ner_tags == ["PER", "O", "LOC"]
-    assert entry["PERSON_0"] == {"kind": "named", "type": "person", "phrase": ["Pierre", "Vinken"]}
+    assert entry["PERSON_0"] == {"kind": "named", "type": "person",
+                                 "parts": [["op1", "Pierre"], ["op2", "Vinken"]]}
     assert entry["LOCATION_0"]["type"] == "city"
 
 

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from helpers import same_up_to_ids, sentence
 
+from mrparse.companion import replace_spans
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, parse_mrp, serialize_mrp
 from mrparse.prep import (MultiwordTable, anchors_to_spans, apply_multiword,
                           build_multiword_table, eds_exchange_properties, eds_reduce,
                           eds_restore, spans_to_anchors)
-from mrparse.prep.anchors import _range
-from mrparse.prep.eds import REDUCED, EdsError, _adjacency, _is_surface_mapped, _payload
+from mrparse.prep.eds import REDUCED, EdsError, _adjacency, _is_surface_mapped, _payload, _range
 
 
 def graph(text, nodes, edges, tops):
@@ -300,6 +300,42 @@ class TestMultiword:
     def test_table_serialization_roundtrip(self):
         table = build_multiword_table(self.corpus())
         assert MultiwordTable.from_lines(table.to_lines()).entries == table.entries
+
+
+def reference_apply_multiword(sent, table):
+    """The scan that `apply_multiword` replaced with `find_phrase`: one
+    left-to-right pass per phrase, skipping past each run it takes."""
+    mergeable = [p.split(" ") for p in table.entries if table.should_merge(p)]
+    mergeable.sort(key=lambda w: (-len(w), w))
+    forms = [t.form.lower() for t in sent.tokens]
+    taken = [False] * len(forms)
+    text = sent.text()
+    runs = []
+    for words in mergeable:
+        i = 0
+        while i + len(words) <= len(forms):
+            if forms[i:i + len(words)] == words and not any(taken[i:i + len(words)]):
+                run = sent.tokens[i:i + len(words)]
+                runs.append((i, i + len(words) - 1, text[run[0].start:run[-1].end],
+                             "+".join(t.lemma for t in run), run[0].xpos, sent.ner_tags[i]))
+                for k in range(i, i + len(words)):
+                    taken[k] = True
+                i += len(words)
+            else:
+                i += 1
+    return replace_spans(sent, sorted(runs))
+
+
+MULTIWORD_FORMS = st.sampled_from(["a", "A", "b", "c"])
+
+
+@given(st.lists(st.tuples(MULTIWORD_FORMS, st.sampled_from(["O", "X"])), min_size=1, max_size=8),
+       st.dictionaries(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3).map(" ".join),
+                       st.sampled_from([(1.0, 2), (0.4, 9)]), max_size=4))
+def test_apply_multiword_merges_as_the_reference_scan(tokens, entries):
+    s = sentence([f for f, _ in tokens], tags=[t for _, t in tokens])
+    table = MultiwordTable(entries)
+    assert apply_multiword(s, table) == reference_apply_multiword(s, table)
 
 
 @given(st.dictionaries(st.text(max_size=6), st.tuples(st.floats(0, 1), st.integers(0, 50)), max_size=4))

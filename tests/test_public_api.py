@@ -14,6 +14,9 @@ passed by some call in `src/`, `benchmarks/` or `tests/`: by keyword, by
 position, or through `*` or `**`. Calls are matched by name, as above: a
 call of `f` or `x.f` counts for every `f`, and a call of `C` for the
 constructor of class `C`.
+
+No module under `src/` imports a private name (one leading underscore)
+from another module: a helper lives with its callers.
 """
 
 import ast
@@ -139,3 +142,10 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                        for n, keywords, star, double in calls.get(called, ())):
                 never.append(f"{path.relative_to(ROOT)}: {qualified}({param})")
     assert never == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    private = [f"{path.relative_to(ROOT)}: {'.' * node.level}{node.module or ''} {alias.name}"
+               for path, tree in SRC for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert private == []

@@ -23,22 +23,32 @@ The anchor pair `anchors_to_spans`/`spans_to_anchors` is enumerated over
 every sentence of up to MAX_TOKENS tokens of width >= 1 laid out over
 TEXT_LENGTH characters, and every anchor on it of one piece (lo, hi) with
 0 <= lo < hi <= TEXT_LENGTH, or of two such pieces in order that do not
-overlap."""
+overlap.
+
+The AMR entity pair `amr_preprocess`/`amr_postprocess` is enumerated over
+every entity pattern: a `person` top with a `name` node and one or two op
+leaves, edge labels from AMR_OPS, or a `date-entity` top with one or two
+fields from AMR_FIELDS. Each takes at most one decoration: a leaf anchored
+`[]` or on its word, leaf extras, an attribute or extras on one collapsed
+edge, a property on the `name` node, a collapsed node as a second top, or
+a bystander parent labelled PERSON_0 or DATE_0. The sentence is the leaves' words, all tagged with the
+entity's tag or all `O`, and the tables are fit on the graph itself."""
 
 import itertools
 from collections import Counter
 
-from helpers import covering
+from helpers import covering, same_up_to_ids, sentence
 from test_mrp import reference_serialize
 from test_treeify import clear_node_ids
 
 from mrparse import mrp
 from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
+from mrparse.prep import AmrTables, amr_postprocess, amr_preprocess
 from mrparse.prep.anchors import AnchorError, anchors_to_spans, spans_to_anchors
 from mrparse.prep.ucca import (UccaError, decode_edge_label, encode_edge_label, ucca_mark_implicit,
                                ucca_strip_implicit)
-from mrparse.treeify import TreeError, graph_to_tree, tree_to_graph
+from mrparse.treeify import TreeError, graph_to_tree, natural_key, tree_to_graph
 
 INPUT = "ab"
 NODE_IDS = (0, 1)
@@ -60,6 +70,10 @@ TREE_EDGE_LABEL = "L"
 
 MAX_TOKENS = 3
 TEXT_LENGTH = 7
+
+AMR_OPS = ("op1", "op2", "op3", "op01")
+AMR_NAMES = ("Ann", "Bo")
+AMR_FIELDS = {"day": "3", "month": "5", "year": "1999"}
 
 
 def record_graphs():
@@ -235,3 +249,62 @@ def test_anchor_pair_round_trips_snaps_or_refuses():
         tally["snapped"] += len(snapped)
         tally["exact"] += len(mapped) - len(snapped)
     assert tally == {"exact": 2842, "snapped": 31920, "AnchorError": 21448}
+
+
+def amr_patterns():
+    """(entity graph over its words, its tag, its words) per pattern;
+    leaves come last, in natural_key order of their edge labels."""
+    for k in (1, 2):
+        for ops in itertools.combinations(AMR_OPS, k):
+            words = list(AMR_NAMES[:k])
+            nodes = [MrpNode(0, "person"), MrpNode(1, "name")] + [MrpNode(2 + i, w) for i, w in enumerate(words)]
+            edges = [MrpEdge(0, 1, "name")] + [MrpEdge(1, 2 + i, op)
+                                               for i, op in enumerate(sorted(ops, key=natural_key))]
+            yield MrpGraph("m", "amr", " ".join(words), [0], nodes, edges), "PER", words
+        for fields in itertools.combinations(AMR_FIELDS, k):
+            words = [AMR_FIELDS[f] for f in fields]
+            nodes = [MrpNode(0, "date-entity")] + [MrpNode(1 + i, w) for i, w in enumerate(words)]
+            edges = [MrpEdge(0, 1 + i, f) for i, f in enumerate(fields)]
+            yield MrpGraph("m", "amr", " ".join(words), [0], nodes, edges), "DATE", words
+
+
+def _with(g, records, pos, field, value):
+    """A copy of g whose node or edge (`records`) at pos has field set to value."""
+    h = g.copy()
+    setattr(getattr(h, records)[pos], field, value)
+    return h
+
+
+def decorated(g, sent):
+    """g, then a copy of it per decoration, each carrying one."""
+    yield g
+    leaves = len(g.nodes) - len(sent.tokens)
+    for pos, tok in enumerate(sent.tokens, start=leaves):
+        for field, value in (("anchors", []), ("anchors", [(tok.start, tok.end)]), ("extras", {"x": 1})):
+            yield _with(g, "nodes", pos, field, value)
+    for pos in range(len(g.edges)):
+        for field, value in (("attributes", [("remote", True)]), ("extras", {"x": 1})):
+            yield _with(g, "edges", pos, field, value)
+    if g.nodes[1].label == "name":
+        yield _with(g, "nodes", 1, "properties", [("x", "1")])
+    for pos in range(1, len(g.nodes)):  # each collapsed node
+        h = g.derive()
+        h.tops.append(g.nodes[pos].id)
+        yield h
+    for placeholder in ("PERSON_0", "DATE_0"):
+        yield g.derive(g.nodes + [MrpNode(9, placeholder)], g.edges + [MrpEdge(9, 0, "ARG0")])
+
+
+def test_amr_entity_pair_round_trips_up_to_ids():
+    """Collapsed when the entry rebuilds the pattern; else left as it is."""
+    tally = Counter()
+    for pattern, tag, words in amr_patterns():
+        for tags in ([tag] * len(words), ["O"] * len(words)):
+            sent = sentence(words, tags=tags)
+            for g in decorated(pattern, sent):
+                tables = AmrTables()
+                pre, _, entry = amr_preprocess(g, sent, tables, update=True)
+                assert entry or pre == g, g
+                assert same_up_to_ids(amr_postprocess(pre, entry, tables), g), g
+                tally["collapsed" if entry else "left as it is"] += 1
+    assert tally == {"collapsed": 32, "left as it is": 444}
