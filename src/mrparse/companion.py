@@ -209,12 +209,19 @@ def _match_owners(text, spelled, spelled_by):
 def find_phrase(forms, words, taken):
     """The index of the leftmost run of the non-empty `words` in `forms`
     that takes no index in the set `taken`, or None (entity anonymization
-    and multiword merging)."""
+    and multiword merging). It jumps from one occurrence of the first
+    word to the next with list.index, so the scan runs in C and the Python
+    work is one slice comparison per occurrence, not one test per
+    position; a run cut short by the end of `forms` is no match."""
     n = len(words)
-    for i in range(len(forms) - n + 1):
-        if forms[i] == words[0] and forms[i:i + n] == words and taken.isdisjoint(range(i, i + n)):
+    i = -1
+    while True:
+        try:
+            i = forms.index(words[0], i + 1)
+        except ValueError:
+            return None
+        if forms[i:i + n] == words and taken.isdisjoint(range(i, i + n)):
             return i
-    return None
 
 
 def replace_spans(sent: CompanionSentence, spans) -> CompanionSentence:

@@ -135,17 +135,19 @@ def amr_preprocess(g: MrpGraph, sent: CompanionSentence, tables: AmrTables, upda
     nodes = []
     for n in g.nodes:
         stem, full = _strip_sense(n.label)
-        if update:
-            if full is not None:
-                tables.senses.setdefault(stem, {})
-                tables.senses[stem][full] = tables.senses[stem].get(full, 0) + 1
-            elif n.label is not None:
-                tables.bare[n.label] = tables.bare.get(n.label, 0) + 1
-        has_polarity = any(p == "polarity" for p, _ in n.properties)
+        properties = n.properties
+        has_polarity = False
+        if properties:  # a node without properties has no polarity or wiki to strip
+            has_polarity = any(p == "polarity" for p, _ in properties)
+            properties = [(p, v) for p, v in properties if p not in ("wiki", "polarity")]
         if update and n.label is not None:
+            if full is not None:
+                counts = tables.senses.setdefault(stem, {})
+                counts[full] = counts.get(full, 0) + 1
+            else:
+                tables.bare[n.label] = tables.bare.get(n.label, 0) + 1
             w, t = tables.polarity.get(stem, (0, 0))
-            tables.polarity[stem] = [w + (1 if has_polarity else 0), t + 1]
-        properties = [(p, v) for p, v in n.properties if p not in ("wiki", "polarity")]
+            tables.polarity[stem] = [w + has_polarity, t + 1]
         if full is not None or len(properties) != len(n.properties):
             n = MrpNode(n.id, stem, properties, n.anchors, n.extras)
         nodes.append(n)

@@ -7,7 +7,9 @@ snapped outward to whole tokens and reported back to the caller.
 The covering run is found by bisection on the tokens' start and end
 offsets, not by a scan over the tokens. That needs both offset lists to be
 non-decreasing, which CompanionSentence guarantees: its tokens are in
-order, do not overlap and none ends before it starts.
+order, do not overlap and none ends before it starts. Where only exact
+runs count, `exact_runs` indexes the token boundaries once per sentence
+and finds each run by two dict lookups, under the same rule.
 """
 
 from __future__ import annotations
@@ -29,6 +31,26 @@ def covering_run(starts, ends, lo, hi):
     s = bisect_right(ends, lo)  # first token ending after lo
     e = bisect_left(starts, max(hi, lo + 1)) - 1  # last token starting before hi (lo + 1 if empty)
     return s, e, s <= e and starts[s] == lo and ends[e] == hi
+
+
+def exact_runs(tokens):
+    """covering_run's exact case as a lookup, built once per sentence in
+    one pass over the tokens: a function (lo, hi) -> (s, e) when
+    covering_run gives (s, e, True), else None, in two dict lookups. It
+    maps lo to the first non-empty token that starts there and hi to the
+    last non-empty token that ends there; a run is exact when both exist
+    in order. That is covering_run's rule: an empty token ends at its
+    start, so bisection passes over it at lo and hi alike."""
+    first, last = {}, {}
+    for k, t in enumerate(tokens):
+        if t.end > t.start:
+            first.setdefault(t.start, k)
+            last[t.end] = k
+
+    def run(lo, hi):
+        s, e = first.get(lo), last.get(hi)
+        return (s, e) if s is not None and e is not None and s <= e else None
+    return run
 
 
 def anchors_to_spans(g: MrpGraph, sent) -> tuple:

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from ..companion import find_phrase, replace_spans
 from ..mrp import MrpEdge, MrpGraph, MrpNode
-from .anchors import covering_run
+from .anchors import exact_runs
 
 REDUCED = "reduced:"
+_WHITESPACE = re.compile(r"\s")
 
 
 class EdsError(Exception):
@@ -250,27 +252,42 @@ def build_multiword_table(corpus) -> MultiwordTable:
     """corpus: (graph, companion) pairs. A phrase occurrence counts as
     single-node when some node's anchor range covers exactly that token
     window (its covering run, unsnapped) and no other node's window lies
-    strictly inside it (a compound over two names is not a phrase)."""
+    strictly inside it (a compound over two names is not a phrase). A
+    window with a form that holds whitespace is not counted: its key,
+    the forms joined by spaces, would not split back into them.
+
+    Two passes over the corpus. The first finds each anchored node's
+    window with `exact_runs`, two dict lookups per node, and tests each
+    window of two or more tokens only against the windows that start
+    inside it, which follow it in the sorted window list. The second
+    counts the phrases of the first: for each first word a sentence
+    holds, one slice comparison per phrase at each position of that
+    word."""
     single = {}
     for g, sent in corpus:
-        starts = [t.start for t in sent.tokens]
-        ends = [t.end for t in sent.tokens]
-        runs = (covering_run(starts, ends, *_range(n.anchors)) for n in g.nodes if n.anchors)
-        spans = {(s, e) for s, e, exact in runs if exact}
-        for lo, hi in spans:
-            if hi > lo and not any(lo <= i <= j <= hi and (i, j) != (lo, hi) for i, j in spans):
-                phrase = " ".join(t.form.lower() for t in sent.tokens[lo:hi + 1])
+        run = exact_runs(sent.tokens)
+        windows = sorted({w for n in g.nodes if n.anchors and (w := run(*_range(n.anchors)))})
+        for p, (lo, hi) in enumerate(windows):
+            if hi == lo or p and windows[p - 1][0] == lo:
+                continue  # one token, or a shorter window from lo: it sorts just before
+            later = itertools.takewhile(lambda w: w[0] <= hi, windows[p + 1:])
+            if any(j <= hi for _, j in later):
+                continue  # a window that starts inside ends inside; one from lo ends after hi
+            words = [t.form.lower() for t in sent.tokens[lo:hi + 1]]
+            if not any(map(_WHITESPACE.search, words)):
+                phrase = " ".join(words)
                 single[phrase] = single.get(phrase, 0) + 1
-    by_words = {tuple(k.split(" ")): k for k in single}
-    lengths = {len(w) for w in by_words}
+    by_first = {}  # first word -> [(words, phrase)] of the phrases it starts
+    for phrase in single:
+        words = phrase.split(" ")
+        by_first.setdefault(words[0], []).append((words, phrase))
     totals = {k: 0 for k in single}
     for g, sent in corpus:
         forms = [t.form.lower() for t in sent.tokens]
-        for n in lengths:
-            for i in range(len(forms) - n + 1):
-                phrase = by_words.get(tuple(forms[i:i + n]))
-                if phrase is not None:
-                    totals[phrase] += 1
+        for first in by_first.keys() & forms:
+            starts = [i for i, form in enumerate(forms) if form == first]
+            for words, phrase in by_first[first]:
+                totals[phrase] += sum(forms[i:i + len(words)] == words for i in starts)
     entries = {k: (single[k] / totals[k] if totals[k] else 0.0, single[k]) for k in single}
     return MultiwordTable(entries)
 

@@ -61,6 +61,12 @@ def test_shape_mismatch_reports_both_shapes():
     assert "(2, 3)" in str(ei.value) and "(4, 5)" in str(ei.value)
 
 
+def test_mul_refuses_operands_of_different_shapes():
+    # mul does not broadcast: (3,) against (2, 3) is refused, not spread
+    with pytest.raises(ag.ShapeError, match=r"^mul shapes \(2, 3\) vs \(3,\)$"):
+        ag.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+
+
 @pytest.mark.parametrize("a, b", [((4,), (4, 3)), ((3, 4), (4,)), ((4,), (4,)), ((2, 3, 4), (4, 3))])
 def test_matmul_rejects_operands_that_are_not_2d(a, b):
     with pytest.raises(ag.ShapeError, match="2-D"):

@@ -82,6 +82,16 @@ def test_token_ending_before_its_start_is_rejected():
     comp.read_companion("#s1\n1\t\t\tXX\tTokenRange=5:5\n")  # zero width is fine
 
 
+def test_ner_tag_count_that_is_not_the_token_count_is_refused():
+    with pytest.raises(comp.CompanionError, match=r"^sentence s1: 3 NER tags for 2 tokens$"):
+        CompanionSentence([Token("a", "a", "X", 0, 1), Token("b", "b", "X", 2, 3)], ["O", "O", "PER"], id="s1")
+
+
+def test_overlapping_token_offsets_are_refused():
+    with pytest.raises(comp.CompanionError, match=r"^sentence s1: token offsets overlap at 'bc'$"):
+        CompanionSentence([Token("ab", "ab", "X", 0, 2), Token("bc", "bc", "X", 1, 3)], id="s1")
+
+
 def test_companion_file_roundtrip(tmp_path):
     sents = comp.read_companion(DOC)
     path = tmp_path / "c.tsv"
@@ -354,3 +364,24 @@ def test_replace_spans_matches_right_to_left_reference(case):
     assert [(t.form, t.start, t.end, t.lemma, t.xpos) for t in got.tokens] == \
         [(t.form, t.start, t.end, t.lemma, t.xpos) for t in want.tokens]
     assert got.ner_tags == want.ner_tags and got.id == want.id
+
+
+def reference_find_phrase(forms, words, taken):
+    """`find_phrase` before it jumped between occurrences with list.index,
+    kept verbatim: a test of the first word at every position."""
+    n = len(words)
+    for i in range(len(forms) - n + 1):
+        if forms[i] == words[0] and forms[i:i + n] == words and taken.isdisjoint(range(i, i + n)):
+            return i
+    return None
+
+
+# few words, so that a 2-4 word phrase and its first word recur in a sentence
+_PHRASE_WORD = st.sampled_from(["a", "b", "ab", ""])
+
+
+@given(st.lists(_PHRASE_WORD, max_size=10), st.lists(_PHRASE_WORD, min_size=1, max_size=4),
+       st.sets(st.integers(0, 10), max_size=4))
+def test_find_phrase_finds_what_the_reference_scan_finds(forms, words, taken):
+    assert comp.find_phrase(forms, words, set()) == reference_find_phrase(forms, words, set())
+    assert comp.find_phrase(forms, words, taken) == reference_find_phrase(forms, words, taken)

@@ -96,6 +96,18 @@ def test_parse_missing_field_is_parse_error(nodes, edges):
         mrp.parse_mrp(f'{{"id": "7", "input": "ab", "nodes": [{nodes}], "edges": [{edges}]}}')
 
 
+@pytest.mark.parametrize("line", ["[]", '"g1"', "1", "null"])
+def test_a_record_that_is_not_an_object_is_refused(line):
+    with pytest.raises(mrp.MrpParseError, match="^record is not an object$"):
+        mrp.parse_mrp(line)
+
+
+@pytest.mark.parametrize("edge", ["1", '"0 1"', "[0, 1]", "null"])
+def test_an_edge_that_is_not_an_object_is_refused(edge):
+    with pytest.raises(mrp.MrpParseError, match=r"^graph 7: edge .* is not an object$"):
+        mrp.parse_mrp(f'{{"id": "7", "input": "a", "nodes": [{{"id": 0}}], "edges": [{edge}]}}')
+
+
 @pytest.mark.parametrize("record", [
     '{"id": "7", "nodes": [1]}',
     '{"id": "7", "tops": 5}',

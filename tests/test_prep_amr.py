@@ -29,6 +29,17 @@ def test_wiki_and_polarity_dropped():
     assert out.nodes[0].properties == []
 
 
+def test_fit_counts_senses_bare_labels_and_polarity():
+    g = amr([(0, "want-01", [("polarity", "-")]), (1, "want-01", []), (2, "want-02", [("wiki", "-")]),
+             (3, "possible", [("wiki", "-"), ("polarity", "-")]), (4, "boy", []), (5, None, [("polarity", "-")])],
+            [], [0])
+    tables = AmrTables()
+    amr_preprocess(g, sentence("x"), tables, update=True)
+    assert tables.senses == {"want": {"want-01": 2, "want-02": 1}}
+    assert tables.bare == {"possible": 1, "boy": 1}
+    assert tables.polarity == {"want": [1, 3], "possible": [1, 1], "boy": [0, 1]}
+
+
 def test_untouched_graph_unchanged():
     g = amr([(0, "boy", []), (1, "want", [])], [(1, 0, "ARG0")], [1])
     out, s, entry = amr_preprocess(g, sentence("the boy wants"), AmrTables())

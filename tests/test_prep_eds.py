@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from helpers import same_up_to_ids, sentence
 
-from mrparse.companion import replace_spans
+from mrparse.companion import CompanionSentence, Token, replace_spans
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, parse_mrp, serialize_mrp
 from mrparse.prep import (MultiwordTable, anchors_to_spans, apply_multiword,
                           build_multiword_table, eds_exchange_properties, eds_reduce,
                           eds_restore, spans_to_anchors)
+from mrparse.prep.anchors import covering_run
 from mrparse.prep.eds import REDUCED, EdsError, _adjacency, _is_surface_mapped, _payload, _range
 
 
@@ -300,6 +301,81 @@ class TestMultiword:
     def test_table_serialization_roundtrip(self):
         table = build_multiword_table(self.corpus())
         assert MultiwordTable.from_lines(table.to_lines()).entries == table.entries
+
+
+def reference_build_multiword_table(corpus) -> MultiwordTable:
+    """`build_multiword_table` before the token-boundary index, kept
+    verbatim: covering_run per anchored node, every pair of windows tested
+    for containment, and a tuple per window of every phrase length."""
+    single = {}
+    for g, sent in corpus:
+        starts = [t.start for t in sent.tokens]
+        ends = [t.end for t in sent.tokens]
+        runs = (covering_run(starts, ends, *_range(n.anchors)) for n in g.nodes if n.anchors)
+        spans = {(s, e) for s, e, exact in runs if exact}
+        for lo, hi in spans:
+            if hi > lo and not any(lo <= i <= j <= hi and (i, j) != (lo, hi) for i, j in spans):
+                phrase = " ".join(t.form.lower() for t in sent.tokens[lo:hi + 1])
+                single[phrase] = single.get(phrase, 0) + 1
+    by_words = {tuple(k.split(" ")): k for k in single}
+    lengths = {len(w) for w in by_words}
+    totals = {k: 0 for k in single}
+    for g, sent in corpus:
+        forms = [t.form.lower() for t in sent.tokens]
+        for n in lengths:
+            for i in range(len(forms) - n + 1):
+                phrase = by_words.get(tuple(forms[i:i + n]))
+                if phrase is not None:
+                    totals[phrase] += 1
+    entries = {k: (single[k] / totals[k] if totals[k] else 0.0, single[k]) for k in single}
+    return MultiwordTable(entries)
+
+
+@st.composite
+def multiword_corpora(draw, forms=st.sampled_from(["a", "A", "b"])):
+    """1-4 (graph, sentence) pairs of 0-8 tokens and 2-10 nodes. Tokens
+    have widths 0-3 (zero-length ones spelled "" or "a") and gaps of 0-2;
+    their forms come from `forms`, so that 2-4 token phrases and their
+    first words recur. Nodes are anchored on one or two pieces, each from
+    the start of a token to the end of a token (in either order) or
+    between any two offsets, so that exact windows nest, repeat and
+    overlap."""
+    corpus = []
+    for _ in range(draw(st.integers(1, 4))):
+        shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), forms, st.sampled_from(["", "a"])),
+                               max_size=8))
+        toks, pos = [], draw(st.integers(0, 2))
+        for width, gap, form, empty in shapes:
+            form = form if width else empty
+            toks.append(Token(form, form.lower(), "X", pos, pos + width))
+            pos += width + gap
+        piece = st.tuples(st.integers(0, pos), st.integers(0, pos))
+        if toks:
+            run = st.tuples(st.sampled_from(toks), st.sampled_from(toks))
+            piece = run.map(lambda ab: (ab[0].start, ab[1].end)) | piece
+        anchors = draw(st.lists(st.lists(piece, min_size=1, max_size=2), min_size=2, max_size=10))
+        sent = CompanionSentence(toks)
+        nodes = [MrpNode(i, "n", anchors=a) for i, a in enumerate(anchors)]
+        corpus.append((MrpGraph(id="m", framework="eds", input=sent.text(), nodes=nodes), sent))
+    return corpus
+
+
+@given(multiword_corpora())
+def test_build_multiword_table_counts_as_the_reference(corpus):
+    assert build_multiword_table(corpus).entries == reference_build_multiword_table(corpus).entries
+
+
+def test_a_window_with_a_form_that_holds_whitespace_is_not_counted():
+    # its key "new york city" splits into three words, which no window of the corpus spells
+    s = sentence(["New York", "city"])
+    g = graph(s.text(), nodes=[(0, "_new+york+city_n", [(0, 13)], [])], edges=[], tops=[0])
+    assert reference_build_multiword_table([(g, s), (g, s)]).entries == {"new york city": (0.0, 2)}
+    assert build_multiword_table([(g, s), (g, s)]).entries == {}
+
+
+@given(multiword_corpora(forms=st.sampled_from(["a", "b", "a b", "b\tc", " "])))
+def test_every_multiword_entry_counts_no_more_single_nodes_than_occurrences(corpus):
+    assert all(count >= 1 and 0 < prob <= 1 for prob, count in build_multiword_table(corpus).entries.values())
 
 
 def reference_apply_multiword(sent, table):

@@ -23,7 +23,9 @@ The anchor pair `anchors_to_spans`/`spans_to_anchors` is enumerated over
 every sentence of up to MAX_TOKENS tokens of width >= 1 laid out over
 TEXT_LENGTH characters, and every anchor on it of one piece (lo, hi) with
 0 <= lo < hi <= TEXT_LENGTH, or of two such pieces in order that do not
-overlap.
+overlap. On the same layouts, and on those with zero-width tokens too,
+`exact_runs` gives the runs that `covering_run` gives as exact, and None
+for every other range (lo, hi) over the text.
 
 The AMR entity pair `amr_preprocess`/`amr_postprocess` is enumerated over
 every entity pattern: a `person` top with a `name` node and one or two op
@@ -45,7 +47,7 @@ from mrparse import mrp
 from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
 from mrparse.prep import AmrTables, amr_postprocess, amr_preprocess
-from mrparse.prep.anchors import AnchorError, anchors_to_spans, spans_to_anchors
+from mrparse.prep.anchors import AnchorError, anchors_to_spans, covering_run, exact_runs, spans_to_anchors
 from mrparse.prep.ucca import (UccaError, decode_edge_label, encode_edge_label, ucca_mark_implicit,
                                ucca_strip_implicit)
 from mrparse.treeify import TreeError, graph_to_tree, natural_key, tree_to_graph
@@ -203,14 +205,14 @@ def test_treeify_pair_round_trips_or_refuses():
     assert tally == {"exact": 19588, "TreeError": 9280}
 
 
-def token_layouts(start=0, k=MAX_TOKENS):
-    """Every list of up to k (start, end) token extents of width >= 1 in
-    [start, TEXT_LENGTH], in order, apart or touching."""
+def token_layouts(start=0, k=MAX_TOKENS, min_width=1):
+    """Every list of up to k (start, end) token extents of width >=
+    min_width in [start, TEXT_LENGTH], in order, apart or touching."""
     yield []
     if k:
-        for s in range(start, TEXT_LENGTH):
-            for e in range(s + 1, TEXT_LENGTH + 1):
-                for rest in token_layouts(e, k - 1):
+        for s in range(start, TEXT_LENGTH + 1 - min_width):
+            for e in range(s + min_width, TEXT_LENGTH + 1):
+                for rest in token_layouts(e, k - 1, min_width):
                     yield [(s, e)] + rest
 
 
@@ -249,6 +251,23 @@ def test_anchor_pair_round_trips_snaps_or_refuses():
         tally["snapped"] += len(snapped)
         tally["exact"] += len(mapped) - len(snapped)
     assert tally == {"exact": 2842, "snapped": 31920, "AnchorError": 21448}
+
+
+def test_exact_runs_is_the_exact_case_of_covering_run():
+    """On every layout of the anchor enumerator, and on every layout with
+    zero-width tokens too, for every range (lo, hi) over the text, empty
+    and inverted ones included."""
+    ranges = list(itertools.product(range(TEXT_LENGTH + 1), repeat=2))
+    tally = Counter()
+    for min_width in (1, 0):
+        for extents in token_layouts(min_width=min_width):
+            run = exact_runs([Token("x", "x", "X", s, e) for s, e in extents])
+            starts, ends = [s for s, _ in extents], [e for _, e in extents]
+            for lo, hi in ranges:
+                s, e, exact = covering_run(starts, ends, lo, hi)
+                assert run(lo, hi) == ((s, e) if exact else None), (extents, lo, hi)
+                tally[min_width, exact] += 1
+    assert tally == {(1, True): 1666, (1, False): 21694, (0, True): 4732, (0, False): 128580}
 
 
 def amr_patterns():

@@ -218,6 +218,13 @@ def test_idx_forward_reference_is_error():
         tree_to_graph(seq, graph_id="g")
 
 
+def test_idx_of_a_copy_is_error():
+    # position 2 points at position 1, which is itself a copy of position 0
+    seq = NodeSequence(nodes=[SeqNode("a", 0), SeqNode("a", 0, parent=0), SeqNode("b", 1, parent=0)])
+    with pytest.raises(TreeError, match="^graph g: position 2: idx 1 does not point at an original node$"):
+        tree_to_graph(seq, graph_id="g")
+
+
 @pytest.mark.parametrize("idx, parent", [(1, -1), (1, -2), (-1, 0)],
                          ids=["parent -1", "parent -2", "idx -1"])
 def test_negative_position_is_error(idx, parent):
