@@ -10,7 +10,12 @@ Ownership: an op's output may share its inputs' data, and no op edits
 data in place. A first gradient becomes a tensor's `.grad` as it is
 handed over, so a backward that would hand on its incoming gradient or a
 view of it (`add` without broadcast, `reshape`, `concat`'s slices) copies
-it, and no two tensors' gradients share memory.
+it, and no two tensors' gradients share memory. `zero_grad` gives a
+tensor's gradient array back to that tensor as its spare, and a backward
+that writes every element of a first gradient (`lstm_sequence`'s weights
+and biases, `take`'s table) writes it into the spare in place. So a
+caller that keeps a gradient past `zero_grad` copies it first. A spare
+belongs to one tensor, so gradients still share no memory.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_spare")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -45,6 +50,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
+        self._spare = None
 
     @property
     def shape(self):
@@ -54,7 +60,11 @@ class Tensor:
         return self.data.item()
 
     def zero_grad(self):
-        self.grad = None
+        """Set `.grad` to None. Its array goes back to this tensor as the
+        spare that the next backward may write the first gradient into, so
+        a caller that keeps a gradient past `zero_grad` copies it first."""
+        if self.grad is not None:
+            self._spare, self.grad = self.grad, None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -82,6 +92,17 @@ def _accum(t, g):
         t.grad = np.asarray(g, dtype=np.float64)
     else:
         t.grad += g
+
+
+def _grad_buffer(t):
+    """An array of `t`'s shape for a gradient of `t` that the caller writes
+    in full: the spare `zero_grad` left, while `t` holds no gradient, else
+    a new one."""
+    spare = t._spare
+    if t.grad is None and spare is not None and spare.shape == t.data.shape:
+        t._spare = None
+        return spare
+    return np.empty(t.data.shape)
 
 
 def backward(loss):
@@ -177,7 +198,8 @@ def take(a, idx):
     def bw(g):
         if a.requires_grad:
             if a.grad is None:
-                a.grad = np.zeros(a.data.shape)
+                a.grad = _grad_buffer(a)
+                a.grad.fill(0.0)
             np.add.at(a.grad, idx, g)
 
     return _make(out_data, (a,), bw)
@@ -359,12 +381,12 @@ def lstm_sequence(X, directions):
                 dx[flips[d]] += (dz[d] @ w_x[d].T).reshape(T, B, n_in)
             if W.requires_grad:
                 # the state before step s is the state after step s - 1
-                dW = np.empty(W.data.shape)
+                dW = _grad_buffer(W)
                 np.matmul(x_steps[d].T, dz[d], out=dW[:n_in])
                 np.matmul(hs[:-1, d].reshape(-1, nh).T, dz[d, B:], out=dW[n_in:])
                 _accum(W, dW)
             if b.requires_grad:
-                _accum(b, dz[d].sum(axis=0))
+                _accum(b, np.sum(dz[d], axis=0, out=_grad_buffer(b)))
         if dx is not None:
             _accum(X, dx.transpose(1, 0, 2))
 

@@ -13,6 +13,7 @@ from itertools import chain
 from operator import attrgetter
 
 from .. import autograd as ag
+from ..companion import CompanionError
 from ..vocab import Vocab
 from .core import BiLSTM, CharEncoder, Embedding, Module
 
@@ -78,7 +79,7 @@ class SentenceEncoder(Module):
         """(R, r_n): per-token hidden states (n, 2*hidden) and the final
         state used to seed the decoder."""
         if not sent.tokens:
-            raise ValueError("cannot encode an empty sentence")
+            raise CompanionError(f"sentence {sent.id}: no tokens to encode")
         o = self.embed_sentence(sent)
         r = self.bilstm(o)
         n = r.shape[0]

@@ -4,8 +4,10 @@ against central differences."""
 import numpy as np
 import pytest
 
+from helpers import sentence
 from mrparse import autograd as ag
 from mrparse.autograd import Tensor
+from mrparse.nn.encoder import EncoderConfig, SentenceEncoder, build_token_vocabs
 
 
 def test_matmul_identity():
@@ -217,6 +219,51 @@ def test_lstm_sequence_gives_every_leaf_its_own_gradient():
     # the two directions' weight gradients are separate arrays
     assert W1.grad is not None and W2.grad is not None
     assert not np.shares_memory(W1.grad, W2.grad)
+
+
+def test_zero_grad_hands_the_gradient_back_for_the_next_backward():
+    """Every encoder parameter is an LSTM weight or bias or an embedding
+    table: after `zero_grad`, the next backward writes its first gradient
+    into the array it held, with the values that fresh parameters get. A
+    gradient that `zero_grad` did not drop is accumulated into."""
+    cfg = EncoderConfig(word_dim=4, pos_dim=2, lemma_dim=3, char_dim=2, char_hidden=3, ner_dim=2,
+                        hidden=3, layers=2)
+    sents = [sentence("the dogs barked"), sentence("a cat sat on it", tags="O O O O DATE"),
+             sentence("Dogs bark")]
+    vocabs = build_token_vocabs(sents[:2])
+
+    def encoder():
+        return SentenceEncoder(cfg, vocabs, np.random.default_rng(24))
+
+    enc = encoder()
+    params = enc.parameters()
+    held = None
+    for sent in sents:
+        for p in params:
+            p.zero_grad()
+        loss = ag.tsum(enc.encode(sent)[0])
+        ag.backward(loss)
+        if held is not None:
+            assert all(p.grad is g for p, g in zip(params, held))
+        held = [p.grad for p in params]
+        fresh = encoder()
+        ag.backward(ag.tsum(fresh.encode(sent)[0]))
+        for (name, p), q in zip(enc.named_parameters(), fresh.parameters()):
+            assert np.array_equal(p.grad, q.grad), name
+        _assert_gradients_owned(loss)
+    ag.backward(loss)
+    ag.backward(ag.tsum(fresh.encode(sent)[0]))
+    for (name, p), g, q in zip(enc.named_parameters(), held, fresh.parameters()):
+        assert p.grad is g and np.array_equal(p.grad, q.grad), name
+
+
+def test_a_spare_of_another_shape_is_not_written_into():
+    table = Tensor(np.ones((3, 2)), requires_grad=True)
+    ag.backward(ag.tsum(ag.take(table, np.array([0, 0]))))
+    table.zero_grad()
+    table.data = np.ones((4, 2))
+    ag.backward(ag.tsum(ag.take(table, np.array([3]))))
+    np.testing.assert_array_equal(table.grad, [[0, 0], [0, 0], [0, 0], [1, 1]])
 
 
 def test_take_scatters_into_the_table_gradient():

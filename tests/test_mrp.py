@@ -412,6 +412,18 @@ def test_read_mrp_file_keeps_the_line_and_the_byte_offset(tmp_path):
     assert ei.value.offset == 22
 
 
+def test_read_mrp_file_skips_blank_lines_and_counts_them(tmp_path):
+    rng = np.random.default_rng(8)
+    graphs = [random_graph(rng, i) for i in range(2)]
+    lines = [mrp.serialize_mrp(graphs[0]), "", "  \t", mrp.serialize_mrp(graphs[1]), "", "[]"]
+    path = tmp_path / "gaps.mrp"
+    path.write_text("\n".join(lines[:4]) + "\n", encoding="utf-8")
+    assert mrp.read_mrp_file(path) == graphs
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(mrp.MrpParseError, match=r"^line 6: record is not an object$"):
+        mrp.read_mrp_file(path)
+
+
 TEXT = st.text("aé\"\\ x0", max_size=4)
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-9, 10**12)
                | st.floats(allow_nan=False, allow_infinity=False) | TEXT)

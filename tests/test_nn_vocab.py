@@ -7,7 +7,7 @@ from helpers import sentence
 
 from mrparse import autograd as ag
 from mrparse.autograd import Tensor
-from mrparse.companion import CompanionSentence
+from mrparse.companion import CompanionError, CompanionSentence
 from mrparse.nn import BiLSTM, LSTMCell
 from mrparse.nn.encoder import EncoderConfig, SentenceEncoder, build_token_vocabs
 from mrparse.vocab import PAD, UNK, Vocab
@@ -126,5 +126,5 @@ def test_encoder_from_the_counted_vocabs_equals_the_reference(encode_train, trai
 def test_encode_refuses_an_empty_sentence():
     cfg = EncoderConfig(word_dim=2, pos_dim=2, lemma_dim=2, char_dim=2, char_hidden=2, ner_dim=2, hidden=2, layers=1)
     enc = SentenceEncoder(cfg, build_token_vocabs([sentence("a b")]), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="^cannot encode an empty sentence$"):
-        enc.encode(CompanionSentence([]))
+    with pytest.raises(CompanionError, match="^sentence s7: no tokens to encode$"):
+        enc.encode(CompanionSentence([], id="s7"))

@@ -257,6 +257,13 @@ def test_sentence_entry_for_test_time():
     assert entry["LOCATION_0"]["type"] == "city"
 
 
+def test_sentence_entry_types_a_tag_the_tables_never_saw_by_its_kind():
+    s = sentence("Acme hired Kim on Monday", tags="ORG O PER O DATE")
+    _, entry = sentence_entry(s, AmrTables())
+    assert {k: (v["kind"], v["type"]) for k, v in entry.items()} == {
+        "ORGANIZATION_0": ("named", "thing"), "PERSON_0": ("named", "thing"), "DATE_0": ("date", "date-entity")}
+
+
 def test_tables_serialization_roundtrip():
     tables = AmrTables()
     g = amr([(0, "visit-01", [("polarity", "-")]), (1, "person", []), (2, "name", []),
