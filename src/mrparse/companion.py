@@ -14,7 +14,7 @@ import bisect
 import difflib
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class CompanionError(Exception):
@@ -37,11 +37,11 @@ class Token:
 @dataclass
 class CompanionSentence:
     tokens: list
-    ner_tags: list = field(default_factory=list)
+    ner_tags: list | None = None  # one per token; None for all "O"
     id: str | None = None
 
     def __post_init__(self):
-        if not self.ner_tags:
+        if self.ner_tags is None:
             self.ner_tags = ["O"] * len(self.tokens)
         if len(self.ner_tags) != len(self.tokens):
             raise CompanionError(

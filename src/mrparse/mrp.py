@@ -4,36 +4,38 @@ One JSON object per line. Known keys are mapped onto the dataclasses
 below; everything else is kept verbatim in an `extras` dict so a
 parse/serialize cycle is structurally lossless.
 
-Record contract: one function, `_violations`, holds every rule a record
-keeps, and `parse_mrp`, `serialize_mrp` and `validate_graph` all read it.
-Node ids, edge endpoints, tops and anchor offsets are integers, not
-booleans (`NotAnInteger`); the graph's id and framework are strings,
-labels are strings or null, and property and attribute names are strings
-(`NotAString`); no node id repeats (`DuplicateNodeId`); every edge
-endpoint and every top is a node (`DanglingEdge`, `DanglingTop`); and
-every anchor (from, to) has from <= to (`InvertedAnchor`) and lies within
-`input` (`AnchorOutOfBounds`). `parse_mrp` and `serialize_mrp` both refuse
-a graph that breaks one of these seven, with the first broken rule's
-message naming the graph: `MrpParseError` for the two type rules,
-`MrpValidationError` for the five structural ones. A repeated property
-name (`DuplicateProperty`) and a self-loop (`SelfLoop`) round-trip, so
-they are data: `validate_graph` reports them, and no reader or writer
-refuses them. Besides, `parse_mrp` refuses with `MrpParseError` a record
-of the wrong JSON shape: not an object, a node without id, an edge
-without endpoints, an anchor without from/to, a keyed list that is not a
-list, an `input` that is not a string, and names and values of different
-lengths. `serialize_mrp` refuses with `MrpError` extras that name a field
-of their record and a value that JSON cannot hold.
+Record contract: one function, `validate_graph`, holds every rule a
+record keeps and reports each broken one as a (code, message) pair;
+`parse_mrp` and `serialize_mrp` both read it. Node ids, edge endpoints,
+tops and anchor offsets are integers, not booleans (`NotAnInteger`); the
+graph's id and framework are strings, labels are strings or null, and
+property and attribute names are strings (`NotAString`); no node id
+repeats (`DuplicateNodeId`); every edge endpoint and every top is a node
+(`DanglingEdge`, `DanglingTop`); and every anchor (from, to) has from <=
+to (`InvertedAnchor`) and lies within `input` (`AnchorOutOfBounds`).
+`parse_mrp` and `serialize_mrp` both refuse a graph that breaks one of
+these seven, with the first broken rule's message naming the graph:
+`MrpParseError` for the two type rules, `MrpValidationError` for the five
+structural ones. A repeated property name (`DuplicateProperty`) and a
+self-loop (`SelfLoop`) round-trip, so they are data: `validate_graph`
+reports them, and no reader or writer refuses them. Besides, `parse_mrp`
+refuses with `MrpParseError` a record of the wrong JSON shape: not an
+object, a node without id, an edge without endpoints, an anchor without
+from/to, a keyed list that is not a list, an `input` that is not a
+string, and names and values of different lengths. `serialize_mrp`
+refuses with `MrpError` extras that name a field of their record and a
+value that JSON cannot hold.
 
 The header is kept as written: an id or framework is neither converted
-nor case-folded, and an absent one reads as "". Unknown keys at every
-level land in `extras` as they were read, and `serialize_mrp` writes them
-back unchanged. It writes the text itself, as
-`json.dumps(ensure_ascii=False)` with no spaces would. Keys come in the
-order id, the graph's extras, framework, input, tops, nodes, edges; node
-keys id, label, properties, values, anchors, extras; edge keys source,
-target, label, attributes, values, extras. It leaves out a null label,
-empty properties or attributes and None anchors.
+nor case-folded, and `parse_mrp` refuses with `MrpParseError` a record
+without "id", "framework" or "input", naming the missing keys, once every
+other check has passed. Unknown keys at every level land in `extras` as
+they were read, and `serialize_mrp` writes them back unchanged. It writes
+the text itself, as `json.dumps(ensure_ascii=False)` with no spaces
+would. Keys come in the order id, the graph's extras, framework, input,
+tops, nodes, edges; node keys id, label, properties, values, anchors,
+extras; edge keys source, target, label, attributes, values, extras. It
+leaves out a null label, empty properties or attributes and None anchors.
 
 Record rule: a node or edge record, or a companion `Token`, is never
 edited after the function that built it returns, and neither is a
@@ -125,15 +127,9 @@ class MrpGraph:
                         tops=list(self.tops), nodes=nodes, edges=edges, extras=dict(self.extras))
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-
-
-def _violations(g):
-    """(code, message) for every rule of the record contract that g breaks,
-    in one pass over its nodes, edges and tops."""
+def validate_graph(g: MrpGraph) -> list:
+    """(code, message) for every contract rule that g breaks, refused or
+    reported only, in one pass over its nodes, edges and tops."""
     out, ids, size = [], set(), len(g.input)
     for key, value in (("id", g.id), ("framework", g.framework)):
         if type(value) is not str:
@@ -189,7 +185,7 @@ _REFUSED = {"NotAnInteger": MrpParseError, "NotAString": MrpParseError, "Duplica
 
 def _refuse(g):
     """Raise the error of the first violation that the record contract refuses."""
-    for code, message in _violations(g):
+    for code, message in validate_graph(g):
         if code in _REFUSED:
             raise _REFUSED[code](f"graph {g.id}: {message}")
 
@@ -211,8 +207,9 @@ def _pairs(raw, names_key, gid):
 
 def parse_mrp(line: str) -> MrpGraph:
     """Parse one MRP record. Raises MrpParseError on malformed JSON (with
-    the byte offset) or a record of the wrong shape, and otherwise the
-    error of the first rule of the record contract that it breaks."""
+    the byte offset) or a record of the wrong shape, then the error of the
+    first rule of the record contract that it breaks, then MrpParseError
+    for a record without id, framework or input."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
@@ -251,6 +248,9 @@ def parse_mrp(line: str) -> MrpGraph:
     extras = {} if obj.keys() <= _GRAPH_KEYS else {k: v for k, v in obj.items() if k not in _GRAPH_KEYS}
     g = MrpGraph(gid, obj.get("framework", ""), text, _list(obj, "tops", gid), nodes, edges, extras)
     _refuse(g)
+    missing = ", ".join(repr(k) for k in ("id", "framework", "input") if k not in obj)
+    if missing:
+        raise MrpParseError(f"graph {gid}: record without {missing}" if "id" in obj else f"record without {missing}")
     return g
 
 
@@ -326,8 +326,3 @@ def write_mrp_file(path, graphs):
             f.write(serialize_mrp(g))
             f.write("\n")
 
-
-def validate_graph(g: MrpGraph) -> list:
-    """Every rule of the record contract that g breaks, as data: the refused
-    ones and the two that round-trip."""
-    return [Violation(c, m) for c, m in _violations(g)]

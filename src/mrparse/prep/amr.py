@@ -33,7 +33,7 @@ SENSE_RE = re.compile(r"^(.+?)-(\d{2,})$")
 OP_RE = re.compile(r"^op\d+$")
 DATE_FIELDS = ("year", "month", "day", "weekday")
 
-DEFAULT_TEMPLATES = {
+TEMPLATES = {  # NER tag -> placeholder template; any other tag mints ENTITY
     "PER": "PERSON",
     "LOC": "LOCATION",
     "ORG": "ORGANIZATION",
@@ -41,6 +41,8 @@ DEFAULT_TEMPLATES = {
     "DATE": "DATE",
     "MISC": "ENTITY",
 }
+_MINTED = set(TEMPLATES.values())  # every template _mint uses, its fallback ENTITY among them
+
 
 @dataclass
 class AmrTables:
@@ -49,7 +51,6 @@ class AmrTables:
     bare: dict = field(default_factory=dict)          # labels seen without a sense
     polarity: dict = field(default_factory=dict)      # stem -> [with polarity, total]
     entity_types: dict = field(default_factory=dict)  # NER tag -> {type label: count}
-    templates: dict = field(default_factory=lambda: dict(DEFAULT_TEMPLATES))
 
     def best_sense(self, stem):
         """The stem's most frequent sensed label, unless the stem was seen
@@ -78,15 +79,14 @@ class AmrTables:
         records += [{"kind": "polarity", "stem": k, "with": w, "total": t}
                     for k, (w, t) in sorted(self.polarity.items())]
         records += [{"kind": "entity", "tag": k, "counts": v} for k, v in sorted(self.entity_types.items())]
-        records += [{"kind": "template", "tag": k, "template": v} for k, v in sorted(self.templates.items())]
         return [json.dumps(r, sort_keys=True) for r in records]
 
     @classmethod
     def from_lines(cls, lines):
         """Inverse of to_lines, skipping blank lines. A malformed line, or
-        one whose stem, label, tag or template is not a string, raises
-        ValueError naming it, counted from 1."""
-        t = cls(templates={})
+        one whose stem, label or tag is not a string, raises ValueError
+        naming it, counted from 1."""
+        t = cls()
         for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
@@ -101,8 +101,6 @@ class AmrTables:
                     t.polarity[_string(obj, "stem")] = [int(obj["with"]), int(obj["total"])]
                 elif kind == "entity":
                     t.entity_types[_string(obj, "tag")] = {k: int(v) for k, v in obj["counts"].items()}
-                elif kind == "template":
-                    t.templates[_string(obj, "tag")] = _string(obj, "template")
                 else:
                     raise ValueError(f"unknown kind {kind!r}")
             except (ValueError, KeyError, TypeError, AttributeError) as err:
@@ -221,7 +219,7 @@ def _anonymize(g, sent, tables, update):
         tag = sent.ner_tags[pos]
         if tag == "O":
             continue
-        placeholder = _mint(tables, counters, tag)
+        placeholder = _mint(counters, tag)
         if placeholder in labels:
             continue
         if update:
@@ -251,7 +249,7 @@ def sentence_entry(sent: CompanionSentence, tables: AmrTables):
     for tag, run in itertools.groupby(sent.ner_tags):
         j = i + len(list(run))
         if tag != "O":
-            placeholder = _mint(tables, counters, tag)
+            placeholder = _mint(counters, tag)
             kind, fallback = ("date", "date-entity") if tag == "DATE" else ("named", "thing")
             entry[placeholder] = {"kind": kind, "type": tables.best_entity_type(tag, fallback),
                                   "parts": [["day" if kind == "date" else f"op{k}", t.form]
@@ -261,9 +259,9 @@ def sentence_entry(sent: CompanionSentence, tables: AmrTables):
     return replace_spans(sent, runs), entry
 
 
-def _mint(tables, counters, tag):
+def _mint(counters, tag):
     """The next placeholder for an entity tagged `tag`, as in PERSON_0."""
-    template = tables.templates.get(tag, "ENTITY")
+    template = TEMPLATES.get(tag, "ENTITY")
     k = counters.get(template, 0)
     counters[template] = k + 1
     return f"{template}_{k}"
@@ -272,14 +270,13 @@ def _mint(tables, counters, tag):
 def amr_postprocess(g: MrpGraph, entry: dict, tables: AmrTables) -> MrpGraph:
     """Assign senses and polarity, then expand each placeholder node back
     into the entity sub-graph its entry records."""
-    templates = {*tables.templates.values(), "ENTITY"}  # every template _mint uses
     nodes, edges = list(g.nodes), list(g.edges)
     placeholders = []  # positions in nodes
     for i, n in enumerate(g.nodes):
         if n.label is None:
             continue
         template, _, k = n.label.rpartition("_")  # the inverse of _mint
-        if template in templates and k.isdecimal():
+        if template in _MINTED and k.isdecimal():
             placeholders.append(i)
             continue
         stem = n.label

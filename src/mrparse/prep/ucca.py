@@ -116,23 +116,20 @@ def decode_edge_label(s: str | None) -> tuple:
 
 
 def encode_graph_attrs(g: MrpGraph) -> MrpGraph:
-    edges = []
-    for e in g.edges:
-        try:
-            label = encode_edge_label(e.label, e.attributes)
-        except UccaError as err:
-            raise UccaError(f"graph {g.id}: edge {e.source} -> {e.target}: {err}") from None
-        if label != e.label or e.attributes:
-            e = MrpEdge(e.source, e.target, label, [], e.extras)
-        edges.append(e)
-    return g.derive(edges=edges)
+    return _relabel(g, lambda e: (encode_edge_label(e.label, e.attributes), []))
 
 
 def decode_graph_attrs(g: MrpGraph) -> MrpGraph:
+    return _relabel(g, lambda e: decode_edge_label(e.label))
+
+
+def _relabel(g, codec):
+    """g with each edge's (label, attributes) as codec(edge) gives them, an
+    edge rebuilt only if they change; a UccaError names the graph and edge."""
     edges = []
     for e in g.edges:
         try:
-            label, attributes = decode_edge_label(e.label)
+            label, attributes = codec(e)
         except UccaError as err:
             raise UccaError(f"graph {g.id}: edge {e.source} -> {e.target}: {err}") from None
         if label != e.label or attributes != e.attributes:

@@ -16,7 +16,7 @@ def _words(x):
     return list(x)
 
 
-def sentence(forms, lemmas=None, tags=(), xpos=None):
+def sentence(forms, lemmas=None, tags=None, xpos=None):
     """A companion sentence with one token per form, the tokens one space
     apart from offset 0. Forms, lemmas, NER tags and xpos are lists or
     space-separated strings; lemmas default to the lowercased forms, tags
@@ -28,7 +28,7 @@ def sentence(forms, lemmas=None, tags=(), xpos=None):
     for form, lemma, xp in zip(forms, lemmas, xpos, strict=True):
         toks.append(Token(form, lemma, xp, pos, pos + len(form)))
         pos += len(form) + 1
-    return CompanionSentence(tokens=toks, ner_tags=_words(tags))
+    return CompanionSentence(tokens=toks, ner_tags=None if tags is None else _words(tags))
 
 
 def covering(piece, extents):

@@ -18,6 +18,7 @@ def test_matmul_identity():
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
+    assert repr(x) == "Tensor(shape=(2, 3), requires_grad=True)"
     ag.backward(ag.tsum(x))
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 

@@ -10,7 +10,7 @@ from helpers import sentence
 from mrparse import companion as comp
 from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpGraph
-from mrparse.prep import MultiwordTable, apply_multiword
+from mrparse.prep.eds import MultiwordTable, apply_multiword
 
 DOC = """#s1
 1\tPierre\tPierre\tNNP\tTokenRange=0:6
@@ -83,8 +83,13 @@ def test_token_ending_before_its_start_is_rejected():
 
 
 def test_ner_tag_count_that_is_not_the_token_count_is_refused():
+    """Only None stands for all "O"; an empty list is a count like any other."""
+    tokens = [Token("a", "a", "X", 0, 1), Token("b", "b", "X", 2, 3)]
     with pytest.raises(comp.CompanionError, match=r"^sentence s1: 3 NER tags for 2 tokens$"):
-        CompanionSentence([Token("a", "a", "X", 0, 1), Token("b", "b", "X", 2, 3)], ["O", "O", "PER"], id="s1")
+        CompanionSentence(tokens, ["O", "O", "PER"], id="s1")
+    with pytest.raises(comp.CompanionError, match=r"^sentence s1: 0 NER tags for 2 tokens$"):
+        CompanionSentence(tokens, [], id="s1")
+    assert CompanionSentence(tokens, id="s1").ner_tags == ["O", "O"]
 
 
 def test_overlapping_token_offsets_are_refused():

@@ -23,11 +23,10 @@ from helpers import sentence
 
 from mrparse.companion import align_companion, replace_spans
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
-from mrparse.prep import (AmrTables, MultiwordTable, amr_postprocess, amr_preprocess,
-                          anchors_to_spans, apply_multiword, decode_graph_attrs,
-                          eds_exchange_properties, eds_reduce, eds_restore,
-                          encode_graph_attrs, spans_to_anchors, ucca_mark_implicit,
-                          ucca_strip_implicit)
+from mrparse.prep.amr import AmrTables, amr_postprocess, amr_preprocess
+from mrparse.prep.anchors import anchors_to_spans, spans_to_anchors
+from mrparse.prep.eds import MultiwordTable, apply_multiword, eds_exchange_properties, eds_reduce, eds_restore
+from mrparse.prep.ucca import decode_graph_attrs, encode_graph_attrs, ucca_mark_implicit, ucca_strip_implicit
 from mrparse.treeify import NodeSequence, TreeError, graph_to_tree, tree_to_graph
 
 

@@ -8,7 +8,7 @@ import pytest
 from mrparse import autograd as ag
 from mrparse.autograd import Tensor
 from mrparse.companion import read_companion
-from mrparse.nn import CharEncoder, LSTMCell
+from mrparse.nn.core import CharEncoder, LSTMCell
 from mrparse.nn.encoder import EncoderConfig, SentenceEncoder, build_token_vocabs
 
 # The per-step `LSTMCell.run` that `lstm_sequence` replaced, kept as the

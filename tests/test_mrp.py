@@ -330,9 +330,14 @@ def test_the_header_round_trips_as_written(framework):
     assert mrp.serialize_mrp(mrp.parse_mrp(line)) == line
 
 
-def test_an_absent_id_or_framework_reads_as_empty():
-    g = mrp.parse_mrp("{}")
-    assert (g.id, g.framework) == ("", "")
+@pytest.mark.parametrize("line, message", [
+    ("{}", "record without 'id', 'framework', 'input'"),
+    ('{"framework":"dm","input":"","tops":[],"nodes":[],"edges":[]}', "record without 'id'"),
+    ('{"id":"g7","input":"","tops":[],"nodes":[],"edges":[]}', "graph g7: record without 'framework'"),
+    ('{"id":"g7","framework":"dm","tops":[],"nodes":[],"edges":[]}', "graph g7: record without 'input'"),
+], ids=["empty", "no id", "no framework", "no input"])
+def test_a_record_without_id_framework_or_input_is_refused(line, message):
+    assert refusal(mrp.parse_mrp, line) == (mrp.MrpParseError, message)
 
 
 @pytest.mark.parametrize("key, value", [("id", None), ("id", 5), ("framework", None), ("framework", 5)])
@@ -356,7 +361,7 @@ def test_an_attribute_name_that_is_not_a_string_is_refused(line, g, message):
     """Else encode_graph_attrs fails on it untyped, far from the record."""
     assert refusal(mrp.parse_mrp, line) == (mrp.MrpParseError, f"graph g7: {message}")
     assert_refused_alike(g, line)
-    assert sorted(v.code for v in mrp.validate_graph(g)) == ["NotAString", "SelfLoop"]
+    assert sorted(code for code, _ in mrp.validate_graph(g)) == ["NotAString", "SelfLoop"]
 
 
 def test_validate_clean_graph():
@@ -370,7 +375,7 @@ def test_validate_flags_dangling_and_inverted():
     g = MrpGraph(id="v", framework="dm", input="ab",
                  nodes=[MrpNode(0, anchors=[(2, 1)])],
                  edges=[MrpEdge(0, 99, "x")])
-    codes = {v.code for v in mrp.validate_graph(g)}
+    codes = {code for code, _ in mrp.validate_graph(g)}
     assert "DanglingEdge" in codes
     assert "InvertedAnchor" in codes
 
@@ -379,7 +384,7 @@ def test_validate_flags_selfloop_topless_and_dup():
     g = MrpGraph(id="v", framework="ucca", input="ab", tops=[7],
                  nodes=[MrpNode(0), MrpNode(0)],
                  edges=[MrpEdge(0, 0, "x")])
-    codes = [v.code for v in mrp.validate_graph(g)]
+    codes = [code for code, _ in mrp.validate_graph(g)]
     assert "SelfLoop" in codes and "DanglingTop" in codes and "DuplicateNodeId" in codes
 
 
@@ -393,7 +398,7 @@ def test_repeated_property_and_self_loop_are_data():
             '"nodes":[{"id":0,"properties":["p","p"],"values":["x","y"]}],"edges":[{"source":0,"target":0}]}')
     g = mrp.parse_mrp(line)
     assert mrp.serialize_mrp(g) == line
-    assert [v.code for v in mrp.validate_graph(g)] == ["DuplicateProperty", "SelfLoop"]
+    assert [code for code, _ in mrp.validate_graph(g)] == ["DuplicateProperty", "SelfLoop"]
 
 
 def test_file_roundtrip(tmp_path):

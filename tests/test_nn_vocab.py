@@ -8,7 +8,7 @@ from helpers import sentence
 from mrparse import autograd as ag
 from mrparse.autograd import Tensor
 from mrparse.companion import CompanionError, CompanionSentence
-from mrparse.nn import BiLSTM, LSTMCell
+from mrparse.nn.core import BiLSTM, LSTMCell
 from mrparse.nn.encoder import EncoderConfig, SentenceEncoder, build_token_vocabs
 from mrparse.vocab import PAD, UNK, Vocab
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from helpers import same_up_to_ids, sentence
 
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
-from mrparse.prep import AmrTables, amr_postprocess, amr_preprocess
-from mrparse.prep.amr import sentence_entry
+from mrparse.prep.amr import AmrTables, amr_postprocess, amr_preprocess, sentence_entry
 
 
 def amr(nodes, edges, tops, text=""):
@@ -88,10 +87,9 @@ def test_postprocess_expands_recorded_subgraph():
 
 def test_postprocess_expands_placeholder_of_custom_template():
     tables = AmrTables()
-    tables.templates["MON"] = "MONEY"
     tables.senses["cost"] = {"cost-01": 1}
-    g = amr([(0, "cost", []), (1, "MONEY_0", [])], [(0, 1, "ARG1")], [0])
-    entry = {"MONEY_0": {"kind": "named", "type": "monetary-quantity", "parts": [["op1", "$5"]]}}
+    g = amr([(0, "cost", []), (1, "ENTITY_0", [])], [(0, 1, "ARG1")], [0])
+    entry = {"ENTITY_0": {"kind": "named", "type": "monetary-quantity", "parts": [["op1", "$5"]]}}
     post = amr_postprocess(g, entry, tables)
     by_id = post.node_by_id()
     assert by_id[1].label == "monetary-quantity"
@@ -162,7 +160,7 @@ def test_preprocess_postprocess_roundtrip_on_mini_corpus():
           (4, "city", []), (5, "name", []), (6, "Rome", [])],
          [(0, 1, "ARG0"), (1, 2, "name"), (2, 3, "op1"),
           (0, 4, "ARG1"), (4, 5, "name"), (5, 6, "op1")], [0]),
-        ("the boy wants sleep", "",
+        ("the boy wants sleep", "O O O O",
          [(0, "want-01", []), (1, "boy", []), (2, "sleep-01", [])],
          [(0, 1, "ARG0"), (0, 2, "ARG1")], [0]),
     ]:
@@ -275,7 +273,6 @@ def test_tables_serialization_roundtrip():
     assert back.bare == tables.bare
     assert back.polarity == {k: list(v) for k, v in tables.polarity.items()}
     assert back.entity_types == tables.entity_types
-    assert back.templates == tables.templates
 
 
 NAMES = st.text(max_size=4)
@@ -286,8 +283,7 @@ COUNTS = st.integers(0, 50)
                  senses=st.dictionaries(NAMES, st.dictionaries(NAMES, COUNTS, max_size=2), max_size=2),
                  bare=st.dictionaries(NAMES, COUNTS, max_size=2),
                  polarity=st.dictionaries(NAMES, st.lists(COUNTS, min_size=2, max_size=2), max_size=2),
-                 entity_types=st.dictionaries(NAMES, st.dictionaries(NAMES, COUNTS, max_size=2), max_size=2),
-                 templates=st.dictionaries(NAMES, NAMES, max_size=2)))
+                 entity_types=st.dictionaries(NAMES, st.dictionaries(NAMES, COUNTS, max_size=2), max_size=2)))
 def test_tables_lines_roundtrip_property(tables):
     assert AmrTables.from_lines(tables.to_lines()) == tables
 
@@ -299,6 +295,8 @@ def test_tables_lines_roundtrip_property(tables):
     (['{"kind":"bare","label":"a","count":"x"}'], "^AmrTables: line 1: ValueError"),
     (['{"kind":"entity","tag":"PER","counts":[1]}'], "^AmrTables: line 1: AttributeError"),
     (["[1]"], "^AmrTables: line 1: TypeError"),
+    (['{"kind":"template","tag":"PER","template":"PERSON"}'],
+     "^AmrTables: line 1: ValueError: unknown kind 'template'$"),
 ])
 def test_tables_malformed_line_names_class_and_line(lines, want):
     with pytest.raises(ValueError, match=want):
@@ -306,8 +304,6 @@ def test_tables_malformed_line_names_class_and_line(lines, want):
 
 
 @pytest.mark.parametrize("line, key, value", [
-    ('{"kind":"template","tag":"PER","template":5}', "template", 5),
-    ('{"kind":"template","tag":1,"template":"PERSON"}', "tag", 1),
     ('{"kind":"sense","stem":2,"counts":{"a-01":1}}', "stem", 2),
     ('{"kind":"bare","label":null,"count":1}', "label", None),
     ('{"kind":"polarity","stem":1.5,"with":1,"total":2}', "stem", 1.5),

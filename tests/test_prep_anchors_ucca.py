@@ -9,12 +9,10 @@ from helpers import covering, sentence
 
 from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
-from mrparse.prep import (AnchorError, anchors_to_spans, decode_edge_label,
-                          decode_graph_attrs, encode_edge_label, encode_graph_attrs,
-                          spans_to_anchors, ucca_mark_implicit, ucca_strip_implicit)
-from mrparse.prep.anchors import covering_run
+from mrparse.prep.anchors import AnchorError, anchors_to_spans, covering_run, spans_to_anchors
 from mrparse.prep.eds import _range
-from mrparse.prep.ucca import UccaError
+from mrparse.prep.ucca import (UccaError, decode_edge_label, decode_graph_attrs, encode_edge_label,
+                               encode_graph_attrs, ucca_mark_implicit, ucca_strip_implicit)
 from mrparse.treeify import graph_to_tree
 
 

@@ -8,11 +8,10 @@ from helpers import same_up_to_ids, sentence
 
 from mrparse.companion import CompanionSentence, Token, replace_spans
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, parse_mrp, serialize_mrp
-from mrparse.prep import (MultiwordTable, anchors_to_spans, apply_multiword,
-                          build_multiword_table, eds_exchange_properties, eds_reduce,
-                          eds_restore, spans_to_anchors)
-from mrparse.prep.anchors import covering_run
-from mrparse.prep.eds import REDUCED, EdsError, _adjacency, _is_surface_mapped, _payload, _range
+from mrparse.prep.anchors import anchors_to_spans, covering_run, spans_to_anchors
+from mrparse.prep.eds import (REDUCED, EdsError, MultiwordTable, _adjacency, _is_surface_mapped, _payload, _range,
+                              apply_multiword, build_multiword_table, eds_exchange_properties, eds_reduce,
+                              eds_restore)
 
 
 def graph(text, nodes, edges, tops):

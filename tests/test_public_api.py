@@ -17,6 +17,9 @@ constructor of class `C`.
 
 No module under `src/` imports a private name (one leading underscore)
 from another module: a helper lives with its callers.
+
+No package `__init__.py` under `src/` imports anything: a name has one
+import path, the module that defines it.
 """
 
 import ast
@@ -149,3 +152,9 @@ def test_no_module_imports_a_private_name_from_another():
                for path, tree in SRC for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert private == []
+
+
+def test_no_package_init_imports_anything():
+    imports = [f"{path.relative_to(ROOT)}:{node.lineno}" for path, tree in SRC if path.name == "__init__.py"
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports == []

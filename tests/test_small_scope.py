@@ -46,7 +46,7 @@ from test_treeify import clear_node_ids
 from mrparse import mrp
 from mrparse.companion import CompanionSentence, Token
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
-from mrparse.prep import AmrTables, amr_postprocess, amr_preprocess
+from mrparse.prep.amr import AmrTables, amr_postprocess, amr_preprocess
 from mrparse.prep.anchors import AnchorError, anchors_to_spans, covering_run, exact_runs, spans_to_anchors
 from mrparse.prep.ucca import (UccaError, decode_edge_label, encode_edge_label, ucca_mark_implicit,
                                ucca_strip_implicit)
@@ -117,9 +117,9 @@ def test_record_pair_round_trips_or_refuses_alike():
             assert (written, read) == (line, g)
             tally["exact"] += 1
         else:
-            first = next(v for v in mrp.validate_graph(g) if v.code not in REPORTED_ONLY)
-            assert written == read == (mrp.MrpValidationError, f"graph s: {first.message}"), g
-            tally[first.code] += 1
+            code, message = next(v for v in mrp.validate_graph(g) if v[0] not in REPORTED_ONLY)
+            assert written == read == (mrp.MrpValidationError, f"graph s: {message}"), g
+            tally[code] += 1
     assert tally == {"exact": 177, "AnchorOutOfBounds": 4160, "InvertedAnchor": 2080, "DuplicateNodeId": 1600,
                      "DanglingEdge": 648, "DanglingTop": 215}
 

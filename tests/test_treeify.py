@@ -397,5 +397,5 @@ def test_tree_to_graph_leaves_no_dangling_edge_top_or_duplicate_id(seq):
         g = tree_to_graph(seq, graph_id="h")
     except TreeError:
         return
-    codes = {v.code for v in validate_graph(g)}
+    codes = {code for code, _ in validate_graph(g)}
     assert not codes & {"DanglingEdge", "DanglingTop", "DuplicateNodeId"}
