@@ -6,6 +6,11 @@ separated by blank lines. The misc column may carry `TokenRange=start:end`
 character offsets; otherwise offsets are reconstructed assuming single
 spaces between tokens. NER tags come from a sidecar file (one tag line per
 sentence).
+
+`read_companion` interns each token's form, lemma and xpos, so a corpus
+holds one string object per distinct value rather than three per token,
+and vocabulary building hashes each distinct object once. Strings are
+immutable, so the sharing keeps the record rule of `mrp`.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import bisect
 import difflib
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 
 
@@ -72,46 +78,42 @@ class CompanionSentence:
 
 def read_companion(doc: str) -> list:
     """One CompanionSentence per blank-line-separated block; an id line alone is a tokenless sentence."""
+    intern = sys.intern
     sentences = []
-    block = []
+    tokens = []
     block_id = None
+    pos = 0
     for lineno, line in enumerate(doc.splitlines() + [""], start=1):  # a blank line ends the last block
         if not line or line.isspace():
-            if block or block_id is not None:
-                sentences.append(_finish_block(block, block_id))
-            block, block_id = [], None
+            if tokens or block_id is not None:
+                sentences.append(CompanionSentence(tokens=tokens, id=block_id))
+            tokens, block_id, pos = [], None, 0
             continue
         if line.startswith("#"):
-            if block or block_id is not None:  # a block has one id line, before its tokens
+            if tokens or block_id is not None:  # a block has one id line, before its tokens
                 raise CompanionError(f"line {lineno}: id line {line!r} inside a block")
             block_id = line[1:].strip()
             continue
         cols = line.split("\t")
         if len(cols) != 5:
             raise CompanionError(f"line {lineno}: expected 5 columns, got {len(cols)}")
-        block.append((lineno, cols))
-    return sentences
-
-
-def _finish_block(rows, block_id):
-    tokens = []
-    pos = 0
-    for lineno, (_, form, lemma, xpos, misc) in rows:
+        _, form, lemma, xpos, misc = cols
         start = end = None
         for item in misc.split("|") if "|" in misc else (misc,):
             if item.startswith("TokenRange="):
                 if start is not None:
                     raise CompanionError(f"line {lineno}: TokenRange given twice")
-                a, _, z = item[len("TokenRange="):].partition(":")
+                a, _, z = item[11:].partition(":")  # 11 == len("TokenRange=")
                 try:
                     start, end = int(a), int(z)
                 except ValueError:
                     raise CompanionError(f"line {lineno}: {item!r} is not TokenRange=start:end") from None
         if start is None:
             start, end = pos, pos + len(form)
-        tokens.append(Token(form, lemma, xpos, start, end))
+        form = intern(form)
+        tokens.append(Token(form, form if lemma == form else intern(lemma), intern(xpos), start, end))
         pos = end + 1
-    return CompanionSentence(tokens=tokens, id=block_id)
+    return sentences
 
 
 def write_companion(path, sentences):
@@ -141,9 +143,9 @@ def align_companion(graph, sent: CompanionSentence) -> CompanionSentence:
     forms. Each input character belongs to the token whose character it
     matches; an unmatched one belongs to the token of the nearest matched
     character before it (after it, at the start). A token whose input text
-    equals its form keeps it with fresh offsets, or is returned itself when
-    its offsets match too (by the record rule of `mrp`, a token is never
-    edited after it is built); any other token's input
+    equals its form keeps that form object with fresh offsets, or is
+    returned itself when its offsets match too (by the record rule of `mrp`,
+    a token is never edited after it is built); any other token's input
     text is split at whitespace and every piece inherits the token's
     lemma/xpos/NER. Raises AlignmentError when more than half of the
     input's non-space characters are unmatched — that signals a wrong
@@ -175,8 +177,12 @@ def align_companion(graph, sent: CompanionSentence) -> CompanionSentence:
             continue
         lo, hi = at[a], at[z - 1] + 1
         t = sent.tokens[k]
-        spans = [(lo, hi)] if s[lo:hi] == t.form else [m.span() for m in _WORD.finditer(s, lo, hi)]
-        for b, e in spans:
+        if s[lo:hi] == t.form:
+            out.append(t if lo == t.start and hi == t.end else Token(t.form, t.lemma, t.xpos, lo, hi))
+            out_tags.append(sent.ner_tags[k])
+            continue
+        for m in _WORD.finditer(s, lo, hi):
+            b, e = m.span()
             same = b == t.start and e == t.end and s[b:e] == t.form
             out.append(t if same else Token(s[b:e], t.lemma, t.xpos, b, e))
             out_tags.append(sent.ner_tags[k])

@@ -26,16 +26,18 @@ string, and names and values of different lengths. `serialize_mrp`
 refuses with `MrpError` extras that name a field of their record and a
 value that JSON cannot hold.
 
-The header is kept as written: an id or framework is neither converted
-nor case-folded, and `parse_mrp` refuses with `MrpParseError` a record
-without "id", "framework" or "input", naming the missing keys, once every
-other check has passed. Unknown keys at every level land in `extras` as
-they were read, and `serialize_mrp` writes them back unchanged. It writes
-the text itself, as `json.dumps(ensure_ascii=False)` with no spaces
-would. Keys come in the order id, the graph's extras, framework, input,
-tops, nodes, edges; node keys id, label, properties, values, anchors,
-extras; edge keys source, target, label, attributes, values, extras. It
-leaves out a null label, empty properties or attributes and None anchors.
+The header is kept as written: an id or framework is neither converted nor
+case-folded, and `parse_mrp` refuses with `MrpParseError` a record without
+"id", "framework" or "input", naming the missing keys, once every other
+check has passed. An earlier refusal of a record without "id" says so
+where it would name the graph. Unknown keys at every level land in
+`extras` as they were read, and `serialize_mrp` writes them back
+unchanged. It writes the text itself, as `json.dumps(ensure_ascii=False)`
+with no spaces would. Keys come in the order id, the graph's extras,
+framework, input, tops, nodes, edges; node keys id, label, properties,
+values, anchors, extras; edge keys source, target, label, attributes,
+values, extras. It leaves out a null label, empty properties or attributes
+and None anchors.
 
 Record rule: a node or edge record, or a companion `Token`, is never
 edited after the function that built it returns, and neither is a
@@ -45,8 +47,10 @@ input, and builds new records only for what it changes. Lists are shared
 the same way: a record's properties, attributes and anchors, the
 `treeify.SeqNode` lists built from them and the anchor list that
 `eds_restore` shares between an unfolded node and its neighbour are never
-edited either. `MrpGraph.copy` is the one way to get a graph whose records
-may be edited in place."""
+edited either. Strings are shared freely: a token's form, lemma and xpos
+may be the same objects as another sentence's (`read_companion` interns
+them). `MrpGraph.copy` is the one way to get a graph whose records may
+be edited in place."""
 
 from __future__ import annotations
 
@@ -183,25 +187,26 @@ _REFUSED = {"NotAnInteger": MrpParseError, "NotAString": MrpParseError, "Duplica
             "InvertedAnchor": MrpValidationError, "AnchorOutOfBounds": MrpValidationError}
 
 
-def _refuse(g):
-    """Raise the error of the first violation that the record contract refuses."""
+def _refuse(g, where):
+    """Raise the error of the first violation that the record contract
+    refuses, its message prefixed by `where`."""
     for code, message in validate_graph(g):
         if code in _REFUSED:
-            raise _REFUSED[code](f"graph {g.id}: {message}")
+            raise _REFUSED[code](f"{where}: {message}")
 
 
-def _list(raw, key, gid):
+def _list(raw, key, where):
     """raw[key] as a list; [] when it is absent, null or empty."""
     value = raw.get(key) or []
     if not isinstance(value, list):
-        raise MrpParseError(f"graph {gid}: '{key}' is {type(value).__name__}, not a list")
+        raise MrpParseError(f"{where}: '{key}' is {type(value).__name__}, not a list")
     return value
 
 
-def _pairs(raw, names_key, gid):
-    names, values = _list(raw, names_key, gid), _list(raw, "values", gid)
+def _pairs(raw, names_key, where):
+    names, values = _list(raw, names_key, where), _list(raw, "values", where)
     if len(names) != len(values):
-        raise MrpParseError(f"graph {gid}: {names_key}/values length mismatch: {len(names)} vs {len(values)}")
+        raise MrpParseError(f"{where}: {names_key}/values length mismatch: {len(names)} vs {len(values)}")
     return list(zip(names, values))
 
 
@@ -218,39 +223,40 @@ def parse_mrp(line: str) -> MrpGraph:
         raise MrpParseError("record is not an object")
 
     gid = obj.get("id", "")
+    where = f"graph {gid}" if "id" in obj else "record without 'id'"
     nodes = []
-    for raw in _list(obj, "nodes", gid):
+    for raw in _list(obj, "nodes", where):
         if not isinstance(raw, dict):
-            raise MrpParseError(f"graph {gid}: node {raw!r} is not an object")
+            raise MrpParseError(f"{where}: node {raw!r} is not an object")
         if "id" not in raw:
-            raise MrpParseError(f"graph {gid}: node without 'id'")
+            raise MrpParseError(f"{where}: node without 'id'")
         anchors = raw.get("anchors")
         if anchors is not None:
             try:
                 anchors = [(a["from"], a["to"]) for a in anchors]
             except (KeyError, TypeError):
-                raise MrpParseError(f"graph {gid}: node {raw['id']!r}: anchor without 'from'/'to'") from None
-        properties = _pairs(raw, "properties", gid) if "properties" in raw or "values" in raw else []
+                raise MrpParseError(f"{where}: node {raw['id']!r}: anchor without 'from'/'to'") from None
+        properties = _pairs(raw, "properties", where) if "properties" in raw or "values" in raw else []
         extras = {} if raw.keys() <= _NODE_KEYS else {k: v for k, v in raw.items() if k not in _NODE_KEYS}
         nodes.append(MrpNode(raw["id"], raw.get("label"), properties, anchors, extras))
     edges = []
-    for raw in _list(obj, "edges", gid):
+    for raw in _list(obj, "edges", where):
         if not isinstance(raw, dict):
-            raise MrpParseError(f"graph {gid}: edge {raw!r} is not an object")
+            raise MrpParseError(f"{where}: edge {raw!r} is not an object")
         if "source" not in raw or "target" not in raw:
-            raise MrpParseError(f"graph {gid}: edge without 'source'/'target'")
-        attributes = _pairs(raw, "attributes", gid) if "attributes" in raw or "values" in raw else []
+            raise MrpParseError(f"{where}: edge without 'source'/'target'")
+        attributes = _pairs(raw, "attributes", where) if "attributes" in raw or "values" in raw else []
         extras = {} if raw.keys() <= _EDGE_KEYS else {k: v for k, v in raw.items() if k not in _EDGE_KEYS}
         edges.append(MrpEdge(raw["source"], raw["target"], raw.get("label"), attributes, extras))
     text = obj.get("input", "")
     if type(text) is not str:
-        raise MrpParseError(f"graph {gid}: 'input' is {type(text).__name__}, not a string")
+        raise MrpParseError(f"{where}: 'input' is {type(text).__name__}, not a string")
     extras = {} if obj.keys() <= _GRAPH_KEYS else {k: v for k, v in obj.items() if k not in _GRAPH_KEYS}
-    g = MrpGraph(gid, obj.get("framework", ""), text, _list(obj, "tops", gid), nodes, edges, extras)
-    _refuse(g)
+    g = MrpGraph(gid, obj.get("framework", ""), text, _list(obj, "tops", where), nodes, edges, extras)
+    _refuse(g, where)
     missing = ", ".join(repr(k) for k in ("id", "framework", "input") if k not in obj)
     if missing:
-        raise MrpParseError(f"graph {gid}: record without {missing}" if "id" in obj else f"record without {missing}")
+        raise MrpParseError(f"{where}: record without {missing}" if "id" in obj else f"record without {missing}")
     return g
 
 
@@ -265,7 +271,7 @@ def serialize_mrp(g: MrpGraph) -> str:
     MrpError naming the graph for one that cannot be written."""
     gid = g.id
     try:
-        _refuse(g)
+        _refuse(g, f"graph {gid}")
         nodes = []
         for n in g.nodes:
             text = f'{{"id":{n.id}'

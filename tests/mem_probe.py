@@ -1,0 +1,53 @@
+"""Bytes held per token by `read_companion` and per record by `parse_mrp`.
+
+    python tests/mem_probe.py
+
+Run from the repository root. It builds the benchmark's seed-1 inputs
+(`benchmarks/gen.py`) before it starts `tracemalloc`, so the input text is
+not counted. It then reads the `encode_train` training split's companion
+blocks with `read_companion` and the `prep_roundtrip` training split's MRP
+lines with `parse_mrp`, keeping every result, and prints the bytes that
+`tracemalloc` counts as still held after each, per token and per record,
+with the number of distinct forms, lemmas and tags read. Pytest does not
+collect this file: its name does not start with `test_`."""
+
+import sys
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import run  # noqa: E402  (puts src/ on the path)
+
+import gen  # noqa: E402
+from mrparse import companion, mrp  # noqa: E402
+
+
+def held(read, inputs):
+    """What read(x) for each x in inputs returns, and the bytes it holds."""
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    out = [read(x) for x in inputs]
+    after = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return out, after - before
+
+
+def main():
+    docs = [s.companion for s in gen.encode_inputs(1, run.EncodeTrain.name)[0]]
+    lines = [it.mrp for it in gen.prep_inputs(1)[0]]
+
+    sents, size = held(companion.read_companion, docs)
+    tokens = [t for [s] in sents for t in s.tokens]
+    print(f"read_companion, encode_train seed 1 training split: {len(docs)} sentences, {len(tokens)} tokens, "
+          f"{len({t.form for t in tokens})} distinct forms, {len({t.lemma for t in tokens})} lemmas, "
+          f"{len({t.xpos for t in tokens})} tags")
+    print(f"  {size} B held, {size / len(tokens):.1f} B per token")
+
+    graphs, size = held(mrp.parse_mrp, lines)
+    print(f"parse_mrp, prep_roundtrip seed 1 training split: {len(graphs)} records, "
+          f"{sum(len(g.nodes) for g in graphs)} nodes, {sum(len(g.edges) for g in graphs)} edges")
+    print(f"  {size} B held, {size / len(graphs):.0f} B per record")
+
+
+if __name__ == "__main__":
+    main()

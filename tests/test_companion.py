@@ -1,4 +1,5 @@
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -131,6 +132,84 @@ def test_write_then_read_gives_back_every_sentence_with_an_id_or_a_token(tmp_pat
     assert comp.read_companion(path.read_text(encoding="utf-8")) == [s for s in sents if s.id is not None or s.tokens]
 
 
+def test_tokens_of_separate_documents_share_their_strings():
+    first = comp.read_companion("#a\n1\tDogs\tdog\tNNS\t_\n2\tbark\tbark\tVBP\t_\n")
+    second = comp.read_companion("#b\n1\tbark\tbark\tVBP\t_\n2\tloud\tloud\tRB\t_\n3\tDogs\tdog\tNNS\t_\n")
+    assert [(t.form, t.lemma, t.xpos) for t in second[0].tokens] == [
+        ("bark", "bark", "VBP"), ("loud", "loud", "RB"), ("Dogs", "dog", "NNS")]
+    for a, b in [(first[0].tokens[0], second[0].tokens[2]), (first[0].tokens[1], second[0].tokens[0])]:
+        assert a.form is b.form and a.lemma is b.lemma and a.xpos is b.xpos
+    bark = second[0].tokens[0]
+    assert bark.lemma is bark.form
+
+
+def reference_read_companion(doc):
+    """The two-pass reader that `read_companion` replaced (blocks of
+    (lineno, cols) rows, then one token per row), kept as the reference
+    for what it reads."""
+    sentences, block, block_id = [], [], None
+    for lineno, line in enumerate(doc.splitlines() + [""], start=1):
+        if not line or line.isspace():
+            if block or block_id is not None:
+                sentences.append(reference_finish_block(block, block_id))
+            block, block_id = [], None
+            continue
+        if line.startswith("#"):
+            if block or block_id is not None:
+                raise comp.CompanionError(f"line {lineno}: id line {line!r} inside a block")
+            block_id = line[1:].strip()
+            continue
+        cols = line.split("\t")
+        if len(cols) != 5:
+            raise comp.CompanionError(f"line {lineno}: expected 5 columns, got {len(cols)}")
+        block.append((lineno, cols))
+    return sentences
+
+
+def reference_finish_block(rows, block_id):
+    tokens, pos = [], 0
+    for lineno, (_, form, lemma, xpos, misc) in rows:
+        start = end = None
+        for item in misc.split("|") if "|" in misc else (misc,):
+            if item.startswith("TokenRange="):
+                if start is not None:
+                    raise comp.CompanionError(f"line {lineno}: TokenRange given twice")
+                a, _, z = item[len("TokenRange="):].partition(":")
+                try:
+                    start, end = int(a), int(z)
+                except ValueError:
+                    raise comp.CompanionError(f"line {lineno}: {item!r} is not TokenRange=start:end") from None
+        if start is None:
+            start, end = pos, pos + len(form)
+        tokens.append(Token(form, lemma, xpos, start, end))
+        pos = end + 1
+    return CompanionSentence(tokens=tokens, id=block_id)
+
+
+_WORDS = _FIELD | st.sampled_from(["Dogs", "dogs", "bark", "NNS"])
+_MISC = st.sampled_from(["_", "TokenRange=0:2", "TokenRange=3:7", "a|TokenRange=8:9", "TokenRange=1:x",
+                         "TokenRange=0:1|TokenRange=2:3", "SpaceAfter=No"])
+_TOKEN_LINE = st.tuples(st.sampled_from(["1", "2", ""]), _WORDS, _WORDS, _WORDS, _MISC).map("\t".join)
+_COMPANION_LINE = _TOKEN_LINE | st.sampled_from(["", " \t", "#a", "# b ", "1\tx\tx\tX", "1\tx\tx\tX\t_\t_"])
+
+
+@given(lines=st.lists(_COMPANION_LINE, max_size=8))
+def test_read_companion_reads_what_the_reference_reads(lines):
+    """The same sentences, or a CompanionError from both; every string
+    that the reader returns is interned."""
+    doc = "\n".join(lines)
+    try:
+        expected = reference_read_companion(doc)
+    except comp.CompanionError:
+        with pytest.raises(comp.CompanionError):
+            comp.read_companion(doc)
+        return
+    got = comp.read_companion(doc)
+    assert got == expected
+    for t in (t for s in got for t in s.tokens):
+        assert all(sys.intern(x) is x for x in (t.form, t.lemma, t.xpos))
+
+
 def test_ner_sidecar():
     lines = comp.read_ner_sidecar("O PER\nO O O\n")
     assert lines == [["O", "PER"], ["O", "O", "O"]]
@@ -148,6 +227,14 @@ class TestAlignCompanion:
         s = sentence("Dogs bark", "dog bark")
         out = comp.align_companion(MrpGraph(id="1", framework="dm", input="Dogs bark"), s)
         assert len(out.tokens) == 2 and all(a is b for a, b in zip(out.tokens, s.tokens))
+
+    def test_a_moved_token_keeps_its_form_object(self):
+        [s] = comp.read_companion("1\tDogs\tdog\tNNS\tTokenRange=0:4\n2\tbark\tbark\tVBP\tTokenRange=5:9\n")
+        out = comp.align_companion(MrpGraph(id="1", framework="dm", input=" Dogs  bark"), s)
+        assert [(t.start, t.end) for t in out.tokens] == [(1, 5), (7, 11)]
+        for t, moved in zip(s.tokens, out.tokens):
+            assert moved is not t and moved.form is t.form
+            assert (moved.lemma, moved.xpos) == (t.lemma, t.xpos)
 
     def test_drifted_and_moved_tokens_are_new(self):
         s = sentence("we gonna leave", "we go leave")

@@ -340,6 +340,15 @@ def test_a_record_without_id_framework_or_input_is_refused(line, message):
     assert refusal(mrp.parse_mrp, line) == (mrp.MrpParseError, message)
 
 
+@pytest.mark.parametrize("line, error, message", [
+    ('{"nodes":[{"id":0},{"id":0}]}', mrp.MrpValidationError, "record without 'id': node id 0 repeated"),
+    ('{"nodes":[1]}', mrp.MrpParseError, "record without 'id': node 1 is not an object"),
+    ('{"framework":"dm","input":"","nodes":5}', mrp.MrpParseError, "record without 'id': 'nodes' is int, not a list"),
+], ids=["repeated node id", "node not an object", "nodes not a list"])
+def test_a_refusal_before_the_header_check_says_the_record_has_no_id(line, error, message):
+    assert refusal(mrp.parse_mrp, line) == (error, message)
+
+
 @pytest.mark.parametrize("key, value", [("id", None), ("id", 5), ("framework", None), ("framework", 5)])
 def test_an_id_or_framework_that_is_not_a_string_is_refused(key, value):
     header = {"id": "g7", "framework": "dm", key: value}
