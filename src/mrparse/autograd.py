@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-A deliberately small dynamic-tape engine: every op stores a backward
-closure on its output, `backward()` walks the tape in reverse topological
-order. All data is 64-bit; broadcasting is restricted to a trailing-shape
-operand against leading batch axes (anything else needs an explicit
-reshape), which keeps shape bugs loud.
+A deliberately small dynamic-tape engine: every op takes `Tensor`s and
+stores a backward closure on its output, `backward()` walks the tape in
+reverse topological order. All data is 64-bit; broadcasting is restricted
+to a trailing-shape operand against leading batch axes (anything else
+needs an explicit reshape), which keeps shape bugs loud.
 
 Ownership: an op's output may share its inputs' data, and no op edits
 data in place. A first gradient becomes a tensor's `.grad` as it is
@@ -71,10 +71,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return take(self, idx)
-
-
-def _lift(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data, parents, backward_fn):
@@ -146,7 +142,6 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = _lift(a), _lift(b)
     sa, sb = a.data.shape, b.data.shape
     if sa != sb and sa[len(sa) - len(sb):] != sb and sb[len(sb) - len(sa):] != sa:
         raise ShapeError(f"add shapes {sa} vs {sb}")
@@ -162,7 +157,6 @@ def add(a, b):
 
 
 def mul(a, b):
-    a, b = _lift(a), _lift(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shapes {a.data.shape} vs {b.data.shape}")
 
@@ -176,7 +170,6 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    a, b = _lift(a), _lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul needs 2-D operands (m, k) @ (k, n), got {a.data.shape} @ {b.data.shape}")
     out_data = a.data @ b.data
@@ -192,7 +185,6 @@ def matmul(a, b):
 
 def take(a, idx):
     """Indexing/gather: basic slices or integer-array row selection."""
-    a = _lift(a)
     out_data = a.data[idx]
 
     def bw(g):
@@ -206,7 +198,6 @@ def take(a, idx):
 
 
 def reshape(a, shape):
-    a = _lift(a)
     orig = a.data.shape
     out_data = a.data.reshape(shape)
 
@@ -218,7 +209,6 @@ def reshape(a, shape):
 
 
 def concat(tensors, axis=0):
-    tensors = [_lift(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + sizes)
@@ -234,7 +224,6 @@ def concat(tensors, axis=0):
 
 
 def tsum(a):
-    a = _lift(a)
     out_data = a.data.sum()
 
     def bw(g):
@@ -245,7 +234,6 @@ def tsum(a):
 
 
 def tanh(a):
-    a = _lift(a)
     y = np.tanh(a.data)
 
     def bw(g):
@@ -256,7 +244,6 @@ def tanh(a):
 
 
 def sigmoid(a):
-    a = _lift(a)
     # stable in both tails
     e = np.exp(-np.abs(a.data))
     y = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
@@ -290,8 +277,6 @@ def lstm_sequence(X, directions):
     1/2 and shifted by 1/2. Backward is backpropagation through time, with
     the weight and input gradients taken over all steps at once.
     """
-    X = _lift(X)
-    directions = [(_lift(W), _lift(b), reverse) for W, b, reverse in directions]
     if X.data.ndim != 3:
         raise ShapeError(f"lstm_sequence needs X of shape (B, T, n_in), got {X.data.shape}")
     B, T, n_in = X.data.shape

@@ -99,7 +99,7 @@ def read_companion(doc: str) -> list:
             raise CompanionError(f"line {lineno}: expected 5 columns, got {len(cols)}")
         _, form, lemma, xpos, misc = cols
         start = end = None
-        for item in misc.split("|") if "|" in misc else (misc,):
+        for item in misc.split("|"):
             if item.startswith("TokenRange="):
                 if start is not None:
                     raise CompanionError(f"line {lineno}: TokenRange given twice")
@@ -116,14 +116,27 @@ def read_companion(doc: str) -> list:
     return sentences
 
 
+_BREAK = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")  # a tab, or a str.splitlines break
+
+
 def write_companion(path, sentences):
+    """Write what read_companion reads back as `sentences`, less those
+    without id or tokens. Before opening the file, refuse with CompanionError
+    a tab or line break in any field, or an id that the reader would strip."""
+    lines = []
+    for s in sentences:
+        if s.id is not None:
+            if _BREAK.search(s.id) or s.id != s.id.strip():
+                raise CompanionError(f"sentence {s.id!r}: id has a tab, a line break or whitespace at an end")
+            lines.append(f"#{s.id}\n")
+        for i, t in enumerate(s.tokens, start=1):
+            for name, value in (("form", t.form), ("lemma", t.lemma), ("xpos", t.xpos)):
+                if _BREAK.search(value):
+                    raise CompanionError(f"sentence {s.id!r}: token {i} {name} {value!r} has a tab or a line break")
+            lines.append(f"{i}\t{t.form}\t{t.lemma}\t{t.xpos}\tTokenRange={t.start}:{t.end}\n")
+        lines.append("\n")
     with open(path, "w", encoding="utf-8") as f:
-        for s in sentences:
-            if s.id is not None:
-                f.write(f"#{s.id}\n")
-            for i, t in enumerate(s.tokens, start=1):
-                f.write(f"{i}\t{t.form}\t{t.lemma}\t{t.xpos}\tTokenRange={t.start}:{t.end}\n")
-            f.write("\n")
+        f.writelines(lines)
 
 
 def read_ner_sidecar(doc: str) -> list:

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from ..companion import CompanionSentence, find_phrase, replace_spans
-from ..mrp import MrpEdge, MrpGraph, MrpNode
+from ..mrp import MrpEdge, MrpGraph, MrpNode, MrpValidationError
 from ..treeify import natural_key
 
 log = logging.getLogger(__name__)
@@ -165,9 +165,12 @@ def _entity_subgraphs(g):
     by_id = g.node_by_id()
     out_edges = {n.id: [] for n in g.nodes}
     in_deg = {n.id: 0 for n in g.nodes}
-    for e in g.edges:
-        out_edges[e.source].append(e)
-        in_deg[e.target] += 1
+    try:
+        for e in g.edges:
+            out_edges[e.source].append(e)
+            in_deg[e.target] += 1
+    except KeyError:  # worded as validate_graph's DanglingEdge, which parse_mrp refuses
+        raise MrpValidationError(f"graph {g.id}: edge {e.source}->{e.target} references a missing node") from None
     tops = set(g.tops)
 
     def bare(e):

@@ -17,7 +17,6 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 
 from ..companion import find_phrase, replace_spans
 from ..mrp import MrpEdge, MrpGraph, MrpNode
@@ -43,14 +42,6 @@ def _range(anchors):
         lo, hi = anchors[0]
         return lo, hi
     return (min(f for f, _ in anchors), max(t for _, t in anchors))
-
-
-def _payload(items):
-    """json.dumps(items), written directly when every item is a str or None."""
-    try:
-        return "[" + ", ".join(["null" if x is None else encode_basestring_ascii(x) for x in items]) + "]"
-    except TypeError:  # an item that is not a string: a label of a graph built in code
-        return json.dumps(items)
 
 
 def _is_surface_mapped(node, text):
@@ -101,7 +92,7 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
                 continue
             properties = folded.setdefault(b.id, list(b.properties))
             k = sum(1 for p, _ in properties if p.startswith(REDUCED))
-            properties.append((f"{REDUCED}{k}", _payload([a.label, e.label, _side(e, a)])))
+            properties.append((f"{REDUCED}{k}", json.dumps([a.label, e.label, _side(e, a)])))
         else:
             (b, eb), (c, ec) = ends
             if b.id == c.id or b.anchors is None or c.anchors is None:
@@ -111,7 +102,7 @@ def eds_reduce(g: MrpGraph) -> MrpGraph:
                 continue
             # the end with the smaller (edge label, node id) is the source: ARG1 before ARG2
             (src, esrc), (tgt, etgt) = sorted(ends, key=lambda end: (end[1].label or "", end[0].id))
-            payload = _payload([a.label, esrc.label, _side(esrc, a), etgt.label, _side(etgt, a)])
+            payload = json.dumps([a.label, esrc.label, _side(esrc, a), etgt.label, _side(etgt, a)])
             reduced_edges.append(MrpEdge(src.id, tgt.id, REDUCED + payload))
         dead.add(id(a))
         dead.update(id(e) for e in links)
@@ -135,11 +126,14 @@ def _attach(a, b, label, side):
 
 def _adjacency(g):
     adj = {n.id: [] for n in g.nodes}
-    for e in g.edges:
-        if e.label and e.label.startswith(REDUCED):
-            continue  # already-reduced edges don't count as connections
-        adj[e.source].append(e)
-        adj[e.target].append(e)
+    try:
+        for e in g.edges:
+            if e.label and e.label.startswith(REDUCED):
+                continue  # already-reduced edges don't count as connections
+            adj[e.source].append(e)
+            adj[e.target].append(e)
+    except KeyError:
+        raise EdsError(f"graph {g.id}: edge {e.source}->{e.target} references a missing node") from None
     return adj
 
 

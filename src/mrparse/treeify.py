@@ -1,12 +1,12 @@
 """Reentrant-graph/tree conversion.
 
-A node with k incoming edges appears k times in the linearized tree; every
-occurrence after the first is a copy carrying the idx of the first. A
-position with no parent is a top: the tops start the walk in natural label
-order, and a top also reached through an edge appears once more as a
-parent-less copy. Node order is depth-first with children sorted
-alphanumerically by label ("x2" before "x10"), ties broken by node id. The
-inverse merges positions sharing an idx back into single nodes.
+A tree is a list of `SeqNode`s. A node with k incoming edges appears k
+times in it; every occurrence after the first is a copy carrying the idx
+of the first. A position with no parent is a top: the tops start the walk
+in natural label order, and a top also reached through an edge appears
+once more as a parent-less copy. Node order is depth-first with children
+sorted alphanumerically by label ("x2" before "x10"), ties broken by node
+id. The inverse merges positions sharing an idx back into single nodes.
 
 Both directions follow the record rule of `mrp`: a node's properties and
 anchors lists are handed on as they are, to its `SeqNode` and back to the
@@ -47,20 +47,6 @@ class SeqNode:
     node_id: int | None = None  # originating graph node, when known
 
 
-@dataclass
-class NodeSequence:
-    nodes: list
-
-    def validate(self):
-        for t, n in enumerate(self.nodes):
-            if not 0 <= n.idx <= t:
-                raise TreeError(f"position {t}: idx {n.idx} is not a position up to {t}")
-            if n.idx != t and self.nodes[n.idx].idx != n.idx:
-                raise TreeError(f"position {t}: idx {n.idx} does not point at an original node")
-            if n.parent is not None and not 0 <= n.parent < t:
-                raise TreeError(f"position {t}: parent {n.parent} is not an earlier position")
-
-
 def visit_order(g: MrpGraph):
     """The depth-first walk that graph_to_tree emits in, without building
     the sequence.
@@ -74,8 +60,8 @@ def visit_order(g: MrpGraph):
     the position of its first emission and is keyed in first-emission
     order; `steps` lists every emission as (node, parent position, edge
     label), copies included, with parent None for each top. A graph with
-    a repeated node id, without tops, with a top that is not a node, or
-    with a node unreachable from the tops raises TreeError.
+    a repeated node id, without tops, with a top or an edge end that is not
+    a node, or with a node unreachable from the tops raises TreeError.
     """
     by_id = g.node_by_id()
     if len(by_id) != len(g.nodes):
@@ -86,12 +72,15 @@ def visit_order(g: MrpGraph):
     missing = [t for t in g.tops if t not in by_id]
     if missing:
         raise TreeError(f"graph {g.id}: tops {missing} are not nodes")
-    children = {n.id: [] for n in g.nodes}
-    for e in g.edges:
-        children[e.source].append(e)
+    children = {n.id: [] for n in g.nodes}  # node id -> [(target node, edge)]
+    try:
+        for e in g.edges:
+            children[e.source].append((by_id[e.target], e))
+    except KeyError:
+        raise TreeError(f"graph {g.id}: edge {e.source}->{e.target} references a missing node") from None
     for out in children.values():
         if len(out) > 1:
-            out.sort(key=lambda e: (natural_key(by_id[e.target].label), e.target, e.label or ""))
+            out.sort(key=lambda c: (natural_key(c[0].label), c[0].id, c[1].label or ""))
 
     steps = []
     first = {}
@@ -106,8 +95,8 @@ def visit_order(g: MrpGraph):
         if nid in first:
             continue
         first[nid] = pos
-        for e in reversed(children[nid]):
-            stack.append((by_id[e.target], pos, e.label))
+        for node, e in reversed(children[nid]):
+            stack.append((node, pos, e.label))
 
     if len(first) < len(by_id):
         unreachable = sorted(n.id for n in g.nodes if n.id not in first)
@@ -115,8 +104,9 @@ def visit_order(g: MrpGraph):
     return first, steps
 
 
-def graph_to_tree(g: MrpGraph) -> NodeSequence:
-    """Linearize a rooted graph, duplicating every extra edge entrance.
+def graph_to_tree(g: MrpGraph) -> list:
+    """Linearize a rooted graph into a tree, duplicating every extra edge
+    entrance.
 
     Edges into already-visited nodes (reentrancies and cycles alike)
     become copies. Each top is a position without a parent, so a top also
@@ -139,20 +129,22 @@ def graph_to_tree(g: MrpGraph) -> NodeSequence:
         idx = first[node.id]
         properties = node.properties if idx == pos else []  # a copy carries none
         seq.append(SeqNode(node.label, idx, parent, edge_label, node.anchors, properties, node.id))
-    return NodeSequence(seq)
+    return seq
 
 
-def tree_to_graph(seq: NodeSequence, framework="amr", graph_id="", input_text="") -> MrpGraph:
-    """Merge positions sharing an idx into nodes and turn parent links into
-    edges; the node of each parent-less position is a top, in position
-    order. Exact inverse of graph_to_tree up to node ids."""
-    if not seq.nodes:
+def tree_to_graph(nodes: list, framework="amr", graph_id="", input_text="") -> MrpGraph:
+    """Merge the positions of a tree that share an idx into nodes and turn
+    parent links into edges; the node of each parent-less position is a
+    top, in position order. Exact inverse of graph_to_tree up to node ids."""
+    if not nodes:
         raise TreeError(f"graph {graph_id}: empty sequence has no top")
-    try:
-        seq.validate()
-    except TreeError as err:
-        raise TreeError(f"graph {graph_id}: {err}") from None
-    nodes = seq.nodes
+    for t, n in enumerate(nodes):
+        if not 0 <= n.idx <= t:
+            raise TreeError(f"graph {graph_id}: position {t}: idx {n.idx} is not a position up to {t}")
+        if n.idx != t and nodes[n.idx].idx != n.idx:
+            raise TreeError(f"graph {graph_id}: position {t}: idx {n.idx} does not point at an original node")
+        if n.parent is not None and not 0 <= n.parent < t:
+            raise TreeError(f"graph {graph_id}: position {t}: parent {n.parent} is not an earlier position")
 
     originals = [t for t, n in enumerate(nodes) if n.idx == t]
     ids = [nodes[t].node_id for t in originals]

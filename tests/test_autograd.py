@@ -145,7 +145,7 @@ def test_grad_accumulates_over_shared_use():
 
 def test_second_backward_on_same_graph_accumulates_once_more():
     w = Tensor(np.array(1.0), requires_grad=True)
-    z = ag.add(ag.mul(w, Tensor(2.0)), 0.0)
+    z = ag.add(ag.mul(w, Tensor(2.0)), Tensor(0.0))
     ag.backward(z)
     ag.backward(z)
     assert w.grad == 4.0

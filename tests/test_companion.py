@@ -110,9 +110,23 @@ def test_blank_line_ends_a_block_of_an_id_alone():
         CompanionSentence([], id="a"), CompanionSentence([Token("x", "x", "X", 0, 1)])]
 
 
-# the empty string, the format's own syntax and spaces that `str.strip` removes; no tab
-# and nothing that `str.splitlines` breaks a line at
-_FIELD = st.sampled_from(["", "a", "#a", "1", "_", "a|TokenRange=0:1", "a b", "\u00a0é\u3000"])
+# the empty string, the format's own syntax and spaces that `str.strip` removes; one draw
+# in twenty, a tab or a character that `str.splitlines` breaks a line at, so that about
+# half the lists of sentences that the round-trip property draws are written and read back
+_FIELD = st.integers(0, 19).flatmap(lambda k: st.sampled_from(
+    ["a\tb", "a\nb", "\r", "\x1c", "a\u2028"] if k == 0
+    else ["", "a", "#a", "1", "_", "a|TokenRange=0:1", "a b", "\u00a0é\u3000"]))
+
+
+def _one_cell(field):
+    """Whether a field stays one column of one line: no tab, no line break."""
+    return "\t" not in field and len(f"x{field}x".splitlines()) == 1
+
+
+def _reads_back(s):
+    """Whether read_companion gives back sentence s as write_companion writes it."""
+    return ((s.id is None or (_one_cell(s.id) and s.id == s.id.strip()))
+            and all(_one_cell(f) for t in s.tokens for f in (t.form, t.lemma, t.xpos)))
 
 
 @st.composite
@@ -122,14 +136,38 @@ def companion_sentences(draw):
         start = pos + draw(st.integers(0, 2))
         pos = start + draw(st.integers(0, 3))
         tokens.append(Token(form, lemma, xpos, start, pos))
-    return CompanionSentence(tokens, id=draw(st.none() | _FIELD.map(str.strip)))
+    return CompanionSentence(tokens, id=draw(st.none() | _FIELD))
 
 
 @given(sents=st.lists(companion_sentences(), max_size=4))
 def test_write_then_read_gives_back_every_sentence_with_an_id_or_a_token(tmp_path_factory, sents):
+    """Or the writer refuses, naming the first sentence that would not read
+    back, and writes no file."""
     path = tmp_path_factory.getbasetemp() / "roundtrip.tsv"
+    path.unlink(missing_ok=True)
+    refused = [s for s in sents if not _reads_back(s)]
+    if refused:
+        with pytest.raises(comp.CompanionError, match=f"^sentence {re.escape(repr(refused[0].id))}: "):
+            comp.write_companion(path, sents)
+        assert not path.exists()
+        return
     comp.write_companion(path, sents)
     assert comp.read_companion(path.read_text(encoding="utf-8")) == [s for s in sents if s.id is not None or s.tokens]
+
+
+@pytest.mark.parametrize("sent, field", [
+    (CompanionSentence([], id=" s"), "id"),  # it would read back as "s"
+    (CompanionSentence([], id="s\nt"), "id"),
+    (CompanionSentence([Token("a\tb", "a", "X", 0, 3)], id="s"), "form"),
+    (CompanionSentence([Token("a", "a\rb", "X", 0, 1)], id="s"), "lemma"),
+    (CompanionSentence([Token("a", "a", "X\u2028", 0, 1)]), "xpos"),
+], ids=["id with a leading space", "id with a newline", "form with a tab", "lemma with a return",
+        "xpos with a line separator"])
+def test_write_companion_refuses_a_field_that_would_not_read_back(tmp_path, sent, field):
+    path = tmp_path / "c.tsv"
+    with pytest.raises(comp.CompanionError, match=f"^sentence {re.escape(repr(sent.id))}: (token 1 )?{field} "):
+        comp.write_companion(path, [CompanionSentence([], id="ok"), sent])
+    assert not path.exists()
 
 
 def test_tokens_of_separate_documents_share_their_strings():

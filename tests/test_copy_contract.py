@@ -27,7 +27,7 @@ from mrparse.prep.amr import AmrTables, amr_postprocess, amr_preprocess
 from mrparse.prep.anchors import anchors_to_spans, spans_to_anchors
 from mrparse.prep.eds import MultiwordTable, apply_multiword, eds_exchange_properties, eds_reduce, eds_restore
 from mrparse.prep.ucca import decode_graph_attrs, encode_graph_attrs, ucca_mark_implicit, ucca_strip_implicit
-from mrparse.treeify import NodeSequence, TreeError, graph_to_tree, tree_to_graph
+from mrparse.treeify import TreeError, graph_to_tree, tree_to_graph
 
 
 def full_graph():
@@ -126,11 +126,11 @@ def test_transform_leaves_its_input_unchanged(name):
 def snapshot(g):
     """g's own fields, its node and edge lists by identity, and every record
     it holds, by identity, with a copy of each of the record's fields; for
-    a NodeSequence, its node list and each SeqNode the same way."""
+    a tree, a list of SeqNodes, each SeqNode the same way."""
     def fields(obj, skip=()):
         return {f.name: copy.deepcopy(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name not in skip}
-    if isinstance(g, NodeSequence):
-        return id(g.nodes), [id(n) for n in g.nodes], [(n, fields(n)) for n in g.nodes]
+    if isinstance(g, list):
+        return [id(n) for n in g], [(n, fields(n)) for n in g]
     return (fields(g, skip=("nodes", "edges")), id(g.nodes), id(g.edges), [id(n) for n in g.nodes],
             [id(e) for e in g.edges], [(r, fields(r)) for r in (*g.nodes, *g.edges)])
 

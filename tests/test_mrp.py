@@ -1,6 +1,8 @@
 """Record IO and validation tests, including the parse/serialize fuzz
-round-trip harness, the check that both refuse a graph alike, and the
-check of `serialize_mrp` against the dict-based serializer it replaced."""
+round-trip harness, the check that both refuse a graph alike, the check
+of `serialize_mrp` against the dict-based serializer it replaced, and the
+typed error that each transform gives a graph built in code with an edge
+that `validate_graph` calls dangling."""
 
 import json
 
@@ -9,8 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import sentence
+
 from mrparse import mrp
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode
+from mrparse.prep.amr import AmrTables, amr_preprocess
+from mrparse.prep.eds import EdsError, eds_reduce
+from mrparse.prep.ucca import ucca_mark_implicit
+from mrparse.treeify import TreeError, graph_to_tree
 
 FRAMEWORKS = ("dm", "psd", "eds", "ucca", "amr")
 
@@ -510,3 +518,17 @@ def test_serialize_refuses_what_parse_refuses(g):
     else:
         assert_refused_alike(g, line)
         assert refusal(mrp.parse_mrp, line)[0] is mrp.MrpValidationError
+
+
+@pytest.mark.parametrize("edge", [MrpEdge(0, 9, "A"), MrpEdge(9, 0, "A")], ids=["to 9", "from 9"])
+@pytest.mark.parametrize("transform, error", [
+    (graph_to_tree, TreeError),
+    (ucca_mark_implicit, TreeError),
+    (eds_reduce, EdsError),
+    (lambda g: amr_preprocess(g, sentence("a b"), AmrTables()), mrp.MrpValidationError),
+], ids=["graph_to_tree", "ucca_mark_implicit", "eds_reduce", "amr_preprocess"])
+def test_a_dangling_edge_is_a_typed_error_naming_the_graph_and_the_edge(transform, error, edge):
+    g = MrpGraph("d", "eds", "a b", [0], [MrpNode(0, "a"), MrpNode(1, "b")], [MrpEdge(0, 1, "A"), edge])
+    assert [code for code, _ in mrp.validate_graph(g)] == ["DanglingEdge"]
+    with pytest.raises(error, match=f"^graph d: edge {edge.source}->{edge.target} references a missing node$"):
+        transform(g)

@@ -241,7 +241,7 @@ def test_numbers_follow_the_walk_of_the_unmarked_graph():
     # x -> {1, a -> 3}: unmarked, 1 (None) sorts before a, so 1 is n_0 and 3 is n_1;
     # marked, a sorts before n_0, so the sequence meets n_1 first
     g = ucca_graph(["x", None, "a", None], edges=[(0, 1, "A"), (0, 2, "A"), (2, 3, "A")])
-    assert [n.label for n in graph_to_tree(ucca_mark_implicit(g)).nodes] == ["x", "a", "n_1", "n_0"]
+    assert [n.label for n in graph_to_tree(ucca_mark_implicit(g))] == ["x", "a", "n_1", "n_0"]
 
 
 def test_unlabeled_nodes_are_numbered_in_node_sequence_order():
@@ -257,7 +257,7 @@ def test_unlabeled_nodes_are_numbered_in_node_sequence_order():
         rng.shuffle(edges)
         g = MrpGraph(id="u", framework="ucca", input="", tops=[ids[0]] + rng.sample(ids[1:], rng.randint(0, n - 1)),
                      nodes=[MrpNode(i, None) for i in ids], edges=[MrpEdge(s, t, lab) for s, t, lab in edges])
-        labels = [sn.label for sn in graph_to_tree(ucca_mark_implicit(g)).nodes]
+        labels = [sn.label for sn in graph_to_tree(ucca_mark_implicit(g))]
         assert list(dict.fromkeys(labels)) == [f"n_{i}" for i in range(n)], g
 
 

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import same_up_to_ids, sentence
@@ -9,7 +9,7 @@ from helpers import same_up_to_ids, sentence
 from mrparse.companion import CompanionSentence, Token, replace_spans
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, parse_mrp, serialize_mrp
 from mrparse.prep.anchors import anchors_to_spans, covering_run, spans_to_anchors
-from mrparse.prep.eds import (REDUCED, EdsError, MultiwordTable, _adjacency, _is_surface_mapped, _payload, _range,
+from mrparse.prep.eds import (REDUCED, EdsError, MultiwordTable, _adjacency, _is_surface_mapped, _range,
                               apply_multiword, build_multiword_table, eds_exchange_properties, eds_reduce,
                               eds_restore)
 
@@ -204,16 +204,6 @@ class TestRestore:
                   edges=[edge] if edge else [], tops=[0])
         with pytest.raises(EdsError, match=f"graph e: {message}"):
             eds_restore(g)
-
-
-# quotes, backslashes, control characters, non-ASCII and lone surrogates, and other characters
-PAYLOAD_TEXT = st.text(st.sampled_from('"\\\x00\x1f\n\x7fé€\ud800\udfff\U0001f600') | st.characters())
-
-
-@given(st.lists(st.none() | PAYLOAD_TEXT, max_size=5))
-@example(["q", 1, True, 2.5, None, ["x"]])  # items that are not strings: json.dumps itself writes them
-def test_payload_is_json_dumps(items):
-    assert _payload(items) == json.dumps(items)
 
 
 def _canonical(g):

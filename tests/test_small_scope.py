@@ -199,7 +199,7 @@ def test_treeify_pair_round_trips_or_refuses():
         want = shape(g)
         assert shape(tree_to_graph(seq)) == want, g
         # cleared, tree_to_graph numbers the nodes in the order of their first positions
-        first = [n.node_id for t, n in enumerate(seq.nodes) if n.idx == t]
+        first = [n.node_id for t, n in enumerate(seq) if n.idx == t]
         assert shape(tree_to_graph(clear_node_ids(seq)), dict(enumerate(first))) == want, g
         tally["exact"] += 1
     assert tally == {"exact": 19588, "TreeError": 9280}

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from helpers import same_up_to_ids
 
 from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, validate_graph
-from mrparse.treeify import (NodeSequence, SeqNode, TreeError, graph_to_tree,
-                             natural_key, tree_to_graph, visit_order)
+from mrparse.treeify import SeqNode, TreeError, graph_to_tree, natural_key, tree_to_graph, visit_order
 
 
 def build(nodes, edges, tops, framework="amr"):
@@ -34,14 +33,14 @@ def test_natural_key_reads_only_decimal_digits_as_a_number():
     assert natural_key("x2²") == ((1, 0, "x"), (0, 2, ""), (1, 0, "²"))
     assert natural_key("٣") == ((0, 3, ""),)
     g = build([(0, "r"), (1, "²"), (2, "1")], [(0, 1, "e"), (0, 2, "e")], tops=[0])
-    assert [n.label for n in graph_to_tree(g).nodes] == ["r", "1", "²"]
+    assert [n.label for n in graph_to_tree(g)] == ["r", "1", "²"]
 
 
 def test_plain_tree_is_identity():
     g = build([(0, "a"), (1, "b"), (2, "c")], [(0, 1, "L"), (0, 2, "R")], tops=[0])
     seq = graph_to_tree(g)
-    assert [n.label for n in seq.nodes] == ["a", "b", "c"]
-    assert [n.idx for n in seq.nodes] == [0, 1, 2]
+    assert [n.label for n in seq] == ["a", "b", "c"]
+    assert [n.idx for n in seq] == [0, 1, 2]
 
 
 def test_diamond_duplicates_join_node():
@@ -49,8 +48,8 @@ def test_diamond_duplicates_join_node():
     g = build([(0, "a"), (1, "b"), (2, "c"), (3, "d")],
               [(0, 1, "x"), (0, 2, "y"), (1, 3, "z"), (2, 3, "w")], tops=[0])
     seq = graph_to_tree(g)
-    assert [n.label for n in seq.nodes] == ["a", "b", "d", "c", "d"]
-    assert [n.idx for n in seq.nodes] == [0, 1, 2, 3, 2]
+    assert [n.label for n in seq] == ["a", "b", "d", "c", "d"]
+    assert [n.idx for n in seq] == [0, 1, 2, 3, 2]
 
 
 def test_two_parent_node_appears_twice():
@@ -58,27 +57,27 @@ def test_two_parent_node_appears_twice():
     g = build([(0, "want"), (1, "believe"), (2, "boy")],
               [(0, 1, "ARG1"), (0, 2, "ARG0"), (1, 2, "ARG0")], tops=[0])
     seq = graph_to_tree(g)
-    assert [n.label for n in seq.nodes].count("boy") == 2
-    idxs = [n.idx for n in seq.nodes if n.label == "boy"]
+    assert [n.label for n in seq].count("boy") == 2
+    idxs = [n.idx for n in seq if n.label == "boy"]
     assert idxs[0] == idxs[1]
 
 
 def test_children_sorted_alphanumerically():
     g = build([(0, "r"), (1, "x10"), (2, "x2")], [(0, 1, "e"), (0, 2, "e")], tops=[0])
-    assert [n.label for n in graph_to_tree(g).nodes] == ["r", "x2", "x10"]
+    assert [n.label for n in graph_to_tree(g)] == ["r", "x2", "x10"]
 
 
 def test_label_tie_broken_by_node_id():
     g = build([(0, "r"), (2, "same"), (1, "same")], [(0, 2, "b"), (0, 1, "a")], tops=[0])
     seq = graph_to_tree(g)
-    assert [n.node_id for n in seq.nodes] == [0, 1, 2]
+    assert [n.node_id for n in seq] == [0, 1, 2]
 
 
 def test_cycle_becomes_copy_not_error():
     g = build([(0, "a"), (1, "b")], [(0, 1, "f"), (1, 0, "g")], tops=[0])
     seq = graph_to_tree(g)
-    assert [n.label for n in seq.nodes] == ["a", "b", "a"]
-    assert [n.idx for n in seq.nodes] == [0, 1, 0]
+    assert [n.label for n in seq] == ["a", "b", "a"]
+    assert [n.idx for n in seq] == [0, 1, 0]
 
 
 def test_disconnected_graph_lists_unreachable():
@@ -90,7 +89,7 @@ def test_disconnected_graph_lists_unreachable():
 
 def clear_node_ids(seq):
     """A decoder's output: positions that name no graph node."""
-    for n in seq.nodes:
+    for n in seq:
         n.node_id = None
     return seq
 
@@ -98,8 +97,8 @@ def clear_node_ids(seq):
 def test_multiple_tops_are_parentless_positions():
     g = build([(0, "b"), (1, "a"), (2, "c")], [(0, 2, "L")], tops=[0, 1])
     seq = graph_to_tree(g)
-    assert [(n.label, n.parent) for n in seq.nodes] == [("a", None), ("b", None), ("c", 1)]
-    assert "<ROOT>" not in [n.label for n in seq.nodes]
+    assert [(n.label, n.parent) for n in seq] == [("a", None), ("b", None), ("c", 1)]
+    assert "<ROOT>" not in [n.label for n in seq]
     restored = tree_to_graph(seq)
     assert sorted(restored.tops) == [0, 1]
     assert same_up_to_ids(restored, g)
@@ -172,8 +171,8 @@ def test_roundtrip_hands_on_the_lists_it_was_given():
                   MrpNode(2, "c", [("q", 1)], [[3, 5]])],
                  [MrpEdge(0, 1, "L"), MrpEdge(1, 2, "S"), MrpEdge(0, 2, "R")])  # in tree order
     seq = graph_to_tree(g)
-    assert [(n.node_id, n.idx) for n in seq.nodes] == [(0, 0), (1, 1), (2, 2), (2, 2)]
-    assert [n.properties for n in seq.nodes[2:]] == [[("q", 1)], []]
+    assert [(n.node_id, n.idx) for n in seq] == [(0, 0), (1, 1), (2, 2), (2, 2)]
+    assert [n.properties for n in seq[2:]] == [[("q", 1)], []]
     back = tree_to_graph(seq, "eds", "t", "ab cd")
     assert back == MrpGraph("t", "eds", "ab cd", [0], g.nodes, g.edges)
     assert back.nodes[0].anchors == [[0, 2], [3, 5]]
@@ -181,24 +180,24 @@ def test_roundtrip_hands_on_the_lists_it_was_given():
 
 
 def test_tree_to_graph_identity_sequence():
-    seq = NodeSequence(nodes=[
+    seq = [
         SeqNode("a", 0),
         SeqNode("b", 1, parent=0, edge_label="L"),
         SeqNode("c", 2, parent=0, edge_label="R"),
-    ])
+    ]
     g = tree_to_graph(seq)
     assert len(g.nodes) == 3 and len(g.edges) == 2
     assert g.tops == [0]
 
 
 def test_tree_to_graph_diamond_inverse():
-    seq = NodeSequence(nodes=[
+    seq = [
         SeqNode("a", 0),
         SeqNode("b", 1, parent=0, edge_label="x"),
         SeqNode("d", 2, parent=1, edge_label="z"),
         SeqNode("c", 3, parent=0, edge_label="y"),
         SeqNode("d", 2, parent=3, edge_label="w"),
-    ])
+    ]
     g = tree_to_graph(seq)
     assert len(g.nodes) == 4
     assert len(g.edges) == 4
@@ -209,18 +208,18 @@ def test_tree_to_graph_diamond_inverse():
 
 def test_empty_sequence_is_error():
     with pytest.raises(TreeError, match="^graph g: empty sequence"):
-        tree_to_graph(NodeSequence(nodes=[]), graph_id="g")
+        tree_to_graph([], graph_id="g")
 
 
 def test_idx_forward_reference_is_error():
-    seq = NodeSequence(nodes=[SeqNode("a", 0), SeqNode("b", 2, parent=0)])
+    seq = [SeqNode("a", 0), SeqNode("b", 2, parent=0)]
     with pytest.raises(TreeError, match="^graph g: position 1: idx 2"):
         tree_to_graph(seq, graph_id="g")
 
 
 def test_idx_of_a_copy_is_error():
     # position 2 points at position 1, which is itself a copy of position 0
-    seq = NodeSequence(nodes=[SeqNode("a", 0), SeqNode("a", 0, parent=0), SeqNode("b", 1, parent=0)])
+    seq = [SeqNode("a", 0), SeqNode("a", 0, parent=0), SeqNode("b", 1, parent=0)]
     with pytest.raises(TreeError, match="^graph g: position 2: idx 1 does not point at an original node$"):
         tree_to_graph(seq, graph_id="g")
 
@@ -230,17 +229,17 @@ def test_idx_of_a_copy_is_error():
 def test_negative_position_is_error(idx, parent):
     # read as Python indices from the end, parent -1 would be the node
     # itself (a self-loop) and parent -2 position 0 (a plausible edge)
-    seq = NodeSequence(nodes=[SeqNode("a", 0), SeqNode("b", idx, parent=parent)])
+    seq = [SeqNode("a", 0), SeqNode("b", idx, parent=parent)]
     with pytest.raises(TreeError, match="^graph g: position 1"):
         tree_to_graph(seq, graph_id="g")
 
 
 def test_parentless_positions_are_tops():
-    seq = NodeSequence([SeqNode("a", 0), SeqNode("b", 1)])
+    seq = [SeqNode("a", 0), SeqNode("b", 1)]
     g = tree_to_graph(seq)
     assert g.tops == [0, 1] and g.edges == []
     back = graph_to_tree(g)
-    assert [(n.label, n.idx, n.parent) for n in back.nodes] == [("a", 0, None), ("b", 1, None)]
+    assert [(n.label, n.idx, n.parent) for n in back] == [("a", 0, None), ("b", 1, None)]
 
 
 def random_rooted_dag(rng, max_nodes=12):
@@ -262,9 +261,7 @@ def test_roundtrip_500_random_dags():
     rng = np.random.default_rng(20240601)
     for i in range(500):
         g = random_rooted_dag(rng)
-        seq = graph_to_tree(g)
-        seq.validate()
-        back = tree_to_graph(seq)
+        back = tree_to_graph(graph_to_tree(g))  # refuses a position that breaks a rule
         assert same_up_to_ids(back, g), f"round trip failed on DAG {i}"
 
 
@@ -277,7 +274,7 @@ def test_sequence_length_formula():
         for e in g.edges:
             indeg[e.target] += 1
         expected = len(g.nodes) + sum(max(d - 1, 0) for d in indeg.values())
-        assert len(seq.nodes) == expected
+        assert len(seq) == expected
 
 
 def test_dfs_order_deterministic_under_edge_permutation():
@@ -289,9 +286,9 @@ def test_dfs_order_deterministic_under_edge_permutation():
                             nodes=list(reversed(g.nodes)),
                             edges=[g.edges[i] for i in rng.permutation(len(g.edges))])
         seq2 = graph_to_tree(shuffled)
-        assert [n.label for n in seq1.nodes] == [n.label for n in seq2.nodes]
-        assert [n.idx for n in seq1.nodes] == [n.idx for n in seq2.nodes]
-        assert [n.node_id for n in seq1.nodes] == [n.node_id for n in seq2.nodes]
+        assert [n.label for n in seq1] == [n.label for n in seq2]
+        assert [n.idx for n in seq1] == [n.idx for n in seq2]
+        assert [n.node_id for n in seq1] == [n.node_id for n in seq2]
 
 
 @st.composite
@@ -348,7 +345,7 @@ def recursive_order(g):
 
 @given(rooted_graphs())
 def test_visit_order_matches_tree_order(g):
-    tree_order = dict.fromkeys(sn.node_id for sn in graph_to_tree(g).nodes if sn.node_id is not None)
+    tree_order = dict.fromkeys(sn.node_id for sn in graph_to_tree(g) if sn.node_id is not None)
     first, steps = visit_order(g)
     assert list(first) == list(tree_order) == recursive_order(g)
     assert [steps[pos][0].id for pos in first.values()] == list(first)
@@ -374,10 +371,10 @@ def test_visit_order_raises_what_graph_to_tree_raises(g):
 
 @st.composite
 def node_sequences(draw):
-    """Sequences that pass NodeSequence.validate: position 0 has no parent,
-    and every later position has an earlier parent or none (a top) and is
-    an original or a copy of an earlier original. Node ids are unset,
-    repeated or distinct."""
+    """Sequences that keep tree_to_graph's position rules: position 0 has
+    no parent, and every later position has an earlier parent or none (a
+    top) and is an original or a copy of an earlier original. Node ids are
+    unset, repeated or distinct."""
     labels = st.sampled_from(["<ROOT>", "a", "b", None])
     node_ids = st.none() | st.integers(0, 5)
     nodes = [SeqNode(draw(labels), 0, node_id=draw(node_ids))]
@@ -387,15 +384,11 @@ def node_sequences(draw):
         parent = draw(st.none() | st.integers(0, t - 1))
         nodes.append(SeqNode(draw(labels), idx, parent, draw(st.sampled_from(["A", None])),
                              node_id=draw(node_ids)))
-    return NodeSequence(nodes)
+    return nodes
 
 
 @given(node_sequences())
 def test_tree_to_graph_leaves_no_dangling_edge_top_or_duplicate_id(seq):
-    seq.validate()
-    try:
-        g = tree_to_graph(seq, graph_id="h")
-    except TreeError:
-        return
+    g = tree_to_graph(seq, graph_id="h")  # the strategy draws no sequence it refuses
     codes = {code for code, _ in validate_graph(g)}
     assert not codes & {"DanglingEdge", "DanglingTop", "DuplicateNodeId"}
