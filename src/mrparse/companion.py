@@ -120,11 +120,14 @@ _BREAK = re.compile("[\t\n\v\f\r\x1c-\x1e\x85\u2028\u2029]")  # a tab, or a str.
 
 
 def write_companion(path, sentences):
-    """Write what read_companion reads back as `sentences`, less those
-    without id or tokens. Before opening the file, refuse with CompanionError
-    a tab or line break in any field, or an id that the reader would strip."""
+    """Write what read_companion reads back as `sentences`. Before opening
+    the file, refuse with CompanionError a sentence with neither id nor
+    tokens, which reads back as nothing, naming its position; a tab or line
+    break in any field; or an id that the reader would strip."""
     lines = []
-    for s in sentences:
+    for k, s in enumerate(sentences):
+        if s.id is None and not s.tokens:
+            raise CompanionError(f"sentence None: position {k}: neither an id nor a token, so nothing would read back")
         if s.id is not None:
             if _BREAK.search(s.id) or s.id != s.id.strip():
                 raise CompanionError(f"sentence {s.id!r}: id has a tab, a line break or whitespace at an end")

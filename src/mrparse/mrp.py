@@ -47,10 +47,15 @@ input, and builds new records only for what it changes. Lists are shared
 the same way: a record's properties, attributes and anchors, the
 `treeify.SeqNode` lists built from them and the anchor list that
 `eds_restore` shares between an unfolded node and its neighbour are never
-edited either. Strings are shared freely: a token's form, lemma and xpos
-may be the same objects as another sentence's (`read_companion` interns
-them). `MrpGraph.copy` is the one way to get a graph whose records may
-be edited in place."""
+edited either. A record without properties, attributes or extras holds
+the one shared `EMPTY_LIST` or `EMPTY_DICT`: `parse_mrp`, the `MrpNode`
+and `MrpEdge` defaults and `treeify` give every such record the same
+object, which reads as `[]` or `{}` and raises TypeError at any edit, so
+a broken rule fails at the line that breaks it. Strings are shared
+freely: a token's form, lemma and xpos may be the same objects as another
+sentence's (`read_companion` interns them). `MrpGraph.copy` is the one
+way to get a graph whose records may be edited in place: it gives every
+record new lists and dicts, empty or not."""
 
 from __future__ import annotations
 
@@ -76,13 +81,38 @@ class MrpValidationError(MrpError):
     pass
 
 
+def _refuse_edit(self, *args, **kwargs):
+    raise TypeError(f"a shared empty {type(self).__base__.__name__} is never edited: build a new one")
+
+
+class _FrozenList(list):
+    """An empty list that refuses every edit; see EMPTY_LIST."""
+    __slots__ = ()
+    append = extend = insert = remove = pop = clear = sort = reverse = _refuse_edit
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse_edit
+
+
+class _FrozenDict(dict):
+    """An empty dict that refuses every edit; see EMPTY_DICT."""
+    __slots__ = ()
+    pop = popitem = clear = update = setdefault = _refuse_edit
+    __setitem__ = __delitem__ = __ior__ = _refuse_edit
+
+
+# The properties, attributes and extras of every record that has none. A
+# dataclass field takes them through a default_factory: before Python 3.11 a
+# dataclass refuses any list or dict instance as a plain default.
+EMPTY_LIST = _FrozenList()
+EMPTY_DICT = _FrozenDict()
+
+
 @dataclass(slots=True)
 class MrpNode:
     id: int
     label: str | None = None
-    properties: list = field(default_factory=list)  # (name, value) pairs
+    properties: list = field(default_factory=lambda: EMPTY_LIST)  # (name, value) pairs; if none, EMPTY_LIST
     anchors: list | None = None  # (from, to) character offsets
-    extras: dict = field(default_factory=dict)
+    extras: dict = field(default_factory=lambda: EMPTY_DICT)  # if none, EMPTY_DICT; copy() gives editable ones
 
 
 @dataclass(slots=True)
@@ -90,8 +120,8 @@ class MrpEdge:
     source: int
     target: int
     label: str | None = None
-    attributes: list = field(default_factory=list)  # (name, value) pairs
-    extras: dict = field(default_factory=dict)
+    attributes: list = field(default_factory=lambda: EMPTY_LIST)  # (name, value) pairs; if none, EMPTY_LIST
+    extras: dict = field(default_factory=lambda: EMPTY_DICT)  # if none, EMPTY_DICT; copy() gives editable ones
 
 
 @dataclass(slots=True)
@@ -236,8 +266,8 @@ def parse_mrp(line: str) -> MrpGraph:
                 anchors = [(a["from"], a["to"]) for a in anchors]
             except (KeyError, TypeError):
                 raise MrpParseError(f"{where}: node {raw['id']!r}: anchor without 'from'/'to'") from None
-        properties = _pairs(raw, "properties", where) if "properties" in raw or "values" in raw else []
-        extras = {} if raw.keys() <= _NODE_KEYS else {k: v for k, v in raw.items() if k not in _NODE_KEYS}
+        properties = _pairs(raw, "properties", where) if "properties" in raw or "values" in raw else EMPTY_LIST
+        extras = EMPTY_DICT if raw.keys() <= _NODE_KEYS else {k: v for k, v in raw.items() if k not in _NODE_KEYS}
         nodes.append(MrpNode(raw["id"], raw.get("label"), properties, anchors, extras))
     edges = []
     for raw in _list(obj, "edges", where):
@@ -245,8 +275,8 @@ def parse_mrp(line: str) -> MrpGraph:
             raise MrpParseError(f"{where}: edge {raw!r} is not an object")
         if "source" not in raw or "target" not in raw:
             raise MrpParseError(f"{where}: edge without 'source'/'target'")
-        attributes = _pairs(raw, "attributes", where) if "attributes" in raw or "values" in raw else []
-        extras = {} if raw.keys() <= _EDGE_KEYS else {k: v for k, v in raw.items() if k not in _EDGE_KEYS}
+        attributes = _pairs(raw, "attributes", where) if "attributes" in raw or "values" in raw else EMPTY_LIST
+        extras = EMPTY_DICT if raw.keys() <= _EDGE_KEYS else {k: v for k, v in raw.items() if k not in _EDGE_KEYS}
         edges.append(MrpEdge(raw["source"], raw["target"], raw.get("label"), attributes, extras))
     text = obj.get("input", "")
     if type(text) is not str:
@@ -327,8 +357,18 @@ def read_mrp_file(path) -> list:
 
 
 def write_mrp_file(path, graphs):
-    with open(path, "w", encoding="utf-8") as f:
-        for g in graphs:
-            f.write(serialize_mrp(g))
-            f.write("\n")
+    """One serialize_mrp line per graph, in UTF-8. Every graph is written
+    to bytes before the file is opened, so the whole output is held in
+    memory, and a graph that cannot be written leaves the file untouched:
+    it raises serialize_mrp's error, or MrpError naming the graph for text
+    that UTF-8 cannot encode (a lone surrogate)."""
+    lines = []
+    for g in graphs:
+        line = f"{serialize_mrp(g)}\n"
+        try:
+            lines.append(line.encode("utf-8"))
+        except UnicodeEncodeError as err:
+            raise MrpError(f"graph {g.id}: cannot be written: {err}") from None
+    with open(path, "wb") as f:
+        f.writelines(lines)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import re
 
-from ..mrp import MrpEdge, MrpGraph, MrpNode
+from ..mrp import EMPTY_LIST, MrpEdge, MrpGraph, MrpNode
 from ..treeify import visit_order
 
 RESERVED_RE = re.compile(r"^n(_+)\d+$")  # n_3 names an unlabeled node; n__3 escapes a genuine n_3
@@ -116,7 +116,7 @@ def decode_edge_label(s: str | None) -> tuple:
 
 
 def encode_graph_attrs(g: MrpGraph) -> MrpGraph:
-    return _relabel(g, lambda e: (encode_edge_label(e.label, e.attributes), []))
+    return _relabel(g, lambda e: (encode_edge_label(e.label, e.attributes), EMPTY_LIST))
 
 
 def decode_graph_attrs(g: MrpGraph) -> MrpGraph:

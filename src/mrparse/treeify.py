@@ -19,7 +19,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 
-from .mrp import MrpEdge, MrpGraph, MrpNode
+from .mrp import EMPTY_LIST, MrpEdge, MrpGraph, MrpNode
 
 _SEGMENTS = re.compile(r"\d+|\D+")
 _NATURAL_KEYS_KEPT = 4096  # labels repeat across graphs; this bounds the memo
@@ -43,7 +43,7 @@ class SeqNode:
     parent: int | None = None
     edge_label: str | None = None
     anchors: list | None = None
-    properties: list = field(default_factory=list)
+    properties: list = field(default_factory=lambda: EMPTY_LIST)
     node_id: int | None = None  # originating graph node, when known
 
 
@@ -127,7 +127,7 @@ def graph_to_tree(g: MrpGraph) -> list:
     seq = []
     for pos, (node, parent, edge_label) in enumerate(steps):
         idx = first[node.id]
-        properties = node.properties if idx == pos else []  # a copy carries none
+        properties = node.properties if idx == pos else EMPTY_LIST  # a copy carries none
         seq.append(SeqNode(node.label, idx, parent, edge_label, node.anchors, properties, node.id))
     return seq
 

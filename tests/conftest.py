@@ -10,10 +10,13 @@ the seed-1 `run.PrepRoundtrip` with its set-up state (AMR and multiword
 tables); and `encode_train`, the seed-1 `run.EncodeTrain`. Sharing them is
 safe by the record rule in `mrparse.mrp`'s docstring: a record is never
 edited after the function that built it returns, so no test can change a
-shared workload's inputs, and `roundtrip` only reads the set-up state. A
-test that narrows or rebinds a workload's attributes gets its own instance,
-a `copy.copy` of the shared one: the self-test sets `w.sents = w.sents[:3]`,
-and `ops` sets `w.enc` and `w.params`."""
+shared workload's inputs, and `roundtrip` only reads the set-up state.
+For empties the rule is enforced: a record without properties, attributes
+or extras holds the shared `EMPTY_LIST` or `EMPTY_DICT`, and an edit of
+either raises TypeError. A test that narrows or rebinds a workload's
+attributes gets its own instance, a `copy.copy` of the shared one: the
+self-test sets `w.sents = w.sents[:3]`, and `ops` sets `w.enc` and
+`w.params`."""
 
 from pathlib import Path
 

@@ -1,4 +1,5 @@
-"""Bytes held per token by `read_companion` and per record by `parse_mrp`.
+"""Bytes held per token by `read_companion`, per record by `parse_mrp`, and
+per record by `tree_to_graph(graph_to_tree(g))`.
 
     python tests/mem_probe.py
 
@@ -8,8 +9,11 @@ not counted. It then reads the `encode_train` training split's companion
 blocks with `read_companion` and the `prep_roundtrip` training split's MRP
 lines with `parse_mrp`, keeping every result, and prints the bytes that
 `tracemalloc` counts as still held after each, per token and per record,
-with the number of distinct forms, lemmas and tags read. Pytest does not
-collect this file: its name does not start with `test_`."""
+with the number of distinct forms, lemmas and tags read. Last, it rebuilds
+each parsed graph that `graph_to_tree` takes (one without node extras or
+edge attributes and extras) through `tree_to_graph`, keeping every rebuilt
+graph but no tree, and prints the bytes held per rebuilt record. Pytest
+does not collect this file: its name does not start with `test_`."""
 
 import sys
 import tracemalloc
@@ -19,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import run  # noqa: E402  (puts src/ on the path)
 
 import gen  # noqa: E402
-from mrparse import companion, mrp  # noqa: E402
+from mrparse import companion, mrp, treeify  # noqa: E402
 
 
 def held(read, inputs):
@@ -47,6 +51,18 @@ def main():
     print(f"parse_mrp, prep_roundtrip seed 1 training split: {len(graphs)} records, "
           f"{sum(len(g.nodes) for g in graphs)} nodes, {sum(len(g.edges) for g in graphs)} edges")
     print(f"  {size} B held, {size / len(graphs):.0f} B per record")
+
+    trees = []
+    for g in graphs:
+        try:
+            treeify.graph_to_tree(g)
+        except treeify.TreeError:
+            continue
+        trees.append(g)
+    rebuilt, size = held(lambda g: treeify.tree_to_graph(treeify.graph_to_tree(g), g.framework, g.id, g.input), trees)
+    print(f"tree_to_graph(graph_to_tree(g)), the {len(trees)} of those records that treeify: "
+          f"{sum(len(g.nodes) for g in rebuilt)} nodes, {sum(len(g.edges) for g in rebuilt)} edges")
+    print(f"  {size} B held, {size / len(rebuilt):.0f} B per record")
 
 
 if __name__ == "__main__":

@@ -125,7 +125,7 @@ def _one_cell(field):
 
 def _reads_back(s):
     """Whether read_companion gives back sentence s as write_companion writes it."""
-    return ((s.id is None or (_one_cell(s.id) and s.id == s.id.strip()))
+    return ((len(s.tokens) > 0 if s.id is None else _one_cell(s.id) and s.id == s.id.strip())
             and all(_one_cell(f) for t in s.tokens for f in (t.form, t.lemma, t.xpos)))
 
 
@@ -142,7 +142,7 @@ def companion_sentences(draw):
 @given(sents=st.lists(companion_sentences(), max_size=4))
 def test_write_then_read_gives_back_every_sentence_with_an_id_or_a_token(tmp_path_factory, sents):
     """Or the writer refuses, naming the first sentence that would not read
-    back, and writes no file."""
+    back, and writes no file. A sentence with neither is one of those."""
     path = tmp_path_factory.getbasetemp() / "roundtrip.tsv"
     path.unlink(missing_ok=True)
     refused = [s for s in sents if not _reads_back(s)]
@@ -152,7 +152,7 @@ def test_write_then_read_gives_back_every_sentence_with_an_id_or_a_token(tmp_pat
         assert not path.exists()
         return
     comp.write_companion(path, sents)
-    assert comp.read_companion(path.read_text(encoding="utf-8")) == [s for s in sents if s.id is not None or s.tokens]
+    assert comp.read_companion(path.read_text(encoding="utf-8")) == sents
 
 
 @pytest.mark.parametrize("sent, field", [
@@ -167,6 +167,16 @@ def test_write_companion_refuses_a_field_that_would_not_read_back(tmp_path, sent
     path = tmp_path / "c.tsv"
     with pytest.raises(comp.CompanionError, match=f"^sentence {re.escape(repr(sent.id))}: (token 1 )?{field} "):
         comp.write_companion(path, [CompanionSentence([], id="ok"), sent])
+    assert not path.exists()
+
+
+def test_write_companion_refuses_a_sentence_with_neither_id_nor_tokens(tmp_path):
+    """It would read back as nothing, and the sentences after it would read back one position early."""
+    path = tmp_path / "c.tsv"
+    sents = [CompanionSentence([Token("a", "a", "X", 0, 1)], id="s"), CompanionSentence([]),
+             CompanionSentence([Token("b", "b", "X", 0, 1)], id="t")]
+    with pytest.raises(comp.CompanionError, match=r"^sentence None: position 1: neither an id nor a token"):
+        comp.write_companion(path, sents)
     assert not path.exists()
 
 

@@ -10,10 +10,13 @@ records only for what it changes, so `copy()` is the one way to get a
 graph that may be edited in place. Treeify hands each node's property and
 anchor lists on as they are, so those lists, in a record or in a
 `SeqNode`, are never edited either; nor is a sentence's token or NER tag
-list."""
+list. The record without properties, attributes or extras shares one
+empty list or dict, `EMPTY_LIST` or `EMPTY_DICT`, which refuses every edit
+with TypeError."""
 
 import copy
 import dataclasses
+import operator
 
 import pytest
 from hypothesis import given
@@ -22,12 +25,12 @@ from hypothesis import strategies as st
 from helpers import sentence
 
 from mrparse.companion import align_companion, replace_spans
-from mrparse.mrp import MrpEdge, MrpGraph, MrpNode, serialize_mrp
+from mrparse.mrp import EMPTY_DICT, EMPTY_LIST, MrpEdge, MrpGraph, MrpNode, parse_mrp, serialize_mrp
 from mrparse.prep.amr import AmrTables, amr_postprocess, amr_preprocess
 from mrparse.prep.anchors import anchors_to_spans, spans_to_anchors
 from mrparse.prep.eds import MultiwordTable, apply_multiword, eds_exchange_properties, eds_reduce, eds_restore
 from mrparse.prep.ucca import decode_graph_attrs, encode_graph_attrs, ucca_mark_implicit, ucca_strip_implicit
-from mrparse.treeify import TreeError, graph_to_tree, tree_to_graph
+from mrparse.treeify import SeqNode, TreeError, graph_to_tree, tree_to_graph
 
 
 def full_graph():
@@ -305,3 +308,96 @@ def test_a_copy_of_a_transform_output_may_be_edited(part):
     MUTATIONS[part](c)
     assert serialize_mrp(out) == before
     assert serialize_mrp(g) == before
+
+
+LIST_EDITS = {
+    "append": lambda x: x.append(1),
+    "extend": lambda x: x.extend([1]),
+    "insert": lambda x: x.insert(0, 1),
+    "remove": lambda x: x.remove(1),
+    "pop": lambda x: x.pop(),
+    "clear": lambda x: x.clear(),
+    "sort": lambda x: x.sort(),
+    "reverse": lambda x: x.reverse(),
+    "item assignment": lambda x: operator.setitem(x, 0, 1),
+    "slice assignment": lambda x: operator.setitem(x, slice(0, 0), [1]),
+    "item deletion": lambda x: operator.delitem(x, 0),
+    "slice deletion": lambda x: operator.delitem(x, slice(None)),
+    "+=": lambda x: operator.iadd(x, [1]),
+    "*=": lambda x: operator.imul(x, 2),
+}
+DICT_EDITS = {
+    "item assignment": lambda d: operator.setitem(d, "k", 1),
+    "item deletion": lambda d: operator.delitem(d, "k"),
+    "pop": lambda d: d.pop("k", None),
+    "popitem": lambda d: d.popitem(),
+    "clear": lambda d: d.clear(),
+    "update": lambda d: d.update(k=1),
+    "setdefault": lambda d: d.setdefault("k", 1),
+    "|=": lambda d: operator.ior(d, {"k": 1}),
+}
+
+
+@pytest.mark.parametrize("empty, edit", [(EMPTY_LIST, e) for e in LIST_EDITS.values()]
+                         + [(EMPTY_DICT, e) for e in DICT_EDITS.values()],
+                         ids=[f"list {e}" for e in LIST_EDITS] + [f"dict {e}" for e in DICT_EDITS])
+def test_a_shared_empty_refuses_every_edit(empty, edit):
+    kind = type(empty).__base__
+    with pytest.raises(TypeError, match=f"^a shared empty {kind.__name__} is never edited: build a new one$"):
+        edit(empty)
+    assert empty == kind()
+
+
+def test_a_shared_empty_reads_as_an_empty_list_or_dict():
+    assert EMPTY_LIST == [] and isinstance(EMPTY_LIST, list) and not EMPTY_LIST
+    assert EMPTY_DICT == {} and isinstance(EMPTY_DICT, dict) and not EMPTY_DICT
+    editable, table = list(EMPTY_LIST), dict(EMPTY_DICT)
+    editable.append(1)
+    table["k"] = 1
+    assert (editable, table, EMPTY_LIST, EMPTY_DICT) == ([1], {"k": 1}, [], {})
+
+
+def test_no_field_default_is_a_list_or_dict_instance():
+    """Before Python 3.11 a dataclass refuses such a default when the class
+    is made, so the package would not import there: the records take the
+    shared empties through a default_factory."""
+    for record in (MrpNode, MrpEdge, MrpGraph, SeqNode):
+        assert not [f.name for f in dataclasses.fields(record) if isinstance(f.default, (list, dict, set))]
+    node, edge, seq = MrpNode(0), MrpEdge(0, 1), SeqNode("a", 0)
+    assert node.properties is EMPTY_LIST and node.extras is EMPTY_DICT and seq.properties is EMPTY_LIST
+    assert edge.attributes is EMPTY_LIST and edge.extras is EMPTY_DICT
+
+
+def test_parse_and_the_inverse_chain_share_the_empties():
+    line = ('{"id":"s","framework":"amr","input":"","tops":[0],"nodes":[{"id":0,"label":"a"},'
+            '{"id":1,"label":"b","properties":["p"],"values":["v"]},{"id":2,"label":"c","x":1}],'
+            '"edges":[{"source":0,"target":1,"label":"A"},{"source":0,"target":2,"label":"B"},'
+            '{"source":1,"target":2,"label":"C","attributes":["r"],"values":[true],"y":2}]}')
+    g = parse_mrp(line)
+    assert [(n.properties is EMPTY_LIST, n.extras is EMPTY_DICT) for n in g.nodes] == [
+        (True, True), (False, True), (True, False)]
+    assert [(e.attributes is EMPTY_LIST, e.extras is EMPTY_DICT) for e in g.edges] == [
+        (True, True), (True, True), (False, False)]
+    seq = graph_to_tree(parse_mrp(line.replace(',"x":1', "").replace(',"attributes":["r"],"values":[true],"y":2', "")))
+    assert [(n.node_id, n.idx, n.properties is EMPTY_LIST) for n in seq] == [
+        (0, 0, True), (1, 1, False), (2, 2, True), (2, 2, True)]  # the copy of node 2 at position 3
+    out = tree_to_graph(seq)
+    assert [(n.properties is EMPTY_LIST, n.extras is EMPTY_DICT) for n in out.nodes] == [
+        (True, True), (False, True), (True, True)]
+    assert all(e.attributes is EMPTY_LIST and e.extras is EMPTY_DICT for e in out.edges)
+
+
+def bare_graph():
+    """A graph whose records hold only shared empties."""
+    return MrpGraph("b", "amr", "ab", [0], [MrpNode(0, "a", anchors=[(0, 1)]), MrpNode(1, "b")], [MrpEdge(0, 1, "A")])
+
+
+@pytest.mark.parametrize("part", sorted(MUTATIONS))
+def test_a_copy_of_records_that_share_the_empties_may_be_edited(part):
+    g = bare_graph()
+    before = serialize_mrp(g)
+    c = g.copy()
+    MUTATIONS[part](c)
+    assert c != g
+    assert serialize_mrp(g) == before
+    assert EMPTY_LIST == [] and EMPTY_DICT == {}

@@ -426,6 +426,15 @@ def test_file_roundtrip(tmp_path):
     assert mrp.read_mrp_file(path) == graphs
 
 
+def test_write_mrp_file_refuses_text_utf8_cannot_encode_and_writes_nothing(tmp_path):
+    rng = np.random.default_rng(9)
+    ok, bad = random_graph(rng, 0), MrpGraph("b", "amr", "x", [0], [MrpNode(0, "x\ud800")])
+    path = tmp_path / "graphs.mrp"
+    with pytest.raises(mrp.MrpError, match=r"^graph b: cannot be written: 'utf-8' codec can't encode"):
+        mrp.write_mrp_file(path, [ok, bad])
+    assert not path.exists()
+
+
 def test_read_mrp_file_keeps_the_line_and_the_byte_offset(tmp_path):
     path = tmp_path / "bad.mrp"
     path.write_text('{"id": "1", "nodes": [}\n', encoding="utf-8")
