@@ -123,7 +123,10 @@ def write_companion(path, sentences):
     """Write what read_companion reads back as `sentences`. Before opening
     the file, refuse with CompanionError a sentence with neither id nor
     tokens, which reads back as nothing, naming its position; a tab or line
-    break in any field; or an id that the reader would strip."""
+    break in any field; an id that the reader would strip; or a NER tag
+    other than "O", naming the token: the format has no NER column, so the
+    tags read back as all "O" (they come from a sidecar, which nothing here
+    writes)."""
     lines = []
     for k, s in enumerate(sentences):
         if s.id is None and not s.tokens:
@@ -132,10 +135,13 @@ def write_companion(path, sentences):
             if _BREAK.search(s.id) or s.id != s.id.strip():
                 raise CompanionError(f"sentence {s.id!r}: id has a tab, a line break or whitespace at an end")
             lines.append(f"#{s.id}\n")
-        for i, t in enumerate(s.tokens, start=1):
+        for i, (t, tag) in enumerate(zip(s.tokens, s.ner_tags), start=1):
             for name, value in (("form", t.form), ("lemma", t.lemma), ("xpos", t.xpos)):
                 if _BREAK.search(value):
                     raise CompanionError(f"sentence {s.id!r}: token {i} {name} {value!r} has a tab or a line break")
+            if tag != "O":
+                raise CompanionError(f"sentence {s.id!r}: token {i} NER tag {tag!r} is not 'O', and the format has "
+                                     "no NER column")
             lines.append(f"{i}\t{t.form}\t{t.lemma}\t{t.xpos}\tTokenRange={t.start}:{t.end}\n")
         lines.append("\n")
     with open(path, "w", encoding="utf-8") as f:

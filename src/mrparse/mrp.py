@@ -21,22 +21,23 @@ self-loop (`SelfLoop`) round-trip, so they are data: `validate_graph`
 reports them, and no reader or writer refuses them. Besides, `parse_mrp`
 refuses with `MrpParseError` a record of the wrong JSON shape: not an
 object, a node without id, an edge without endpoints, an anchor without
-from/to, a keyed list that is not a list, an `input` that is not a
-string, and names and values of different lengths. `serialize_mrp`
-refuses with `MrpError` extras that name a field of their record and a
-value that JSON cannot hold.
+from/to or with any other key (an anchor has no `extras` to keep it in),
+a keyed list that is not a list, an `input` that is not a string, and
+names and values of different lengths. `serialize_mrp` refuses with
+`MrpError` extras that name a field of their record and a value that JSON
+cannot hold.
 
 The header is kept as written: an id or framework is neither converted nor
 case-folded, and `parse_mrp` refuses with `MrpParseError` a record without
 "id", "framework" or "input", naming the missing keys, once every other
 check has passed. An earlier refusal of a record without "id" says so
-where it would name the graph. Unknown keys at every level land in
-`extras` as they were read, and `serialize_mrp` writes them back
-unchanged. It writes the text itself, as `json.dumps(ensure_ascii=False)`
-with no spaces would. Keys come in the order id, the graph's extras,
-framework, input, tops, nodes, edges; node keys id, label, properties,
-values, anchors, extras; edge keys source, target, label, attributes,
-values, extras. It leaves out a null label, empty properties or attributes
+where it would name the graph. Unknown keys of a graph, node or edge
+land in `extras` as they were read, and `serialize_mrp` writes them back
+unchanged; an anchor with one is refused, as above. It writes the text
+itself, as `json.dumps(ensure_ascii=False)` with no spaces would. Keys
+come in the order id, the graph's extras, framework, input, tops, nodes,
+edges; node keys id, label, properties, values, anchors, extras; edge
+keys source, target, label, attributes, values, extras. It leaves out a null label, empty properties or attributes
 and None anchors.
 
 Record rule: a node or edge record, or a companion `Token`, is never
@@ -262,10 +263,16 @@ def parse_mrp(line: str) -> MrpGraph:
             raise MrpParseError(f"{where}: node without 'id'")
         anchors = raw.get("anchors")
         if anchors is not None:
+            pieces = []
             try:
-                anchors = [(a["from"], a["to"]) for a in anchors]
+                for a in anchors:
+                    pieces.append((a["from"], a["to"]))
+                    if len(a) != 2:  # it has from and to, so other keys, which no record field keeps
+                        raise MrpParseError(f"{where}: node {raw['id']!r}: anchor keys "
+                                            f"{sorted(a.keys() - {'from', 'to'})} besides 'from'/'to'")
             except (KeyError, TypeError):
                 raise MrpParseError(f"{where}: node {raw['id']!r}: anchor without 'from'/'to'") from None
+            anchors = pieces
         properties = _pairs(raw, "properties", where) if "properties" in raw or "values" in raw else EMPTY_LIST
         extras = EMPTY_DICT if raw.keys() <= _NODE_KEYS else {k: v for k, v in raw.items() if k not in _NODE_KEYS}
         nodes.append(MrpNode(raw["id"], raw.get("label"), properties, anchors, extras))

@@ -180,6 +180,17 @@ def test_write_companion_refuses_a_sentence_with_neither_id_nor_tokens(tmp_path)
     assert not path.exists()
 
 
+def test_write_companion_refuses_a_ner_tag_it_cannot_write(tmp_path):
+    """The format has no NER column, so a tag other than "O" would read back as "O"."""
+    path = tmp_path / "c.tsv"
+    sents = [CompanionSentence([Token("a", "a", "X", 0, 1)], id="ok"),
+             CompanionSentence([Token("met", "meet", "VBD", 0, 3), Token("Pierre", "Pierre", "NNP", 4, 10)],
+                               ["O", "PER"], id="s")]
+    with pytest.raises(comp.CompanionError, match="^sentence 's': token 2 NER tag 'PER' is not 'O'"):
+        comp.write_companion(path, sents)
+    assert not path.exists()
+
+
 def test_tokens_of_separate_documents_share_their_strings():
     first = comp.read_companion("#a\n1\tDogs\tdog\tNNS\t_\n2\tbark\tbark\tVBP\t_\n")
     second = comp.read_companion("#b\n1\tbark\tbark\tVBP\t_\n2\tloud\tloud\tRB\t_\n3\tDogs\tdog\tNNS\t_\n")

@@ -5,6 +5,7 @@ typed error that each transform gives a graph built in code with an edge
 that `validate_graph` calls dangling."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,17 @@ def test_unknown_keys_survive_at_every_level_byte_for_byte():
     assert [n.extras for n in g.nodes] == [{"zzz": [1, 2]}, {}]
     assert g.edges[0].extras == {"normal": "ARG1", "é": None}
     assert mrp.serialize_mrp(g) == line
+
+
+@pytest.mark.parametrize("anchors, keys", [
+    ('[{"from": 0, "to": 2, "kind": "char"}]', "['kind']"),
+    ('[{"from": 0, "to": 1}, {"to": 2, "from": 1, "b": 0, "a": 1}]', "['a', 'b']"),
+], ids=["one key", "two keys on the second piece"])
+def test_an_anchor_with_a_key_besides_from_and_to_is_refused(anchors, keys):
+    """An anchor has no extras, so serialize_mrp could not write such a key back."""
+    line = f'{{"id": "7", "framework": "eds", "input": "ab", "nodes": [{{"id": 4, "anchors": {anchors}}}]}}'
+    with pytest.raises(mrp.MrpParseError, match=re.escape(f"graph 7: node 4: anchor keys {keys} besides 'from'/'to'")):
+        mrp.parse_mrp(line)
 
 
 def test_parse_rejects_a_repeated_node_id():
