@@ -170,8 +170,10 @@ def align_companion(graph, sent: CompanionSentence) -> CompanionSentence:
     a token is never edited after it is built); any other token's input
     text is split at whitespace and every piece inherits the token's
     lemma/xpos/NER. Raises AlignmentError when more than half of the
-    input's non-space characters are unmatched — that signals a wrong
-    sentence pairing, not tokenizer drift.
+    input's non-space characters are unmatched, or, for an input with
+    any, more than half of the companion's — that signals a wrong
+    sentence pairing, not tokenizer drift. An input with none aligns to
+    no tokens.
     """
     s = graph.input
     text = "".join(s.split())
@@ -184,6 +186,10 @@ def align_companion(graph, sent: CompanionSentence) -> CompanionSentence:
         if changed * 2 > len(text):
             raise AlignmentError(
                 f"graph {graph.id}: companion repair would rewrite {changed}/{len(text)} characters")
+        dropped = len(spelled) - (len(text) - changed)  # companion characters that no input one matches
+        if text and dropped * 2 > len(spelled):
+            raise AlignmentError(
+                f"graph {graph.id}: companion repair would drop {dropped}/{len(spelled)} companion characters")
         last = next((k for k in owner if k is not None), None)
         for i, k in enumerate(owner):
             if k is None:

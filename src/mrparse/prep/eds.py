@@ -194,11 +194,15 @@ def eds_exchange_properties(g: MrpGraph) -> MrpGraph:
     """Swap label and carg value on property-bearing nodes; a second
     application undoes the first. The swap makes the surface string the
     generated label (copyable from the sentence) and the original label a
-    categorical target."""
+    categorical target. A carg value that is neither a string nor null
+    would make a label no later step reads, so it raises EdsError naming
+    the graph, the node and the value."""
     nodes = []
     for n in g.nodes:
         for i, (name, value) in enumerate(n.properties):
             if name == "carg":
+                if value is not None and type(value) is not str:
+                    raise EdsError(f"graph {g.id}: node {n.id}: carg {value!r} is not a string")
                 properties = list(n.properties)
                 properties[i] = (name, n.label)
                 n = MrpNode(n.id, value, properties, n.anchors, n.extras)

@@ -9,12 +9,17 @@ before the property tests were reworked to draw less, the saving that the
 rework aimed at. The measure is the user+sys CPU time of the pytest
 process, as `resource.getrusage(RUSAGE_CHILDREN)` reads it in a parent
 process that starts nothing else, and the figure is the median over at
-least five runs that alternate with the commit it is compared to. Wall
-time is not the measure: the shared host moves it by up to half from one
-run to the next. After the rework tier-1 read 23.61 CPU seconds, the
-median of ten such runs against 28.43 for the tree before it, run in
-turn with it. That is within the budget, but the median ratio of a pair,
-0.871, misses the 0.85 aimed at.
+least five runs that alternate with the commit it is compared to;
+`python tests/tier1_cpu.py OTHER_TREE [--pairs N]` makes such runs and
+prints each. Wall time is not the measure: the shared host moves it by
+up to half from one run to the next. After the rework tier-1 read 23.61
+CPU seconds, the median of ten such runs against 28.43 for the tree
+before it, run in turn with it. That is within the budget, but the
+median ratio of a pair, 0.871, missed the 0.85 aimed at. With one
+multiword corpus strategy it read 26.77 against 32.35 for the tree
+before the rework (ten pairs, median ratio 0.848), and 23.19 against
+24.95 for the tree just before it (ten pairs, median ratio 0.963). The
+runs of this one tree spread from 20.2 to 31.3 CPU seconds within an hour.
 
 What costs the most to build is built
 once per session: `bench`, the benchmark's `run` module; `prep_roundtrip`,

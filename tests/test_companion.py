@@ -161,8 +161,18 @@ def test_write_then_read_gives_back_every_sentence_with_an_id_or_a_token(tmp_pat
     (CompanionSentence([Token("a\tb", "a", "X", 0, 3)], id="s"), "form"),
     (CompanionSentence([Token("a", "a\rb", "X", 0, 1)], id="s"), "lemma"),
     (CompanionSentence([Token("a", "a", "X\u2028", 0, 1)]), "xpos"),
+    # every other line boundary of str.splitlines, which read_companion splits at
+    (CompanionSentence([Token("a\x0bb", "a", "X", 0, 3)], id="s"), "form"),
+    (CompanionSentence([Token("a", "a\x0cb", "X", 0, 1)], id="s"), "lemma"),
+    (CompanionSentence([Token("a", "a", "X\x1c", 0, 1)], id="s"), "xpos"),
+    (CompanionSentence([Token("a\x1db", "a", "X", 0, 3)], id="s"), "form"),
+    (CompanionSentence([Token("a", "a\x1eb", "X", 0, 1)], id="s"), "lemma"),
+    (CompanionSentence([], id="s\x85t"), "id"),
+    (CompanionSentence([Token("a", "a", "X\u2029", 0, 1)], id="s"), "xpos"),
 ], ids=["id with a leading space", "id with a newline", "form with a tab", "lemma with a return",
-        "xpos with a line separator"])
+        "xpos with a line separator", "form with a line tabulation", "lemma with a form feed",
+        "xpos with a file separator", "form with a group separator", "lemma with a record separator",
+        "id with a next line", "xpos with a paragraph separator"])
 def test_write_companion_refuses_a_field_that_would_not_read_back(tmp_path, sent, field):
     path = tmp_path / "c.tsv"
     with pytest.raises(comp.CompanionError, match=f"^sentence {re.escape(repr(sent.id))}: (token 1 )?{field} "):
@@ -406,6 +416,12 @@ def test_alignment_edge_cases(text, forms, expected):
 def test_empty_companion_on_nonempty_input_is_an_error():
     with pytest.raises(comp.AlignmentError, match="rewrite 3/3"):
         comp.align_companion(MrpGraph(id="1", framework="dm", input="a b c"), sentence([]))
+
+
+def test_a_companion_mostly_missing_from_the_input_is_an_error():
+    # the mirror of the rule above: 17 of the companion's 21 characters match nothing in "Dogs"
+    with pytest.raises(comp.AlignmentError, match="^graph 1: companion repair would drop 17/21 companion characters"):
+        comp.align_companion(MrpGraph(id="1", framework="dm", input="Dogs"), sentence("Dogs bark loudly tonight"))
 
 
 # Words that repeat and contain each other, so that a search for a later

@@ -231,6 +231,15 @@ class TestExchangeProperties:
         g = graph("x", nodes=[(0, "_x_n_1", [(0, 1)], [("pos", "NN")])], edges=[], tops=[0])
         assert eds_exchange_properties(g) == g
 
+    @pytest.mark.parametrize("value, shown", [("5", "5"), ("true", "True"), ('["x"]', "['x']")])
+    def test_a_carg_that_is_not_a_string_is_refused(self, value, shown):
+        # it would become a label that eds_reduce and graph_to_tree fail on without naming the graph
+        g = parse_mrp('{"id":"e7","framework":"eds","input":"x","tops":[0],"nodes":[{"id":0,"label":"named",'
+                      f'"properties":["carg"],"values":[{value}]}}]}}')
+        with pytest.raises(EdsError) as refusal:
+            eds_exchange_properties(g)
+        assert str(refusal.value) == f"graph e7: node 0: carg {shown} is not a string"
+
 
 class TestMultiword:
     def corpus(self):
@@ -303,10 +312,6 @@ MW_END = MW_START + MW_TOKENS * (MW_WIDTH + MW_GAP)
 MULTIWORD_PIECES = st.sampled_from(list(itertools.product((True, True, False), range(MW_END + 1),
                                                           range(MW_END + 1))))
 MULTIWORD_ANCHORS = st.lists(st.lists(MULTIWORD_PIECES, min_size=1, max_size=2), min_size=2, max_size=10)
-# a token's width, gap, form and spelling when zero-width, as one choice; width 1 first
-MULTIWORD_SHAPES = st.lists(st.sampled_from(list(itertools.product((*range(1, MW_WIDTH + 1), 0), range(MW_GAP + 1),
-                                                                   ("a", "A", "b"), ("", "a")))), max_size=MW_TOKENS)
-MULTIWORD_SENTENCE = st.tuples(st.integers(0, MW_START), MULTIWORD_SHAPES, MULTIWORD_ANCHORS)
 
 
 def reference_build_multiword_table(corpus) -> MultiwordTable:
@@ -337,69 +342,52 @@ def reference_build_multiword_table(corpus) -> MultiwordTable:
     return MultiwordTable(entries)
 
 
-@st.composite
-def multiword_corpora(draw, forms):
+def multiword_corpora_by_sentence(forms):
     """1-4 (graph, sentence) pairs of 0-8 tokens and 2-10 nodes. Tokens
     have widths 0-3 (zero-length ones spelled "" or "a") and gaps of 0-2;
     their forms come from `forms`, so that 2-4 token phrases and their
     first words recur. Nodes are anchored on one or two pieces, each from
     the start of a token to the end of a token (in either order) or
     between any two offsets, so that exact windows nest, repeat and
-    overlap."""
-    corpus = []
-    for _ in range(draw(st.integers(1, 4))):
-        shapes = draw(st.lists(st.tuples(st.integers(0, MW_WIDTH), st.integers(0, MW_GAP), forms,
-                                         st.sampled_from(["", "a"])), max_size=MW_TOKENS))
-        toks, pos = [], draw(st.integers(0, MW_START))
-        for width, gap, form, empty in shapes:
-            form = form if width else empty
-            toks.append(Token(form, form.lower(), "X", pos, pos + width))
-            pos += width + gap
-        piece = st.tuples(st.integers(0, pos), st.integers(0, pos))
-        if toks:
-            run = st.tuples(st.sampled_from(toks), st.sampled_from(toks))
-            piece = run.map(lambda ab: (ab[0].start, ab[1].end)) | piece
-        anchors = draw(st.lists(st.lists(piece, min_size=1, max_size=2), min_size=2, max_size=10))
-        sent = CompanionSentence(toks)
-        nodes = [MrpNode(i, "n", anchors=a) for i, a in enumerate(anchors)]
-        corpus.append((MrpGraph(id="m", framework="eds", input=sent.text(), nodes=nodes), sent))
-    return corpus
+    overlap. Each sentence is one draw, and each token shape and each
+    piece one choice within it, a piece picking its tokens or offsets
+    modulo what the sentence has. Hypothesis draws the first values of a
+    choice most often, so a width of 1 comes first and 0 last, the first
+    of `forms` most often, and 3-4 sentences come two times in three."""
+    # a token's width, gap, form and spelling when zero-width, as one choice
+    token_shapes = st.lists(st.sampled_from(list(itertools.product((*range(1, MW_WIDTH + 1), 0), range(MW_GAP + 1),
+                                                                   forms, ("", "a")))), max_size=MW_TOKENS)
+    sentences = st.tuples(st.integers(0, MW_START), token_shapes, MULTIWORD_ANCHORS)
+
+    @st.composite
+    def corpora(draw):
+        corpus = []
+        for _ in range(draw(st.sampled_from((1, 2, 3, 3, 4, 4)))):  # 3-4 two times in three: phrases recur
+            pos, shapes, anchors = draw(sentences)
+            toks = []
+            for width, gap, form, empty in shapes:
+                form = form if width else empty
+                toks.append(Token(form, form.lower(), "X", pos, pos + width))
+                pos += width + gap
+
+            def piece(run, a, b):
+                if run and toks:
+                    return toks[a % len(toks)].start, toks[b % len(toks)].end
+                return a % (pos + 1), b % (pos + 1)
+            sent = CompanionSentence(toks)
+            nodes = [MrpNode(i, "n", anchors=[piece(*p) for p in a]) for i, a in enumerate(anchors)]
+            corpus.append((MrpGraph(id="m", framework="eds", input=sent.text(), nodes=nodes), sent))
+        return corpus
+    return corpora()
 
 
-@st.composite
-def multiword_corpora_by_sentence(draw):
-    """The corpora of `multiword_corpora` with the forms "a", "A" and "b",
-    drawn at about a third of its cost: each sentence is one draw, and each
-    token shape and each piece one choice within it, a piece picking its
-    tokens or offsets modulo what the sentence has. Hypothesis draws the
-    first values of a choice most often, so a width of 1 comes first and 0
-    last, and 3-4 sentences come two times in three: over the 100 examples
-    of its property, the windows nest, repeat and overlap more often than
-    as drawn a field at a time, and more entries recur. The whitespace-forms
-    property keeps `multiword_corpora`: drawn this way, its examples held
-    repeated windows and whitespace forms less often."""
-    corpus = []
-    for _ in range(draw(st.sampled_from((1, 2, 3, 3, 4, 4)))):  # 3-4 two times in three: phrases recur
-        pos, shapes, anchors = draw(MULTIWORD_SENTENCE)
-        toks = []
-        for width, gap, form, empty in shapes:
-            form = form if width else empty
-            toks.append(Token(form, form.lower(), "X", pos, pos + width))
-            pos += width + gap
-
-        def piece(run, a, b):
-            if run and toks:
-                return toks[a % len(toks)].start, toks[b % len(toks)].end
-            return a % (pos + 1), b % (pos + 1)
-        sent = CompanionSentence(toks)
-        nodes = [MrpNode(i, "n", anchors=[piece(*p) for p in a]) for i, a in enumerate(anchors)]
-        corpus.append((MrpGraph(id="m", framework="eds", input=sent.text(), nodes=nodes), sent))
-    return corpus
-
-
-@given(multiword_corpora_by_sentence())
+@given(multiword_corpora_by_sentence(("a", "A", "b")))
 def test_build_multiword_table_counts_as_the_reference(corpus):
     assert build_multiword_table(corpus).entries == reference_build_multiword_table(corpus).entries
+
+
+# forms that hold whitespace, and two that do not, so that phrases without them recur
+WHITESPACE_FORMS = ("a b", "a", "b", "b\tc", " ")
 
 
 def test_a_window_with_a_form_that_holds_whitespace_is_not_counted():
@@ -410,7 +398,7 @@ def test_a_window_with_a_form_that_holds_whitespace_is_not_counted():
     assert build_multiword_table([(g, s), (g, s)]).entries == {}
 
 
-@given(multiword_corpora(forms=st.sampled_from(["a", "b", "a b", "b\tc", " "])))
+@given(multiword_corpora_by_sentence(WHITESPACE_FORMS))
 def test_every_multiword_entry_counts_no_more_single_nodes_than_occurrences(corpus):
     assert all(count >= 1 and 0 < prob <= 1 for prob, count in build_multiword_table(corpus).entries.values())
 
@@ -439,15 +427,36 @@ def reference_apply_multiword(sent, table):
     return replace_spans(sent, sorted(runs))
 
 
-MULTIWORD_FORMS = st.sampled_from(["a", "A", "b", "c"])
+# a token's form and NER tag as one choice
+MULTIWORD_TOKENS = st.lists(st.sampled_from(list(itertools.product(["a", "A", "b", "c"], ["O", "X"]))),
+                            min_size=1, max_size=8)
+# 1-4 entries, merged or not, for a sentence of n tokens (the index is n - 1). A phrase
+# is mostly a run of 2 or 3 of the sentence's words from a start it has, so that runs
+# merge, compete and overlap; else 1-3 words that may not occur.
+MULTIWORD_ENTRIES = [st.lists(st.tuples(st.tuples(st.integers(0, n - 1), st.sampled_from((2, 3)))
+                                        | st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3),
+                                        st.sampled_from([(1.0, 2), (0.4, 9)])), min_size=1, max_size=4)
+                     for n in range(1, 9)]
 
 
-@given(st.lists(st.tuples(MULTIWORD_FORMS, st.sampled_from(["O", "X"])), min_size=1, max_size=8),
-       st.dictionaries(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3).map(" ".join),
-                       st.sampled_from([(1.0, 2), (0.4, 9)]), max_size=4))
-def test_apply_multiword_merges_as_the_reference_scan(tokens, entries):
-    s = sentence([f for f, _ in tokens], tags=[t for _, t in tokens])
-    table = MultiwordTable(entries)
+@st.composite
+def sentences_and_tables(draw):
+    """A sentence of 1-8 tokens spelled "a", "A", "b" or "c" with mixed NER
+    tags, and a table whose phrases mostly occur in it."""
+    tokens = draw(MULTIWORD_TOKENS)
+    words = [form.lower() for form, _ in tokens]
+    entries = {}
+    for phrase, value in draw(MULTIWORD_ENTRIES[len(words) - 1]):
+        if isinstance(phrase, tuple):
+            start, length = phrase
+            phrase = words[start:start + length]
+        entries[" ".join(phrase)] = value
+    return sentence([f for f, _ in tokens], tags=[t for _, t in tokens]), MultiwordTable(entries)
+
+
+@given(sentences_and_tables())
+def test_apply_multiword_merges_as_the_reference_scan(sentence_and_table):
+    s, table = sentence_and_table
     assert apply_multiword(s, table) == reference_apply_multiword(s, table)
 
 
